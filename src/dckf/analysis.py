@@ -31,7 +31,7 @@ from .filtering import (
 )
 from .graph import Topology
 from .model import Deviations, NominalModel, TrueSystem
-from .solvers import SteadyStateResult, solve_lyapunov, stable_step
+from .solvers import SteadyStateResult, _covariance_flow, solve_lyapunov
 
 __all__ = [
     "HypothesisError",
@@ -407,7 +407,7 @@ class RelationReport:
     (gain-weighted measurement-noise deviation plus the replicated
     process-noise deviation); its sign classification decides whether the
     nominal index brackets the error covariance from above or below.
-    ``gap`` holds the integrated gap trajectory, ``gap_closed`` the exact
+    ``gap`` holds the stepped gap trajectory, ``gap_closed`` the exact
     closed-form evaluation, and ``gap_norm_bound`` the spectral-norm bound
     from the reference-gain logarithmic norm (the consensus gain above the
     reference has no effect on it).
@@ -453,9 +453,11 @@ def relation_analysis(
 
     Requires exact state and measurement matrices (only the noise
     intensities may deviate).  The gap obeys a Lyapunov-type ODE driven by
-    the constant mismatch-drive matrix; the closed-form solution is
-    evaluated per grid point through the matrix exponential and one
-    Lyapunov solve.
+    the constant mismatch-drive matrix.  ``gap`` steps it exactly with the
+    shared covariance flow of :mod:`dckf.solvers`, so ``dt`` is kept for
+    compatibility only and does not affect accuracy; ``gap_closed`` is an
+    independent check, evaluated per grid point from the matrix exponential
+    and one Lyapunov solve.
     """
     if not dev.state_matrix_exact:
         raise HypothesisError(
@@ -476,28 +478,7 @@ def relation_analysis(
     gap = matkit.symmetrize(np.asarray(gap_init, dtype=float))
     if gap.shape != acl.shape:
         raise ValueError(f"gap_init must be {acl.shape[0]}x{acl.shape[0]}, got {gap.shape}")
-    dt = stable_step(dt, acl)
-
-    # Fixed-step RK4 on the gap ODE.
-    out = np.empty((grid.size,) + gap.shape)
-    out[0] = gap
-    current = gap.copy()
-    for k in range(grid.size - 1):
-        span = grid[k + 1] - grid[k]
-        n_sub = max(1, int(np.ceil(span / dt - 1e-12)))
-        h = span / n_sub
-        for _ in range(n_sub):
-            k1 = acl @ current + current @ acl.T + drive
-            m2 = current + 0.5 * h * k1
-            k2 = acl @ m2 + m2 @ acl.T + drive
-            m3 = current + 0.5 * h * k2
-            k3 = acl @ m3 + m3 @ acl.T + drive
-            m4 = current + h * k3
-            k4 = acl @ m4 + m4 @ acl.T + drive
-            current = matkit.symmetrize(
-                current + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            )
-        out[k + 1] = current
+    out = _covariance_flow(acl, drive, gap, grid)
 
     # Closed form: with Z solving acl Z + Z acl' + drive = 0, the forced
     # response over [t0, t] is Z - e^{acl dt} Z e^{acl' dt}.

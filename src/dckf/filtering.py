@@ -15,7 +15,7 @@ import numpy as np
 
 from . import matkit
 from .graph import Topology, laplacian, laplacian_spectrum
-from .model import NominalModel, TrueSystem
+from .model import NominalModel, TrueSystem, negligible
 from .solvers import solve_care
 
 __all__ = [
@@ -146,8 +146,9 @@ class FilterRealization:
 
     @property
     def mismatch_is_zero(self) -> bool:
-        scale = max(1.0, float(np.linalg.norm(self.nominal.a)))
-        return bool(np.linalg.norm(self.mismatch_diag) <= 1e-12 * scale)
+        return negligible(
+            float(np.linalg.norm(self.mismatch_diag)), float(np.linalg.norm(self.nominal.a))
+        )
 
     def closed_loop_at(self, gamma: float) -> np.ndarray:
         """Closed-loop matrix rebuilt at another consensus gain."""

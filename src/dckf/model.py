@@ -29,7 +29,17 @@ __all__ = [
     "validate_assumptions",
     "observability_matrix",
     "controllability_matrix",
+    "negligible",
 ]
+
+# Relative size below which a deviation or mismatch counts as zero: model
+# matrices computed in floating point differ from exact ones by round-off.
+ZERO_DEVIATION_RTOL = 1e-12
+
+
+def negligible(norm: float, reference: float) -> bool:
+    """True when ``norm`` is zero up to ``ZERO_DEVIATION_RTOL * max(1, reference)``."""
+    return bool(norm <= ZERO_DEVIATION_RTOL * max(1.0, reference))
 
 
 def _check_square(name: str, a: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -156,12 +166,18 @@ def _check_pair(ts: TrueSystem, nm: NominalModel) -> None:
 
 @dataclass(frozen=True)
 class Deviations:
-    """Componentwise nominal-minus-actual differences with Frobenius norms."""
+    """Componentwise nominal-minus-actual differences with Frobenius norms.
+
+    ``scale`` is the largest Frobenius norm among the nominal state and
+    measurement matrices; deviations :func:`negligible` against it count as
+    zero in :attr:`state_matrix_exact`.
+    """
 
     d_a: np.ndarray
     d_c: tuple[np.ndarray, ...]
     d_q: np.ndarray
     d_r: tuple[np.ndarray, ...]
+    scale: float = 1.0
 
     @property
     def d_a_norm(self) -> float:
@@ -181,7 +197,7 @@ class Deviations:
 
     @property
     def state_matrix_exact(self) -> bool:
-        return self.d_a_norm == 0.0 and all(v == 0.0 for v in self.d_c_norms)
+        return all(negligible(v, self.scale) for v in (self.d_a_norm, *self.d_c_norms))
 
 
 def deviations(ts: TrueSystem, nm: NominalModel) -> Deviations:
@@ -192,6 +208,7 @@ def deviations(ts: TrueSystem, nm: NominalModel) -> Deviations:
         d_c=tuple(sn.c - st.c for st, sn in zip(ts.sensors, nm.sensors)),
         d_q=nm.q - ts.q,
         d_r=tuple(sn.r - st.r for st, sn in zip(ts.sensors, nm.sensors)),
+        scale=max(float(np.linalg.norm(m)) for m in (nm.a, *(sn.c for sn in nm.sensors))),
     )
 
 
@@ -320,7 +337,7 @@ def validate_assumptions(
     observable = _full_rank(observability_matrix(nm.a, st.c_stack_nom), n)
     controllable = _full_rank(controllability_matrix(nm.a, matkit.sqrtm_psd(nm.q)), n)
     f = np.asarray(mismatch_diag, dtype=float)
-    mismatch_zero = bool(np.linalg.norm(f) <= 1e-12 * max(1.0, np.linalg.norm(nm.a)))
+    mismatch_zero = negligible(float(np.linalg.norm(f)), float(np.linalg.norm(nm.a)))
     alpha = matkit.spectral_abscissa(ts.a)
     hurwitz = alpha < -1e-9 * max(np.linalg.norm(ts.a, 2), 1e-300)
     return AssumptionReport(

@@ -264,6 +264,11 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
     )
     if ode.dt <= 0 or ode.horizon <= 0 or ode.record_every <= 0:
         raise ScenarioError("ode block values must be positive")
+    records = round(ode.horizon / ode.record_every)
+    if abs(records * ode.record_every - ode.horizon) > 1e-9 * ode.horizon:
+        raise ScenarioError(
+            f"ode.record_every {ode.record_every:g} does not divide ode.horizon {ode.horizon:g}"
+        )
 
     scenario = Scenario(
         name=str(doc.get("name", name_hint)),

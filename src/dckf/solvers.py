@@ -15,11 +15,16 @@ that situation.
 Lyapunov/Sylvester equations are solved either by the dense Kronecker
 linear system (small problems) or by Schur-form back-substitution; both
 paths honor the same residual contract.
+
+The covariance ODEs ``dX/dt = A X + X A' + W`` are stepped exactly:
+``X(t + h) = Phi X(t) Phi' + Q_h`` with ``Phi = e^{A h}`` and ``Q_h`` from
+Van Loan's block exponential, taken at ``h / 2^k`` and squared back up
+(scaling and squaring), so stiff consensus coupling neither overflows nor
+multiplies the step count, and marginal closed loops need no special case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -435,17 +440,59 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def stable_step(dt: float, drift: np.ndarray) -> float:
-    """Cap an RK4 step so the stiffest drift mode stays inside the stability region.
+def _flow_pair(drift: np.ndarray, drive: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(e^{A h}, Q_h)`` with ``Q_h`` the integral of ``e^{A s} W e^{A' s}`` over ``[0, h]``.
 
-    The covariance ODEs have drift eigenvalues bounded by twice those of the
-    drift matrix; 1.25 / ||drift||_2 keeps 2 * ||drift||_2 * dt below the
-    real-axis stability limit with margin.  Deterministic in the inputs.
+    Van Loan's block exponential gives the pair at ``tau = h / 2^k``, where
+    ``||A tau||_1 <= 0.5`` keeps ``e^{-A tau}`` (its upper-left block) tame;
+    ``k`` doublings ``Q <- Q + Phi Q Phi'``, ``Phi <- Phi^2`` then reach ``h``.
     """
-    nrm = float(np.linalg.norm(drift, 2))
-    if nrm <= 0.0:
-        return dt
-    return min(dt, 1.25 / nrm)
+    n = drift.shape[0]
+    norm = float(np.linalg.norm(drift, 1))
+    tau, doublings = h, 0
+    while norm * tau > 0.5:
+        tau *= 0.5
+        doublings += 1
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -drift * tau
+    block[:n, n:] = drive * tau
+    block[n:, n:] = drift.T * tau
+    e = matkit.expm(block)
+    phi = e[n:, n:].T
+    q = matkit.symmetrize(phi @ e[:n, n:])
+    for _ in range(doublings):
+        q = matkit.symmetrize(q + phi @ q @ phi.T)
+        phi = phi @ phi
+    return phi, q
+
+
+def _covariance_flow(
+    drift: np.ndarray, drive: np.ndarray, init: np.ndarray, grid: np.ndarray
+) -> np.ndarray:
+    """Exact solution of ``dX/dt = A X + X A' + W`` on a time grid; returns (len(grid), n, n).
+
+    Each step is ``X <- Phi X Phi' + Q_h`` with the pair from
+    :func:`_flow_pair`, formed once per distinct span (spans within 1e-12
+    relative share a pair).  Cost does not grow with the stiffness of ``A``.
+    """
+    grid = _check_grid(grid)
+    drift = np.asarray(drift, dtype=float)
+    drive = matkit.symmetrize(drive)
+    x = matkit.symmetrize(init)
+    if x.shape != drift.shape:
+        raise ValueError(f"initial matrix must be {drift.shape[0]}x{drift.shape[0]}, got {x.shape}")
+    out = np.empty((grid.size,) + x.shape)
+    out[0] = x
+    pairs: list[tuple[float, np.ndarray, np.ndarray]] = []
+    for k, span in enumerate(np.diff(grid)):
+        pair = next((p for p in pairs if abs(p[0] - span) <= 1e-12 * span), None)
+        if pair is None:
+            pair = (span, *_flow_pair(drift, drive, span))
+            pairs.append(pair)
+        _, phi, q = pair
+        x = matkit.symmetrize(phi @ x @ phi.T + q)
+        out[k + 1] = x
+    return out
 
 
 def propagate(
@@ -456,76 +503,38 @@ def propagate(
     dt: float = 1e-3,
     init: TrajectoryInit | None = None,
 ) -> CovarianceTrajectory:
-    """Integrate the coupled covariance ODEs with fixed-step fourth-order Runge-Kutta.
+    """Exact covariance trajectories of the filter network on a time grid.
 
-    Between grid points the integrator uses equal substeps no longer than
-    ``dt`` (capped further for stiff closed loops, see :func:`stable_step`).
-    Symmetric blocks are re-symmetrized after every step.
+    The nominal index follows its own Lyapunov-type flow in the closed loop;
+    the error, cross and state blocks are slices of the joint covariance of
+    the :func:`build_augmented` system.  Both flows are stepped exactly
+    (matrix exponential plus Van Loan's integral), so ``dt`` no longer
+    affects accuracy; it is kept for compatibility and must be positive.
     """
     grid = _check_grid(grid)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    dt = stable_step(dt, fr.closed_loop)
     if init is None:
         init = default_initial_state(ts)
+    q_dim = fr.closed_loop.shape[0]
+    for name in ("nominal_cov", "error_cov", "cross_cov", "state_cov"):
+        shape = np.shape(getattr(init, name))
+        if shape != (q_dim, q_dim):
+            raise ValueError(f"initial {name} must be {q_dim}x{q_dim}, got {shape}")
     st = stack(ts, nm)
-    n_sensors = ts.sensor_count
-    acl = fr.closed_loop
-    f = fr.mismatch_diag
-    a_d = st.a_diag
-    u_q = matkit.kron(matkit.ones_matrix(n_sensors), ts.q)
     w_nom = fr.gain_diag @ st.r_diag_nom @ fr.gain_diag.T + matkit.kron(
-        matkit.ones_matrix(n_sensors), nm.q
+        matkit.ones_matrix(ts.sensor_count), nm.q
     )
-    w_err = fr.gain_diag @ st.r_diag @ fr.gain_diag.T + u_q
-
-    def rhs(su, se, s, x):
-        dsu = acl @ su + su @ acl.T + w_nom
-        dse = acl @ se + se @ acl.T + f @ s.T + s @ f.T + w_err
-        ds = acl @ s + s @ a_d.T + f @ x + u_q
-        dx = a_d @ x + x @ a_d.T + u_q
-        return dsu, dse, ds, dx
-
-    su = np.asarray(init.nominal_cov, dtype=float).copy()
-    se = np.asarray(init.error_cov, dtype=float).copy()
-    s = np.asarray(init.cross_cov, dtype=float).copy()
-    x = np.asarray(init.state_cov, dtype=float).copy()
-    q_dim = acl.shape[0]
-    for name, m in (("nominal_cov", su), ("error_cov", se), ("cross_cov", s), ("state_cov", x)):
-        if m.shape != (q_dim, q_dim):
-            raise ValueError(f"initial {name} must be {q_dim}x{q_dim}, got {m.shape}")
-
-    out_su = np.empty((grid.size, q_dim, q_dim))
-    out_se = np.empty_like(out_su)
-    out_s = np.empty_like(out_su)
-    out_x = np.empty_like(out_su)
-    out_su[0], out_se[0], out_s[0], out_x[0] = su, se, s, x
-
-    for k in range(grid.size - 1):
-        span = grid[k + 1] - grid[k]
-        n_sub = max(1, math.ceil(span / dt - 1e-12))
-        h = span / n_sub
-        for _ in range(n_sub):
-            k1 = rhs(su, se, s, x)
-            k2 = rhs(*(v + 0.5 * h * d for v, d in zip((su, se, s, x), k1)))
-            k3 = rhs(*(v + 0.5 * h * d for v, d in zip((su, se, s, x), k2)))
-            k4 = rhs(*(v + h * d for v, d in zip((su, se, s, x), k3)))
-            su, se, s, x = (
-                v + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-                for v, d1, d2, d3, d4 in zip((su, se, s, x), k1, k2, k3, k4)
-            )
-            su = matkit.symmetrize(su)
-            se = matkit.symmetrize(se)
-            x = matkit.symmetrize(x)
-        out_su[k + 1], out_se[k + 1], out_s[k + 1], out_x[k + 1] = su, se, s, x
-
-    traces = np.einsum("kii->k", out_se)
+    nominal = _covariance_flow(fr.closed_loop, w_nom, init.nominal_cov, grid)
+    joint = propagate_augmented(build_augmented(fr, ts, nm, init), grid)
+    error = joint[:, :q_dim, :q_dim]
+    traces = np.einsum("kii->k", error)
     return CovarianceTrajectory(
         time=grid,
-        nominal_cov=out_su,
-        error_cov=out_se,
-        cross_cov=out_s,
-        state_cov=out_x,
+        nominal_cov=nominal,
+        error_cov=error,
+        cross_cov=joint[:, :q_dim, q_dim:],
+        state_cov=joint[:, q_dim:, q_dim:],
         error_trace_rate=np.gradient(traces, grid),
     )
 
@@ -582,27 +591,9 @@ def build_augmented(
 def propagate_augmented(
     aug: AugmentedJointSystem, grid: np.ndarray, dt: float = 1e-3
 ) -> np.ndarray:
-    """RK4 propagation of the joint covariance; returns (len(grid), 2q, 2q)."""
-    grid = _check_grid(grid)
-    dt = stable_step(dt, aug.drift)
-    drive = matkit.symmetrize(aug.input_map @ aug.noise_intensity @ aug.input_map.T)
-    a = aug.drift
-    cov = matkit.symmetrize(np.asarray(aug.init_cov, dtype=float))
-    out = np.empty((grid.size,) + cov.shape)
-    out[0] = cov
+    """Exact joint covariance flow; returns (len(grid), 2q, 2q).
 
-    def rhs(c):
-        return a @ c + c @ a.T + drive
-
-    for k in range(grid.size - 1):
-        span = grid[k + 1] - grid[k]
-        n_sub = max(1, math.ceil(span / dt - 1e-12))
-        h = span / n_sub
-        for _ in range(n_sub):
-            k1 = rhs(cov)
-            k2 = rhs(cov + 0.5 * h * k1)
-            k3 = rhs(cov + 0.5 * h * k2)
-            k4 = rhs(cov + h * k3)
-            cov = matkit.symmetrize(cov + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        out[k + 1] = cov
-    return out
+    ``dt`` is kept for compatibility and does not affect the result.
+    """
+    drive = aug.input_map @ aug.noise_intensity @ aug.input_map.T
+    return _covariance_flow(aug.drift, drive, aug.init_cov, grid)

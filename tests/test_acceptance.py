@@ -24,7 +24,7 @@ from dckf.filtering import build_filter, gamma_threshold
 from dckf.model import deviations
 from dckf.scenario import load_scenario
 from dckf.sim import monte_carlo_mse
-from conftest import random_spd
+from conftest import random_spd, rk4_propagate
 from test_filtering import random_assumption2_setup, as_true
 from test_solvers import kron_oracle_sylvester, random_care_instance
 
@@ -222,7 +222,7 @@ def test_criterion_9_joint_system_cross_check():
         ts, nm, topo = sc.true_system, sc.nominal, sc.topology
         fr = build_filter(nm, ts, topo, float(sc.resolve_gammas()[0]))
         grid = sc.ode.grid()
-        traj = solvers.propagate(fr, ts, nm, grid, dt=sc.ode.dt)
+        traj = rk4_propagate(fr, ts, nm, grid, dt=sc.ode.dt)
         joint = solvers.propagate_augmented(
             solvers.build_augmented(fr, ts, nm), grid, dt=sc.ode.dt
         )

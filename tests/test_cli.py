@@ -199,6 +199,26 @@ def test_relations_case3_verdict(tmp_path):
     assert np.all(tr_nom >= tr_err - 1e-9)
 
 
+def test_relations_accepts_rounded_nominal_state_matrix(tmp_path):
+    # A nominal state matrix that differs from the true one only by
+    # floating-point round-off still counts as exact.
+    doc = preset_dict("case3")
+    doc["nominal"]["a"] = (np.asarray(doc["true_system"]["a"]) + 1e-17).tolist()
+    doc["ode"] = {"dt": 1e-3, "horizon": 2.0, "record_every": 0.2}
+    path = write_scenario(tmp_path, doc, "case3_rounded.json")
+    assert main(["relations", "--scenario", path, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "case3_relations_meta.json").read_text())
+    assert meta["ordering"] == "nominal_upper"
+
+
+def test_ode_record_every_must_divide_horizon(tmp_path, capsys):
+    doc = tiny_doc()
+    doc["ode"] = {"dt": 1e-3, "horizon": 2.0, "record_every": 0.3}
+    path = write_scenario(tmp_path, doc)
+    assert main(["validate", "--scenario", path, "--out", str(tmp_path)]) == 1
+    assert "record_every" in capsys.readouterr().err
+
+
 def test_relations_rejects_case1(tmp_path, capsys):
     assert main(["relations", "--scenario", "case1", "--out", str(tmp_path)]) == 2
     assert "exact state" in capsys.readouterr().err

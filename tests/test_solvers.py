@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from dckf import solvers
 from dckf.filtering import build_filter
 from dckf.graph import complete
 from dckf.model import NominalModel, Sensor, TrueSystem
-from conftest import random_spd
+from conftest import random_spd, rk4_propagate
 
 
 def kron_oracle_sylvester(a, b, c):
@@ -275,7 +277,7 @@ def test_propagate_agrees_with_augmented_system(baseline):
     ts, nm, topo = baseline.true_system, baseline.nominal, baseline.topology
     fr = build_filter(nm, ts, topo, float(baseline.resolve_gammas()[0]))
     grid = np.linspace(0.0, 5.0, 26)
-    traj = solvers.propagate(fr, ts, nm, grid, dt=1e-3)
+    traj = rk4_propagate(fr, ts, nm, grid, dt=1e-3)
     aug = solvers.build_augmented(fr, ts, nm)
     joint = solvers.propagate_augmented(aug, grid, dt=1e-3)
     q = fr.closed_loop.shape[0]
@@ -300,6 +302,40 @@ def test_propagate_case2_projection_growth(case2):
     slope = np.polyfit(grid[window], proj_err[window], 1)[0]
     assert slope == pytest.approx(36 * 0.03, rel=1e-6)
     assert np.max(np.abs(proj_nom - proj_nom[0])) <= 1e-8
+
+
+def test_propagate_case2_full_horizon_growth(case2):
+    # The marginal closed loop over the preset's whole 50 s ODE grid.
+    ts, nm, topo = case2.true_system, case2.nominal, case2.topology
+    fr = build_filter(nm, ts, topo, float(case2.resolve_gammas()[0]))
+    grid = case2.ode.grid()
+    assert grid[-1] == 50.0
+    traj = solvers.propagate(fr, ts, nm, grid, dt=case2.ode.dt, init=case2.initial_state())
+    v = np.kron(np.ones(6), [1.0, 0.0, 0.0, 0.0])
+    proj_err = np.array([v @ m @ v for m in traj.error_cov])
+    proj_nom = np.array([v @ m @ v for m in traj.nominal_cov])
+    window = grid >= 5.0
+    slope = np.polyfit(grid[window], proj_err[window], 1)[0]
+    assert slope == pytest.approx(36 * 0.03, rel=1e-6)
+    assert np.max(np.abs(proj_nom - proj_nom[0])) <= 1e-8
+
+
+def test_propagate_case1_stiff_top_gain_matches_oracle(case1):
+    # Top gain of the preset, 100x the Hurwitz threshold: the exact flow
+    # stays finite and fast, and matches the substep-capped RK4 oracle.
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    gammas = case1.resolve_gammas()
+    fr = build_filter(nm, ts, topo, float(gammas[-1]))
+    assert fr.gamma == pytest.approx(100.0 * fr.gamma_min, rel=1e-9)
+    grid = np.linspace(0.0, 2.0, 21)
+    start = time.perf_counter()
+    traj = solvers.propagate(fr, ts, nm, grid, dt=case1.ode.dt, init=case1.initial_state())
+    assert time.perf_counter() - start < 1.0
+    oracle = rk4_propagate(fr, ts, nm, grid, dt=case1.ode.dt, init=case1.initial_state())
+    for field in ("nominal_cov", "error_cov", "cross_cov", "state_cov"):
+        got, want = getattr(traj, field), getattr(oracle, field)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_propagate_reports_growth_rate(case2):
