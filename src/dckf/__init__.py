@@ -27,7 +27,6 @@ from .graph import (
     is_connected,
     laplacian,
     laplacian_spectrum,
-    path,
     ring,
 )
 from .model import (
@@ -42,7 +41,7 @@ from .model import (
     validate_assumptions,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, preset_dict, preset_names
-from .sim import MseSeries, SimConfig, SimTrial, monte_carlo_mse, simulate_trial
+from .sim import MseSeries, SimConfig, SimTrial, monte_carlo_mse, monte_carlo_sweep, simulate_trial
 from .solvers import (
     AugmentedJointSystem,
     CareSolutionError,

@@ -304,7 +304,6 @@ class DivergenceCertificate:
     freq: float
     vector: np.ndarray
     aug_residual: float
-    q_nominal_residual: float
     will_diverge: bool
     growth_rate: float
 
@@ -351,26 +350,25 @@ def divergence_test(
     q_true_scale = max(np.linalg.norm(ts.q, 2), 1e-300)
     w, v = np.linalg.eig(nm.a.T)
 
-    candidates: list[tuple[float, np.ndarray, float]] = []
+    candidates: list[tuple[float, np.ndarray]] = []
     for k in range(w.size):
         if abs(w[k].real) > 1e-8 * a_scale or w[k].imag < -1e-8 * a_scale:
             continue
         e = _canonical_phase(v[:, k])
-        q_resid = float(np.linalg.norm(nm.q @ e))
-        if q_resid > 1e-8 * q_nom_scale:
+        if np.linalg.norm(nm.q @ e) > 1e-8 * q_nom_scale:
             continue
         freq = max(float(w[k].imag), 0.0)
         if any(
             abs(freq - f0) <= 1e-8 * (1.0 + a_scale) and abs(np.vdot(e0, e)) > 1.0 - 1e-8
-            for f0, e0, _ in candidates
+            for f0, e0 in candidates
         ):
             continue
-        candidates.append((freq, e, q_resid))
+        candidates.append((freq, e))
 
     n_sensors = ts.sensor_count
     ones = np.ones(n_sensors)
     certificates = []
-    for freq, e, q_resid in candidates:
+    for freq, e in candidates:
         stacked = np.kron(ones, e)
         resid = float(
             np.linalg.norm(fr.closed_loop.T @ stacked - 1j * freq * stacked)
@@ -382,7 +380,6 @@ def divergence_test(
                 freq=freq,
                 vector=e,
                 aug_residual=resid,
-                q_nominal_residual=q_resid,
                 will_diverge=will_diverge,
                 growth_rate=n_sensors**2 * excitation,
             )

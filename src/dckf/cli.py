@@ -29,7 +29,7 @@ from .analysis import (
 from .filtering import build_filter
 from .model import deviations, validate_assumptions
 from .scenario import Scenario, ScenarioError, load_scenario, preset_names
-from .sim import monte_carlo_mse
+from .sim import monte_carlo_mse, monte_carlo_sweep
 from .solvers import SolverError, propagate, steady_state
 
 __all__ = ["main"]
@@ -185,6 +185,7 @@ def cmd_sweep(args, scenario: Scenario) -> int:
     cfg = scenario.sim_config(args.trials, args.seed) if args.simulate else None
 
     rows = []
+    simulated = {}  # row index -> filter, for the gains analyzed without error
     for gamma in gammas:
         fr = base.with_gamma(float(gamma))
         tr_nominal = tr_error = gap = upper1 = upper2 = floor = float("nan")
@@ -201,12 +202,16 @@ def cmd_sweep(args, scenario: Scenario) -> int:
             upper2 = tr_nominal + deviation_gap(fr, dev, plain_fit, weighted_fit)[0]
         except (HypothesisError, SolverError) as exc:
             status = "below_threshold" if gamma < fr.gamma_ref else f"failed: {exc}"
-        mse = float("nan")
-        if cfg is not None and status == "ok":
-            mse = monte_carlo_mse(ts, fr, cfg).steady_mse
+        if status == "ok":
+            simulated[len(rows)] = fr
         rows.append(
-            [float(gamma), threshold, tr_nominal, tr_error, gap, upper1, upper2, floor, mse, status]
+            [float(gamma), threshold, tr_nominal, tr_error, gap, upper1, upper2, floor, math.nan, status]
         )
+    if cfg is not None and simulated:
+        # One shared set of trials drives every gain (common random numbers).
+        series = monte_carlo_sweep(ts, list(simulated.values()), cfg)
+        for k, mc in zip(simulated, series):
+            rows[k][SWEEP_HEADER.index("mse")] = mc.steady_mse
 
     out = _out_dir(args)
     _write_csv(out / f"{scenario.name}_sweep.csv", SWEEP_HEADER, rows)

@@ -14,7 +14,6 @@ __all__ = [
     "laplacian_spectrum",
     "ring",
     "complete",
-    "path",
 ]
 
 
@@ -68,12 +67,6 @@ def complete(n: int) -> Topology:
     return Topology.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def path(n: int) -> Topology:
-    if n < 2:
-        raise ValueError("a path needs at least 2 nodes")
-    return Topology.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def laplacian(t: Topology) -> np.ndarray:
     """Graph Laplacian: degree matrix minus adjacency.  Symmetric PSD, zero row sums."""
     adj = t.adjacency
@@ -97,15 +90,13 @@ def is_connected(t: Topology) -> bool:
 
 @dataclass(frozen=True)
 class LaplacianSpectrum:
-    """Laplacian eigenvalues (decreasing) and an orthonormal diagonalizer.
+    """Laplacian eigenvalues in decreasing order.
 
-    ``transform`` has the normalized all-ones vector as its first row, so
-    ``transform @ L @ transform.T`` is ``diag(0, lam[0], ..., lam[n-2])``.
-    ``eigenvalues[-2]`` is the algebraic connectivity.
+    ``eigenvalues[-1]`` is the zero eigenvalue and ``eigenvalues[-2]`` the
+    algebraic connectivity.
     """
 
     eigenvalues: np.ndarray
-    transform: np.ndarray
 
     @property
     def algebraic_connectivity(self) -> float:
@@ -122,16 +113,9 @@ def laplacian_spectrum(t: Topology, connectivity_rtol: float = 1e-9) -> Laplacia
     """
     if not is_connected(t):
         raise ValueError("topology is disconnected; Laplacian spectrum requires a connected graph")
-    lap = laplacian(t)
-    w, v = np.linalg.eigh(lap)  # increasing order
-    n = t.node_count
-    decreasing = w[::-1].copy()
-    if n > 1 and decreasing[-2] <= connectivity_rtol * max(decreasing[0], 1.0):
+    # eigh rather than eigvalsh: the two LAPACK drivers differ in the last
+    # bits, and every gain threshold downstream is computed from these values.
+    decreasing = np.linalg.eigh(laplacian(t))[0][::-1].copy()
+    if t.node_count > 1 and decreasing[-2] <= connectivity_rtol * max(decreasing[0], 1.0):
         raise ValueError("algebraic connectivity is numerically zero on a BFS-connected graph")
-    # First row: the zero eigenvector, fixed to 1/sqrt(N); remaining rows are
-    # the eigenvectors of the positive eigenvalues, largest first.
-    rows = [np.full(n, 1.0 / np.sqrt(n))]
-    for k in range(n - 1, 0, -1):
-        rows.append(v[:, k])
-    transform = np.vstack(rows)
-    return LaplacianSpectrum(eigenvalues=decreasing, transform=transform)
+    return LaplacianSpectrum(eigenvalues=decreasing)

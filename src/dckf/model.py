@@ -217,7 +217,6 @@ class StackedMatrices:
     """Stacked/block-diagonal forms for the sensor network.
 
     ``c_stack``   : all measurement matrices stacked vertically (sum m_i rows)
-    ``c_diag``    : block diagonal of the measurement matrices
     ``r_diag``    : block diagonal of the measurement noise intensities
     ``a_diag``    : kron(I_N, A)
 
@@ -225,11 +224,9 @@ class StackedMatrices:
     """
 
     c_stack: np.ndarray
-    c_diag: np.ndarray
     r_diag: np.ndarray
     a_diag: np.ndarray
     c_stack_nom: np.ndarray
-    c_diag_nom: np.ndarray
     r_diag_nom: np.ndarray
     a_diag_nom: np.ndarray
 
@@ -239,11 +236,9 @@ def stack(ts: TrueSystem, nm: NominalModel) -> StackedMatrices:
     eye_n = np.eye(ts.sensor_count)
     return StackedMatrices(
         c_stack=np.vstack([s.c for s in ts.sensors]),
-        c_diag=matkit.block_diag([s.c for s in ts.sensors]),
         r_diag=matkit.block_diag([s.r for s in ts.sensors]),
         a_diag=matkit.kron(eye_n, ts.a),
         c_stack_nom=np.vstack([s.c for s in nm.sensors]),
-        c_diag_nom=matkit.block_diag([s.c for s in nm.sensors]),
         r_diag_nom=matkit.block_diag([s.r for s in nm.sensors]),
         a_diag_nom=matkit.kron(eye_n, nm.a),
     )

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from .analysis import HypothesisError
 from .filtering import gamma_threshold
-from .graph import Topology, ring
+from .graph import Topology, is_connected, ring
 from .model import NominalModel, Sensor, TrueSystem
 from .solvers import TrajectoryInit, default_initial_state
 
@@ -48,11 +50,18 @@ class ScenarioError(ValueError):
     """A scenario document is malformed or internally inconsistent."""
 
 
-def _matrix(node: Any, field: str) -> np.ndarray:
+def _numeric(node: Any, field: str) -> np.ndarray:
     try:
-        m = np.asarray(node, dtype=float)
+        a = np.asarray(node, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"field {field!r} is not a numeric matrix: {exc}") from exc
+        raise ScenarioError(f"field {field!r} is not numeric: {exc}") from exc
+    if not np.all(np.isfinite(a)):
+        raise ScenarioError(f"field {field!r} has a non-finite entry")
+    return a
+
+
+def _matrix(node: Any, field: str) -> np.ndarray:
+    m = _numeric(node, field)
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim != 2:
@@ -61,17 +70,72 @@ def _matrix(node: Any, field: str) -> np.ndarray:
 
 
 def _vector(node: Any, field: str) -> np.ndarray:
-    try:
-        v = np.asarray(node, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"field {field!r} is not a numeric vector: {exc}") from exc
-    return v
+    return _numeric(node, field).reshape(-1)
 
 
-def _require(block: dict, field: str, where: str) -> Any:
-    if field not in block:
+def _object(node: Any, where: str) -> dict:
+    if not isinstance(node, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
+    return node
+
+
+def _require(block: Any, field: str, where: str) -> Any:
+    if field not in _object(block, where):
         raise ScenarioError(f"missing field {field!r} in {where}")
     return block[field]
+
+
+def _positive(node: Any, field: str) -> float:
+    try:
+        value = float(node)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{field} is not a number: {node!r}") from exc
+    if not (math.isfinite(value) and value > 0.0):
+        raise ScenarioError(f"{field} must be positive and finite, got {node!r}")
+    return value
+
+
+# More gains than any sweep needs; larger grids are refused before allocation.
+_MAX_GAINS = 10_000
+
+
+def _gamma_values(spec: Any, threshold) -> np.ndarray:
+    """Consensus gains of a gamma block; ``threshold()`` is called only for relative specs."""
+    _object(spec, "gamma block")
+    if "value" in spec:
+        return np.asarray([_positive(spec["value"], "gamma.value")])
+    if "list" in spec:
+        items = spec["list"]
+        if not isinstance(items, list) or not items:
+            raise ScenarioError("gamma.list must be a non-empty list")
+        if len(items) > _MAX_GAINS:
+            raise ScenarioError(f"gamma.list has more than {_MAX_GAINS} gains")
+        return np.asarray([_positive(v, f"gamma.list[{k}]") for k, v in enumerate(items)])
+    if "threshold_scale" in spec:
+        scale = _positive(spec["threshold_scale"], "gamma.threshold_scale")
+        return np.asarray([scale * threshold()])
+    if "log_range" in spec:
+        rng = spec["log_range"]
+        lo = _positive(_require(rng, "lo", "gamma.log_range"), "gamma.log_range.lo")
+        hi = _positive(_require(rng, "hi", "gamma.log_range"), "gamma.log_range.hi")
+        try:
+            points = int(_require(rng, "points", "gamma.log_range"))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"gamma.log_range.points is not an integer: {exc}") from exc
+        if not (lo < hi) or not 1 <= points <= _MAX_GAINS:
+            raise ScenarioError(
+                f"gamma.log_range needs 0 < lo < hi and 1 <= points <= {_MAX_GAINS}"
+            )
+        scale = rng.get("scale", "absolute")
+        if scale == "threshold":
+            thr = threshold()
+            lo, hi = lo * thr, hi * thr
+        elif scale != "absolute":
+            raise ScenarioError(f"unknown gamma scale {scale!r}")
+        return np.logspace(np.log10(lo), np.log10(hi), points)
+    raise ScenarioError(
+        "gamma block must contain one of: value, list, threshold_scale, log_range"
+    )
 
 
 def _parse_sensors(node: Any, where: str) -> tuple[Sensor, ...]:
@@ -115,34 +179,14 @@ class Scenario:
 
     def resolve_gammas(self) -> np.ndarray:
         """Concrete consensus-gain values for this scenario."""
-        spec = self.gamma_spec
-        if "value" in spec:
-            return np.asarray([float(spec["value"])])
-        if "list" in spec:
-            vals = np.asarray([float(v) for v in spec["list"]], dtype=float)
-            if vals.size == 0:
-                raise ScenarioError("gamma.list must not be empty")
-            return vals
-        if "threshold_scale" in spec:
-            thr = gamma_threshold(self.nominal, self.topology)
-            return np.asarray([float(spec["threshold_scale"]) * thr])
-        if "log_range" in spec:
-            rng = spec["log_range"]
-            lo = float(_require(rng, "lo", "gamma.log_range"))
-            hi = float(_require(rng, "hi", "gamma.log_range"))
-            points = int(_require(rng, "points", "gamma.log_range"))
-            if not (0 < lo < hi) or points < 1:
-                raise ScenarioError("gamma.log_range needs 0 < lo < hi and points >= 1")
-            scale = rng.get("scale", "absolute")
-            if scale == "threshold":
-                thr = gamma_threshold(self.nominal, self.topology)
-                lo, hi = lo * thr, hi * thr
-            elif scale != "absolute":
-                raise ScenarioError(f"unknown gamma scale {scale!r}")
-            return np.logspace(np.log10(lo), np.log10(hi), points)
-        raise ScenarioError(
-            "gamma block must contain one of: value, list, threshold_scale, log_range"
-        )
+        return _gamma_values(self.gamma_spec, self._threshold)
+
+    def _threshold(self) -> float:
+        if not is_connected(self.topology):
+            raise HypothesisError(
+                "the consensus-gain threshold needs a connected network; this topology is not"
+            )
+        return gamma_threshold(self.nominal, self.topology)
 
     def sim_config(self, trials: int | None = None, seed: int | None = None):
         from .sim import SimConfig
@@ -164,6 +208,8 @@ class Scenario:
             )
         except KeyError as exc:
             raise ScenarioError(f"sim block is missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"sim block: {exc}") from exc
 
     def initial_state(self) -> TrajectoryInit:
         """Initial covariance matrices, with per-field keyword or matrix overrides."""
@@ -227,7 +273,7 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     ts_block = _require(doc, "true_system", "scenario")
     nm_block = _require(doc, "nominal", "scenario")
-    topo_block = _require(doc, "topology", "scenario")
+    topo_block = _object(_require(doc, "topology", "scenario"), "topology")
     try:
         true_system = TrueSystem(
             a=_matrix(_require(ts_block, "a", "true_system"), "true_system.a"),
@@ -253,17 +299,27 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
             )
         else:
             raise ScenarioError("topology needs either 'adjacency' or 'nodes'+'edges'")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"topology: {exc}") from exc
 
-    ode_block = doc.get("ode", {})
+    if (nominal.n, nominal.sensor_count) != (true_system.n, true_system.sensor_count):
+        raise ScenarioError("true system and nominal model dimensions disagree")
+    if topology.node_count != true_system.sensor_count:
+        raise ScenarioError(
+            f"topology has {topology.node_count} nodes, the system has "
+            f"{true_system.sensor_count} sensors"
+        )
+
+    gamma_block = _require(doc, "gamma", "scenario")
+    # Fail early on spec errors that do not need the threshold value.
+    _gamma_values(gamma_block, lambda: 1.0)
+
+    ode_block = _object(doc.get("ode", {}), "ode")
     ode = OdeConfig(
-        dt=float(ode_block.get("dt", 1e-3)),
-        horizon=float(ode_block.get("horizon", 10.0)),
-        record_every=float(ode_block.get("record_every", 0.1)),
+        dt=_positive(ode_block.get("dt", 1e-3), "ode.dt"),
+        horizon=_positive(ode_block.get("horizon", 10.0), "ode.horizon"),
+        record_every=_positive(ode_block.get("record_every", 0.1), "ode.record_every"),
     )
-    if ode.dt <= 0 or ode.horizon <= 0 or ode.record_every <= 0:
-        raise ScenarioError("ode block values must be positive")
     records = round(ode.horizon / ode.record_every)
     if abs(records * ode.record_every - ode.horizon) > 1e-9 * ode.horizon:
         raise ScenarioError(
@@ -276,16 +332,13 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
         true_system=true_system,
         nominal=nominal,
         topology=topology,
-        gamma_spec=dict(_require(doc, "gamma", "scenario")),
-        sim_spec=dict(doc["sim"]) if "sim" in doc else None,
+        gamma_spec=dict(gamma_block),
+        sim_spec=dict(_object(doc["sim"], "sim")) if "sim" in doc else None,
         ode=ode,
-        init_spec=dict(doc.get("init", {})),
+        init_spec=dict(_object(doc.get("init", {}), "init")),
     )
-    # Fail early on spec errors that do not need the threshold value.
-    if not any(
-        k in scenario.gamma_spec for k in ("value", "list", "threshold_scale", "log_range")
-    ):
-        raise ScenarioError("gamma block must contain one of: value, list, threshold_scale, log_range")
+    if scenario.sim_spec is not None:
+        scenario.sim_config()  # fail early on a malformed sim block
     return scenario
 
 

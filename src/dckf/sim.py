@@ -8,16 +8,35 @@ transition matrix ``expm(closed_loop * dt)`` with the matched input map),
 which stays stable for arbitrarily strong consensus coupling and agrees
 with an explicit Euler step to second order when the coupling is mild.
 
+Fused blocked recursion: one step of the truth ``x`` and of the estimates
+``est_g`` of every filter realization ``g`` in a sweep is one linear map of
+the row vector ``z = [x, est_1 ... est_G]``, namely ``z' = z M + xi N``, where
+``xi`` is the step's noise row (process noise, then measurement noise).  A
+record stride of ``S`` steps is therefore one product,
+``z_S = z_0 M^S + [xi_0 ... xi_{S-1}] stack(N M^{S-1-j})``, instead of ``S``
+Python iterations.  ``M`` is block upper triangular (the truth drives each
+filter, no filter feeds back), so the operators are built per gain from its
+own ``(n + q)``-square block, the truth columns are shared, and a filter that
+overflows cannot spill into another gain.  A stride whose powers of ``M``
+would leave the safe floating-point range is split into shorter pieces;
+overflow is still detected per record and per (trial, gain).
+
 Reproducibility contract: every random draw of trial ``l`` comes from a
 generator seeded with the pair ``(seed, l)``, so per-trial streams are
 independent and a trial's trajectory depends only on that pair and the
 simulation config.  The noise consumption pattern per trial is fixed: one
-vector for the initial state, then fixed-size slabs of per-step rows
-holding the process noise followed by the measurement noise.
+vector for the initial state, then one row per step holding the process
+noise followed by the measurement noise.  A generator's normal stream
+depends only on the order of the draws, not on how they are grouped into
+calls (drawing ``a`` rows and then ``b`` rows gives the same numbers as
+drawing ``a + b``), so the engine draws each piece's rows when it needs them
+and the grouping does not change any trial's noise.  Every gain of a sweep
+sees the same rows (common random numbers).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +45,22 @@ from . import matkit
 from .filtering import FilterRealization
 from .model import TrueSystem
 
-__all__ = ["SimConfig", "SimTrial", "MseSeries", "simulate_trial", "monte_carlo_mse"]
+__all__ = [
+    "SimConfig",
+    "SimTrial",
+    "MseSeries",
+    "simulate_trial",
+    "monte_carlo_mse",
+    "monte_carlo_sweep",
+]
 
-_NOISE_SLAB = 2048
-_NOISE_BUDGET_BYTES = 2 * 10**8  # caps the per-chunk noise slab allocation
+# Memory caps: a piece's noise operator, a trial chunk's per-record squared
+# errors, and a trial chunk's noise rows for one piece.
+_OPERATOR_BYTES = 4 * 2**20
+_HISTORY_BYTES = 2 * 2**20
+_NOISE_BYTES = 4 * 2**20
+# Largest entry a piece's operators may hold; longer strides are split.
+_POWER_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -43,8 +74,8 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.horizon <= self.dt:
-            raise ValueError("need 0 < dt < horizon")
+        if not (0 < self.dt < self.horizon < math.inf):
+            raise ValueError("need 0 < dt < horizon < inf")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.record_stride < 1:
@@ -91,159 +122,229 @@ class MseSeries:
     overflow_trials: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
 
+@dataclass(frozen=True)
+class _Operators:
+    """Everything one piece of ``length`` steps applies to ``z``."""
+
+    length: int
+    state_map: np.ndarray  # (n, n + G q): the truth's row of M^length
+    filter_maps: np.ndarray  # (G, q, q): each gain's diagonal block of M^length
+    noise_map: np.ndarray  # (length * cols, n + G q): stack(N M^{length-1-j})
+
+
 class _Engine:
-    """Vectorized stepping of a batch of trials with per-trial noise streams."""
+    """The fused recursion of one true system and a list of filter realizations."""
 
-    def __init__(self, ts: TrueSystem, fr: FilterRealization, cfg: SimConfig) -> None:
-        if fr.n != ts.n or fr.sensor_count != ts.sensor_count:
-            raise ValueError("filter realization does not match the true system dimensions")
+    def __init__(self, ts: TrueSystem, realizations, cfg: SimConfig) -> None:
+        realizations = list(realizations)
+        if not realizations:
+            raise ValueError("need at least one filter realization")
+        for fr in realizations:
+            if fr.n != ts.n or fr.sensor_count != ts.sensor_count:
+                raise ValueError("filter realization does not match the true system dimensions")
         self.ts = ts
-        self.fr = fr
         self.cfg = cfg
-        self.n = ts.n
+        n = self.n = ts.n
         self.n_sensors = ts.sensor_count
-        self.c_stack_t = np.vstack([s.c for s in ts.sensors]).T
-        self.m_total = self.c_stack_t.shape[1]
-        self.q_half_t = matkit.sqrtm_psd(ts.q).T
-        self.r_half_t = matkit.block_diag([matkit.sqrtm_psd(s.r) for s in ts.sensors]).T
+        self.gains = len(realizations)
+        q = self.q = n * ts.sensor_count
+        self.width = n + self.gains * q
+        c_stack_t = np.vstack([s.c for s in ts.sensors]).T
+        m_total = c_stack_t.shape[1]
+        self.cols = n + m_total
         self.sigma0_half_t = matkit.sqrtm_psd(ts.sigma0).T
-        # Zero-order-hold discretization of the filter recursion; the
-        # augmented exponential also yields the input map when the closed
-        # loop is singular.
-        q_dim = fr.closed_loop.shape[0]
-        aug = np.zeros((q_dim + self.m_total, q_dim + self.m_total))
-        aug[:q_dim, :q_dim] = fr.closed_loop * cfg.dt
-        aug[:q_dim, q_dim:] = fr.gain_diag * cfg.dt
-        exp_aug = matkit.expm(aug)
-        self.step_t = exp_aug[:q_dim, :q_dim].T
-        self.input_t = exp_aug[:q_dim, q_dim:].T
-
-    def run(self, trial_indices, keep_trajectories: bool = False):
-        """Step ``trial_indices`` jointly; per-trial draws stay stream-separated.
-
-        Returns ``(times, sensor_sse, overflow_steps)`` and, when requested,
-        the recorded state/estimate trajectories.  ``sensor_sse`` has shape
-        (batch, records, sensors) and holds squared error norms; entries from
-        overflowed trials are NaN from the first bad record on.
-        """
-        cfg = self.cfg
-        n, n_sensors, m_total = self.n, self.n_sensors, self.m_total
-        batch = len(trial_indices)
-        rngs = [np.random.default_rng((cfg.seed, int(l))) for l in trial_indices]
         dt = cfg.dt
-        sqrt_dt = np.sqrt(dt)
-        inv_sqrt_dt = 1.0 / sqrt_dt
+        # Per-gain blocks of M and N, each (n + q) columns wide.
+        blocks = np.zeros((self.gains, n + q, n + q))
+        noise_blocks = np.zeros((self.gains, self.cols, n + q))
+        blocks[:, :n, :n] = np.eye(n) + dt * ts.a.T
+        noise_blocks[:, :n, :n] = np.sqrt(dt) * matkit.sqrtm_psd(ts.q).T
+        r_half_t = matkit.block_diag([matkit.sqrtm_psd(s.r) for s in ts.sensors]).T
+        for g, fr in enumerate(realizations):
+            # Zero-order-hold discretization of the filter recursion; the
+            # augmented exponential also yields the input map when the closed
+            # loop is singular.
+            aug = np.zeros((q + m_total, q + m_total))
+            aug[:q, :q] = fr.closed_loop * dt
+            aug[:q, q:] = fr.gain_diag * dt
+            exp_aug = matkit.expm(aug)
+            input_t = exp_aug[:q, q:].T
+            blocks[g, n:, n:] = exp_aug[:q, :q].T
+            blocks[g, :n, n:] = c_stack_t @ input_t
+            noise_blocks[g, n:, n:] = (r_half_t * (1.0 / np.sqrt(dt))) @ input_t
+        self.blocks = blocks
+        self.noise_blocks = noise_blocks
+        self._operators: dict[int, _Operators] = {}
+        self.max_piece = max(1, _OPERATOR_BYTES // (self.cols * self.width * 8))
 
-        x = self.ts.x0 + np.stack([r.standard_normal(n) for r in rngs]) @ self.sigma0_half_t
-        est = np.tile(self.ts.x0, (batch, n_sensors))
+    def pieces(self, stride: int) -> list[_Operators]:
+        """Operators that advance ``z`` by ``stride`` steps, applied in order."""
+        out = []
+        while stride > 0:
+            ops = self._operators_for(min(stride, self.max_piece))
+            out.append(ops)
+            stride -= ops.length
+        return out
 
-        record_steps = cfg.record_steps()
-        times = record_steps * dt
-        n_records = record_steps.size
-        sensor_sse = np.full((batch, n_records, n_sensors), np.nan)
-        overflow = np.full(batch, -1, dtype=int)
-        if keep_trajectories:
-            traj_x = np.empty((batch, n_records, n))
-            traj_e = np.empty((batch, n_records, n_sensors, n))
+    def _operators_for(self, length: int) -> _Operators:
+        """Operators of ``length`` steps, or of fewer if the powers of ``M`` grow too large."""
+        if length in self._operators:
+            return self._operators[length]
+        n, q, cols, gains = self.n, self.q, self.cols, self.gains
+        stack = np.empty((length, gains, cols, n + q))
+        power = np.broadcast_to(np.eye(n + q), self.blocks.shape).copy()
+        used = length
+        # Horner: one running power M^j; the noise block of step i is N M^{length-1-i}.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(length):
+                noise_block = self.noise_blocks @ power
+                grown = power @ self.blocks
+                if j > 0 and not (
+                    np.all(np.abs(noise_block) <= _POWER_LIMIT)
+                    and np.all(np.abs(grown) <= _POWER_LIMIT)
+                ):
+                    # Every later piece is capped too: the operators do not
+                    # depend on where a piece starts.
+                    used = self.max_piece = j
+                    break
+                stack[length - 1 - j] = noise_block
+                power = grown
+        stack = stack[length - used :]
+        noise_map = np.empty((used * cols, self.width))
+        noise_map[:, :n] = stack[:, 0, :, :n].reshape(used * cols, n)
+        noise_map[:, n:] = stack[:, :, :, n:].transpose(0, 2, 1, 3).reshape(used * cols, gains * q)
+        state_map = np.empty((n, self.width))
+        state_map[:, :n] = power[0, :n, :n]
+        state_map[:, n:] = power[:, :n, n:].transpose(1, 0, 2).reshape(n, gains * q)
+        ops = _Operators(used, state_map, power[:, n:, n:].copy(), noise_map)
+        self._operators[length] = ops
+        return ops
 
-        noise = None
-        record_ptr = 0
-        cols = n + m_total
-        n_steps = cfg.step_count
+    def chunk_size(self) -> int:
+        """Trials run together: bounded by the record history and the noise rows they hold."""
+        cfg = self.cfg
+        history = cfg.record_steps().size * self.gains * self.n_sensors * 8
+        rows = min(self.max_piece, cfg.record_stride, cfg.step_count) * self.cols * 8
+        return max(1, min(cfg.trials, _HISTORY_BYTES // history, _NOISE_BYTES // rows))
+
+    def run(self, trials):
+        """Yield ``z`` of shape (trials, n + G q) at every record step, in order."""
+        cfg = self.cfg
+        n = self.n
+        rngs = [np.random.default_rng((cfg.seed, int(l))) for l in trials]
+        z = np.empty((len(rngs), self.width))
+        z[:, :n] = self.ts.x0 + np.stack([r.standard_normal(n) for r in rngs]) @ self.sigma0_half_t
+        z[:, n:] = np.tile(self.ts.x0, self.gains * self.n_sensors)
+        yield z
+        for stride in np.diff(cfg.record_steps()):
+            for ops in self.pieces(int(stride)):
+                noise = np.empty((len(rngs), ops.length * self.cols))
+                for rng, row in zip(rngs, noise):
+                    rng.standard_normal(out=row)
+                z = self._advance(z, noise, ops)
+            yield z
+
+    def _advance(self, z: np.ndarray, noise: np.ndarray, ops: _Operators) -> np.ndarray:
+        batch, n = z.shape[0], self.n
         # Overflow is a monitored outcome (divergent scenarios), not an error.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps + 1):
-                if record_ptr < n_records and k == record_steps[record_ptr]:
-                    est_blocks = est.reshape(batch, n_sensors, n)
-                    err = est_blocks - x[:, None, :]
-                    sse = np.einsum("bij,bij->bi", err, err)
-                    finite = np.isfinite(sse).all(axis=1)
-                    for b in np.flatnonzero(~finite & (overflow < 0)):
-                        overflow[b] = k
-                    ok = overflow < 0
-                    sensor_sse[ok, record_ptr, :] = sse[ok]
-                    if keep_trajectories:
-                        traj_x[:, record_ptr] = x
-                        traj_e[:, record_ptr] = est_blocks
-                    record_ptr += 1
-                if k == n_steps:
-                    break
-                pos = k % _NOISE_SLAB
-                if pos == 0:
-                    noise = np.stack([r.standard_normal((_NOISE_SLAB, cols)) for r in rngs])
-                z = noise[:, pos, :n]
-                w = noise[:, pos, n:]
-                y = x @ self.c_stack_t + (w @ self.r_half_t) * inv_sqrt_dt
-                est = est @ self.step_t + y @ self.input_t
-                x = x + dt * (x @ self.ts.a.T) + sqrt_dt * (z @ self.q_half_t)
+            out = noise @ ops.noise_map
+            out += z[:, :n] @ ops.state_map
+            est = z[:, n:].reshape(batch, self.gains, self.q).transpose(1, 0, 2)
+            out[:, n:] += np.matmul(est, ops.filter_maps).transpose(1, 0, 2).reshape(batch, -1)
+        return out
 
-        if keep_trajectories:
-            return times, sensor_sse, overflow, traj_x, traj_e
-        return times, sensor_sse, overflow
+    def squared_errors(self, z: np.ndarray) -> np.ndarray:
+        """Per (trial, gain, sensor) squared estimation error norms of ``z``."""
+        n = self.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = z[:, n:].reshape(z.shape[0], self.gains, self.n_sensors, n) - z[:, None, None, :n]
+            return np.einsum("bgsi,bgsi->bgs", err, err)
 
 
 def simulate_trial(
     ts: TrueSystem, fr: FilterRealization, cfg: SimConfig, trial_index: int
 ) -> SimTrial:
     """Run one trial; the result is fully determined by (seed, trial_index)."""
-    engine = _Engine(ts, fr, cfg)
-    times, _, overflow, traj_x, traj_e = engine.run([trial_index], keep_trajectories=True)
-    step = int(overflow[0])
+    engine = _Engine(ts, [fr], cfg)
+    steps = cfg.record_steps()
+    n = ts.n
+    states = np.empty((steps.size, n))
+    estimates = np.empty((steps.size, ts.sensor_count, n))
+    overflow_step = None
+    for k, z in enumerate(engine.run([trial_index])):
+        states[k] = z[0, :n]
+        estimates[k] = z[0, n:].reshape(ts.sensor_count, n)
+        if overflow_step is None and not np.isfinite(engine.squared_errors(z)).all():
+            overflow_step = int(steps[k])
     return SimTrial(
-        time=times,
-        states=traj_x[0],
-        estimates=traj_e[0],
-        overflow_step=step if step >= 0 else None,
+        time=steps * cfg.dt, states=states, estimates=estimates, overflow_step=overflow_step
     )
 
 
 def monte_carlo_mse(ts: TrueSystem, fr: FilterRealization, cfg: SimConfig) -> MseSeries:
-    """Average squared estimation error over trials, sensors, and record times.
+    """Average squared estimation error over trials, sensors, and record times."""
+    return monte_carlo_sweep(ts, [fr], cfg)[0]
 
-    Trials run in fixed-size batches in increasing trial order, so the
-    aggregate is a deterministic function of the config regardless of
-    machine or batch boundaries chosen here.
+
+def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseSeries]:
+    """``monte_carlo_mse`` for every filter realization, on one shared set of trials.
+
+    Each trial's noise is drawn once and drives the truth and every filter,
+    so the series of a gain sweep differ only by the gain (common random
+    numbers), and each equals what ``monte_carlo_mse`` gives for that gain
+    alone.  Trials run in chunks in increasing trial order and each chunk is
+    reduced before the next, so the aggregate is a deterministic function of
+    the config and only one chunk's per-record errors are held at a time.
+    Raises ``RuntimeError`` when every trial of some realization overflows.
     """
-    engine = _Engine(ts, fr, cfg)
-    cols = engine.n + engine.m_total
-    chunk = max(64, _NOISE_BUDGET_BYTES // (_NOISE_SLAB * cols * 8))
-    chunks = []
-    overflow_all = []
-    times = None
-    for start in range(0, cfg.trials, chunk):
-        idx = range(start, min(start + chunk, cfg.trials))
-        times, sse, overflow = engine.run(list(idx))
-        chunks.append(sse)
-        overflow_all.append(overflow)
-    sensor_sse = np.concatenate(chunks, axis=0)
-    overflow = np.concatenate(overflow_all)
-
-    good = overflow < 0
-    used = int(np.sum(good))
-    if used == 0:
-        raise RuntimeError("every trial overflowed; nothing to average")
-    per_sensor = sensor_sse[good].mean(axis=0)
-    per_trial = sensor_sse[good].mean(axis=2)  # (trials, records)
-    mse = per_sensor.mean(axis=1)
-
+    engine = _Engine(ts, realizations, cfg)
+    steps = cfg.record_steps()
+    times = steps * cfg.dt
     window = times >= 0.8 * cfg.horizon
-    if np.sum(window) < 1:
-        window = np.zeros_like(window)
+    if not window.any():
         window[-1] = True
-    steady_per_trial = per_trial[:, window].mean(axis=1)
-    steady_mse = float(steady_per_trial.mean())
-    steady_se = (
-        float(steady_per_trial.std(ddof=1) / np.sqrt(used)) if used > 1 else float("nan")
-    )
-    overflow_trials = tuple(
-        (int(l), int(step)) for l, step in enumerate(overflow) if step >= 0
-    )
-    return MseSeries(
-        time=times,
-        mse=mse,
-        per_sensor_mse=per_sensor,
-        trials_used=used,
-        steady_mse=steady_mse,
-        steady_se=steady_se,
-        overflow_trials=overflow_trials,
-    )
+    gains = engine.gains
+    sums = np.zeros((steps.size, gains, engine.n_sensors))
+    steady = np.empty((cfg.trials, gains))
+    overflow = np.full((cfg.trials, gains), -1, dtype=int)
+    chunk = engine.chunk_size()
+    for start in range(0, cfg.trials, chunk):
+        trials = range(start, min(start + chunk, cfg.trials))
+        sse = np.empty((len(trials), steps.size, gains, engine.n_sensors))
+        flags = overflow[start : trials.stop]
+        for k, z in enumerate(engine.run(trials)):
+            sse[:, k] = engine.squared_errors(z)
+            flags[~np.isfinite(sse[:, k]).all(axis=2) & (flags < 0)] = steps[k]
+        good = flags < 0
+        for g in range(gains):
+            sums[:, g] += sse[good[:, g], :, g].sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            steady[start : trials.stop] = sse[:, window].mean(axis=3).mean(axis=1)
+
+    out = []
+    for g in range(gains):
+        good = overflow[:, g] < 0
+        used = int(np.sum(good))
+        if used == 0:
+            raise RuntimeError("every trial overflowed; nothing to average")
+        per_sensor = sums[:, g] / used
+        steady_per_trial = steady[good, g]
+        out.append(
+            MseSeries(
+                time=times,
+                mse=per_sensor.mean(axis=1),
+                per_sensor_mse=per_sensor,
+                trials_used=used,
+                steady_mse=float(steady_per_trial.mean()),
+                steady_se=(
+                    float(steady_per_trial.std(ddof=1) / np.sqrt(used))
+                    if used > 1
+                    else float("nan")
+                ),
+                overflow_trials=tuple(
+                    (int(l), int(step)) for l, step in enumerate(overflow[:, g]) if step >= 0
+                ),
+            )
+        )
+    return out

@@ -110,3 +110,100 @@ def rk4_propagate(fr, ts, nm, grid, dt=1e-3, init=None):
         state_cov=out[3],
         error_trace_rate=np.gradient(traces, grid),
     )
+
+
+def stepwise_monte_carlo(ts, fr, cfg, trials=None, keep_trajectories=False):
+    """Reference Monte Carlo: one Python iteration per time step.
+
+    This is the step-by-step recursion the fused engine in ``dckf.sim``
+    replaced, kept independent of it: the truth takes an Euler-Maruyama step,
+    the filter its zero-order-hold step, and the noise of trial ``l`` comes
+    from ``default_rng((seed, l))`` in 2048-row slabs (after one vector for the
+    initial state).  ``trials`` defaults to all of ``cfg.trials``.
+
+    Returns an ``MseSeries``; with ``keep_trajectories`` it returns
+    ``(series, states, estimates, overflow)`` instead, where ``states`` is
+    (trials, records, n), ``estimates`` (trials, records, sensors, n) and
+    ``overflow`` the per-trial overflow step (-1 when finite).
+    """
+    from dckf import matkit
+    from dckf.sim import MseSeries
+
+    if trials is None:
+        trials = range(cfg.trials)
+    n, n_sensors = ts.n, ts.sensor_count
+    c_stack_t = np.vstack([s.c for s in ts.sensors]).T
+    m_total = c_stack_t.shape[1]
+    q_half_t = matkit.sqrtm_psd(ts.q).T
+    r_half_t = matkit.block_diag([matkit.sqrtm_psd(s.r) for s in ts.sensors]).T
+    sigma0_half_t = matkit.sqrtm_psd(ts.sigma0).T
+    q_dim = fr.closed_loop.shape[0]
+    aug = np.zeros((q_dim + m_total, q_dim + m_total))
+    aug[:q_dim, :q_dim] = fr.closed_loop * cfg.dt
+    aug[:q_dim, q_dim:] = fr.gain_diag * cfg.dt
+    exp_aug = matkit.expm(aug)
+    step_t = exp_aug[:q_dim, :q_dim].T
+    input_t = exp_aug[:q_dim, q_dim:].T
+
+    batch = len(trials)
+    rngs = [np.random.default_rng((cfg.seed, int(l))) for l in trials]
+    dt = cfg.dt
+    sqrt_dt = np.sqrt(dt)
+    inv_sqrt_dt = 1.0 / sqrt_dt
+    x = ts.x0 + np.stack([r.standard_normal(n) for r in rngs]) @ sigma0_half_t
+    est = np.tile(ts.x0, (batch, n_sensors))
+    record_steps = cfg.record_steps()
+    times = record_steps * dt
+    n_records = record_steps.size
+    sensor_sse = np.full((batch, n_records, n_sensors), np.nan)
+    overflow = np.full(batch, -1, dtype=int)
+    traj_x = np.empty((batch, n_records, n))
+    traj_e = np.empty((batch, n_records, n_sensors, n))
+    slab, cols, record_ptr = 2048, n + m_total, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.step_count + 1):
+            if record_ptr < n_records and k == record_steps[record_ptr]:
+                est_blocks = est.reshape(batch, n_sensors, n)
+                err = est_blocks - x[:, None, :]
+                sse = np.einsum("bij,bij->bi", err, err)
+                finite = np.isfinite(sse).all(axis=1)
+                overflow[~finite & (overflow < 0)] = k
+                ok = overflow < 0
+                sensor_sse[ok, record_ptr, :] = sse[ok]
+                traj_x[:, record_ptr] = x
+                traj_e[:, record_ptr] = est_blocks
+                record_ptr += 1
+            if k == cfg.step_count:
+                break
+            if k % slab == 0:
+                noise = np.stack([r.standard_normal((slab, cols)) for r in rngs])
+            z = noise[:, k % slab, :n]
+            w = noise[:, k % slab, n:]
+            y = x @ c_stack_t + (w @ r_half_t) * inv_sqrt_dt
+            est = est @ step_t + y @ input_t
+            x = x + dt * (x @ ts.a.T) + sqrt_dt * (z @ q_half_t)
+
+    good = overflow < 0
+    used = int(np.sum(good))
+    per_sensor = sensor_sse[good].mean(axis=0)
+    per_trial = sensor_sse[good].mean(axis=2)
+    window = times >= 0.8 * cfg.horizon
+    if not window.any():
+        window[-1] = True
+    steady_per_trial = per_trial[:, window].mean(axis=1)
+    series = MseSeries(
+        time=times,
+        mse=per_sensor.mean(axis=1),
+        per_sensor_mse=per_sensor,
+        trials_used=used,
+        steady_mse=float(steady_per_trial.mean()) if used else float("nan"),
+        steady_se=(
+            float(steady_per_trial.std(ddof=1) / np.sqrt(used)) if used > 1 else float("nan")
+        ),
+        overflow_trials=tuple(
+            (int(l), int(step)) for l, step in zip(trials, overflow) if step >= 0
+        ),
+    )
+    if keep_trajectories:
+        return series, traj_x, traj_e, overflow
+    return series

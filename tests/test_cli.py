@@ -1,7 +1,12 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dckf.cli import main
 from dckf.scenario import load_scenario, parse_scenario, preset_dict, preset_names
@@ -270,3 +275,97 @@ def test_scenario_init_override_identity():
     np.testing.assert_array_equal(init.nominal_cov, np.eye(4))
     # Unspecified fields keep the shared-initial-estimate default.
     np.testing.assert_allclose(init.cross_cov, 0.5 * np.kron(np.ones((2, 2)), np.eye(2)))
+
+
+def short_baseline():
+    doc = preset_dict("baseline")
+    doc["sim"].update(horizon=1.0, trials=4)
+    doc["ode"].update(horizon=1.0)
+    return doc
+
+
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+# Malformed inputs that once ended in a Python traceback, with the exit code
+# each must give on validate, sweep and simulate.
+MALFORMED = {
+    "sensor_not_an_object": (_set(["true_system", "sensors", 0], 5), (1, 1, 1)),
+    "gamma_not_an_object": (_set(["gamma"], 3), (1, 1, 1)),
+    "gamma_value_not_a_number": (_set(["gamma"], {"value": "abc"}), (1, 1, 1)),
+    "gamma_value_negative": (_set(["gamma"], {"value": -1.0}), (1, 1, 1)),
+    "gamma_log_range_too_many_points": (
+        _set(["gamma"], {"log_range": {"lo": 1.0, "hi": 2.0, "points": 10**9}}),
+        (1, 1, 1),
+    ),
+    "matrix_entry_not_finite": (_set(["nominal", "a", 0, 0], float("nan")), (1, 1, 1)),
+    "topology_disconnected": (
+        _set(["topology"], {"nodes": 6, "edges": [[0, 1], [2, 3], [4, 5]]}),
+        (2, 2, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_scenario_exit_codes(tmp_path, capsys, name):
+    mutate, codes = MALFORMED[name]
+    doc = short_baseline()
+    mutate(doc)
+    path = write_scenario(tmp_path, doc)
+    for command, code in zip(("validate", "sweep", "simulate"), codes):
+        assert main([command, "--scenario", path, "--out", str(tmp_path)]) == code, command
+        assert "Traceback" not in capsys.readouterr().err
+
+
+HOSTILE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+    st.just([[1.0, 0.0], [0.0, 1.0]]),
+)
+
+
+@st.composite
+def mutated_presets(draw):
+    """A preset document with one to three fields replaced or deleted."""
+    doc = preset_dict(draw(st.sampled_from(preset_names())))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if isinstance(node, dict) and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(draw(HOSTILE_VALUES))  # later rounds may edit it
+            break
+    return doc
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(doc=mutated_presets())
+def test_validate_never_raises_on_mutated_presets(doc):
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path), "--out", out]) in (0, 1, 2)

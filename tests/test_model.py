@@ -78,9 +78,6 @@ def test_stack_structure():
     ts, nm = toy_pair()
     st = model.stack(ts, nm)
     np.testing.assert_array_equal(st.c_stack, [[1.0, 0.0], [1.0, 0.0]])
-    assert st.c_diag.shape == (2, 4)
-    np.testing.assert_array_equal(st.c_diag[0, :2], [1.0, 0.0])
-    np.testing.assert_array_equal(st.c_diag[1, 2:], [1.0, 0.0])
     np.testing.assert_array_equal(st.a_diag, np.kron(np.eye(2), ts.a))
 
 

@@ -7,6 +7,8 @@ from dckf.graph import Topology, complete
 from dckf.model import NominalModel, Sensor, TrueSystem
 from dckf.solvers import propagate, steady_state
 
+from conftest import stepwise_monte_carlo
+
 
 def quick_pair():
     ts = TrueSystem(
@@ -97,17 +99,19 @@ def test_mse_matches_per_sensor_mean():
 
 def test_ensemble_second_moment_matches_state_covariance(baseline):
     # The recorded truth ensemble reproduces the analytic second moment of
-    # the replicated state (upper-left block of the joint propagation).
+    # the replicated state (upper-left block of the joint propagation).  The
+    # ensemble comes from the step-by-step reference, which the tests below
+    # tie to the fused engine.
     ts, nm, topo = baseline.true_system, baseline.nominal, baseline.topology
     fr = build_filter(nm, ts, topo, float(baseline.resolve_gammas()[0]))
     cfg = sim.SimConfig(dt=5e-3, horizon=2.0, trials=1, seed=11, record_stride=100)
-    engine = sim._Engine(ts, fr, cfg)
     states = []
-    times = None
     for start in range(0, 10000, 1250):
-        times, _, _, traj_x, _ = engine.run(list(range(start, start + 1250)), keep_trajectories=True)
+        trials = range(start, start + 1250)
+        _, traj_x, _, _ = stepwise_monte_carlo(ts, fr, cfg, trials, keep_trajectories=True)
         states.append(traj_x)
     states = np.concatenate(states, axis=0)
+    times = cfg.record_steps() * cfg.dt
     traj = propagate(fr, ts, nm, times, dt=1e-3)
     for k in (1, 2):  # skip t=0 (exact by construction)
         moment = np.einsum("bi,bj->ij", states[:, k], states[:, k]) / states.shape[0]
@@ -172,3 +176,110 @@ def test_overflow_detection_and_reporting():
     assert trial.overflow_step is not None
     with pytest.raises(RuntimeError):
         sim.monte_carlo_mse(ts, fr, cfg)  # every trial blows up
+
+
+# ---------------------------------------------------------------------------
+# The fused, blocked, gain-batched engine against the step-by-step reference.
+# Both draw the same (seed, l) streams, so they differ only by rounding.
+# ---------------------------------------------------------------------------
+
+EQUIVALENCE_RTOL = 1e-12
+
+
+def assert_series_match(got, ref):
+    assert got.overflow_trials == ref.overflow_trials
+    assert got.trials_used == ref.trials_used
+    np.testing.assert_array_equal(got.time, ref.time)
+    for key in ("mse", "per_sensor_mse", "steady_mse", "steady_se"):
+        np.testing.assert_allclose(
+            getattr(got, key), getattr(ref, key), rtol=EQUIVALENCE_RTOL, atol=0, err_msg=key
+        )
+
+
+def test_sweep_matches_stepwise_across_case1_gains(case1):
+    # Lowest, middle and top (100x threshold) gain of the case1 sweep, run
+    # together on one set of trials and each against its own reference run.
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    gammas = np.sort(case1.resolve_gammas())
+    base = build_filter(nm, ts, topo, float(gammas[-1]))
+    assert gammas[-1] == pytest.approx(100.0 * base.gamma_min)
+    frs = [base.with_gamma(float(gammas[k])) for k in (0, gammas.size // 2, gammas.size - 1)]
+    cfg = case1.sim_config(trials=6, seed=3)
+    swept = sim.monte_carlo_sweep(ts, frs, cfg)
+    for fr, series in zip(frs, swept):
+        assert_series_match(series, stepwise_monte_carlo(ts, fr, cfg))
+        assert_series_match(sim.monte_carlo_mse(ts, fr, cfg), series)
+
+
+@pytest.mark.parametrize(
+    "horizon, stride",
+    [
+        (0.3, 1),  # one step per record
+        (3.1, 300),  # a stride straddles the reference's 2048-row noise slab; 100-step tail
+        (6.0, 2500),  # strides longer than a slab; 1000-step tail
+    ],
+)
+def test_blocked_strides_match_stepwise(horizon, stride):
+    ts, nm, topo = quick_pair()
+    fr = build_filter(nm, ts, topo, gamma=2.0)
+    cfg = sim.SimConfig(dt=1e-3, horizon=horizon, trials=5, seed=17, record_stride=stride)
+    assert_series_match(sim.monte_carlo_mse(ts, fr, cfg), stepwise_monte_carlo(ts, fr, cfg))
+
+
+def test_simulate_trial_matches_stepwise_trajectory():
+    ts, nm, topo = quick_pair()
+    fr = build_filter(nm, ts, topo, gamma=2.0)
+    cfg = sim.SimConfig(dt=1e-3, horizon=3.1, trials=1, seed=17, record_stride=300)
+    trial = sim.simulate_trial(ts, fr, cfg, trial_index=3)
+    _, states, estimates, _ = stepwise_monte_carlo(ts, fr, cfg, [3], keep_trajectories=True)
+    scale = np.max(np.abs(states))
+    np.testing.assert_allclose(trial.states, states[0], rtol=EQUIVALENCE_RTOL, atol=1e-14 * scale)
+    np.testing.assert_allclose(
+        trial.estimates, estimates[0], rtol=EQUIVALENCE_RTOL, atol=1e-14 * scale
+    )
+    assert trial.overflow_step is None
+
+
+def unstable_scalar_pair():
+    ts = TrueSystem(
+        a=[[5.0]],
+        q=[[1.0]],
+        sensors=[Sensor(c=[[1.0]], r=[[0.1]])],
+        x0=[0.0],
+        sigma0=[[1.0]],
+    )
+    nm = NominalModel(a=[[-1.0]], q=[[1.0]], sensors=ts.sensors)
+    return ts, build_filter(nm, ts, Topology(np.zeros((1, 1))), gamma=1.0)
+
+
+def test_mixed_overflow_matches_stepwise():
+    # The squared error of each trial leaves the double range at a record
+    # that depends on the trial, so only some of the trials overflow.
+    ts, fr = unstable_scalar_pair()
+    cfg = sim.SimConfig(dt=1e-2, horizon=73.0, trials=24, seed=14, record_stride=10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = sim.monte_carlo_mse(ts, fr, cfg)
+        ref = stepwise_monte_carlo(ts, fr, cfg)
+    assert 0 < len(ref.overflow_trials) < cfg.trials
+    assert np.isfinite(got.steady_mse)
+    assert_series_match(got, ref)
+
+
+def test_long_stride_with_unexcited_unstable_mode_stays_finite():
+    # The first state grows by 1.05 per step but starts at zero and gets no
+    # noise.  One 16000-step stride would need 1.05**16000, which is not a
+    # double; the engine splits it, so no trial is reported as overflowed.
+    ts = TrueSystem(
+        a=np.diag([5.0, -1.0]),
+        q=np.diag([0.0, 1.0]),
+        sensors=[Sensor(c=[[0.0, 1.0]], r=[[0.1]])],
+        x0=[0.0, 1.0],
+        sigma0=np.diag([0.0, 0.1]),
+    )
+    nm = NominalModel(a=-np.eye(2), q=np.eye(2), sensors=ts.sensors)
+    fr = build_filter(nm, ts, Topology(np.zeros((1, 1))), gamma=1.0)
+    cfg = sim.SimConfig(dt=1e-2, horizon=160.0, trials=3, seed=13, record_stride=16000)
+    got = sim.monte_carlo_mse(ts, fr, cfg)
+    assert got.overflow_trials == ()
+    assert np.all(np.isfinite(got.mse))
+    assert_series_match(got, stepwise_monte_carlo(ts, fr, cfg))
