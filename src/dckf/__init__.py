@@ -41,12 +41,21 @@ from .model import (
     validate_assumptions,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, preset_dict, preset_names
-from .sim import MseSeries, SimConfig, SimTrial, monte_carlo_mse, monte_carlo_sweep, simulate_trial
+from .sim import (
+    MseSeries,
+    SimConfig,
+    SimTrial,
+    SimulationOverflowError,
+    monte_carlo_mse,
+    monte_carlo_sweep,
+    simulate_trial,
+)
 from .solvers import (
     AugmentedJointSystem,
     CareSolutionError,
     CovarianceTrajectory,
     NotHurwitzError,
+    SchurForm,
     SingularEquationError,
     SolverError,
     SteadyStateResult,

@@ -12,7 +12,8 @@ materialized: with X solving  acl' X + X acl = I  one has
     || vec(I)' kronsum(acl)^{-1} ||_2            == ||X||_F
     || vec(I)' kronsum(acl)^{-1} (K (x) K) ||_2  == ||K' X K||_F
 
-so a single Lyapunov solve of the closed-loop size provides both factors.
+so a single Lyapunov solve of the closed-loop size, on the Schur factorization
+the filter already carries, provides both factors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .filtering import (
 )
 from .graph import Topology
 from .model import Deviations, NominalModel, TrueSystem
-from .solvers import SteadyStateResult, _covariance_flow, solve_lyapunov
+from .solvers import SchurForm, SteadyStateResult, _covariance_flow, solve_lyapunov
 
 __all__ = [
     "HypothesisError",
@@ -53,10 +54,12 @@ class HypothesisError(ValueError):
     """A theorem hypothesis needed by the requested analysis does not hold."""
 
 
-def _inverse_vec_norms(closed_loop: np.ndarray, gain_diag: np.ndarray) -> tuple[float, float]:
+def _inverse_vec_norms(
+    closed_loop: "np.ndarray | SchurForm", gain_diag: np.ndarray
+) -> tuple[float, float]:
     """The two trace-gap factors via one Lyapunov solve (see module docstring)."""
-    q = closed_loop.shape[0]
-    x = solve_lyapunov(closed_loop.T, -np.eye(q))
+    form = SchurForm.of(closed_loop)
+    x = solve_lyapunov(form.T, -np.eye(form.matrix.shape[0]))
     plain = float(np.linalg.norm(x))
     weighted = float(np.linalg.norm(gain_diag.T @ x @ gain_diag))
     return plain, weighted
@@ -65,7 +68,7 @@ def _inverse_vec_norms(closed_loop: np.ndarray, gain_diag: np.ndarray) -> tuple[
 def _gamma_gate(fr: FilterRealization, what: str) -> None:
     if fr.gamma < fr.gamma_ref - 1e-12 * max(1.0, fr.gamma_ref):
         raise HypothesisError(f"{what} requires a consensus gain at or above the reference gain")
-    if not is_hurwitz(fr.closed_loop):
+    if not is_hurwitz(fr.closed_loop_schur):
         raise HypothesisError(f"{what} requires a Hurwitz closed-loop matrix")
 
 
@@ -170,7 +173,7 @@ def trace_bounds(
     reformulation; see :func:`deviation_gap` for ``margin_variant``.
     """
     _gamma_gate(fr, "trace bound")
-    plain, weighted = _inverse_vec_norms(fr.closed_loop, fr.gain_diag)
+    plain, weighted = _inverse_vec_norms(fr.closed_loop_schur, fr.gain_diag)
     gap, cross_margin, state_margin, cross_norm_bound, state_norm_bound = deviation_gap(
         fr, dev, plain, weighted, margin_variant
     )
@@ -252,10 +255,10 @@ def asymptotic_fit(nm: NominalModel, topo: Topology, gamma_grid) -> AsymptoticFi
     y_plain = np.empty(grid.size)
     y_gain = np.empty(grid.size)
     for k, g in enumerate(np.sort(grid)):
-        acl = core.feedback_diag - g * coupling
-        if not is_hurwitz(acl):
+        form = SchurForm.of(core.feedback_diag - g * coupling)
+        if not is_hurwitz(form):
             raise HypothesisError(f"closed loop is not Hurwitz at gain {g:.6g}")
-        plain, weighted = _inverse_vec_norms(acl, core.gain_diag)
+        plain, weighted = _inverse_vec_norms(form, core.gain_diag)
         y_plain[k] = plain**2
         y_gain[k] = weighted**2
 
@@ -479,7 +482,7 @@ def relation_analysis(
 
     # Closed form: with Z solving acl Z + Z acl' + drive = 0, the forced
     # response over [t0, t] is Z - e^{acl dt} Z e^{acl' dt}.
-    z_inf = solve_lyapunov(acl, drive)
+    z_inf = solve_lyapunov(fr.closed_loop_schur, drive)
     closed = np.empty_like(out)
     for k, t in enumerate(grid):
         phi = matkit.expm(acl * (t - grid[0]))

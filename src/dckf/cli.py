@@ -29,7 +29,7 @@ from .analysis import (
 from .filtering import build_filter
 from .model import deviations, validate_assumptions
 from .scenario import Scenario, ScenarioError, load_scenario, preset_names
-from .sim import monte_carlo_mse, monte_carlo_sweep
+from .sim import SimulationOverflowError, monte_carlo_mse, monte_carlo_sweep
 from .solvers import SolverError, propagate, steady_state
 
 __all__ = ["main"]
@@ -490,6 +490,9 @@ def main(argv=None) -> int:
         return 2
     except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 2
+    except SimulationOverflowError as exc:
+        print(f"simulation failure: {exc}", file=sys.stderr)
         return 2
 
 

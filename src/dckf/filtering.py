@@ -10,13 +10,14 @@ it is Hurwitz for any larger gain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import matkit
 from .graph import Topology, laplacian, laplacian_spectrum
 from .model import NominalModel, TrueSystem, negligible
-from .solvers import solve_care
+from .solvers import SchurForm, solve_care
 
 __all__ = [
     "FilterRealization",
@@ -26,16 +27,17 @@ __all__ = [
 ]
 
 
-def is_hurwitz(m: np.ndarray, tol: float | None = None) -> bool:
+def is_hurwitz(m: "np.ndarray | SchurForm", tol: float | None = None) -> bool:
     """True when every eigenvalue has real part below ``-tol``.
 
     The default tolerance is ``1e-9 * ||m||_2``, so a marginal matrix
-    reports as not Hurwitz.
+    reports as not Hurwitz.  ``m`` may be a :class:`~dckf.solvers.SchurForm`,
+    whose eigenvalues and norm are then reused.
     """
-    m = np.asarray(m, dtype=float)
+    form = SchurForm.of(m)
     if tol is None:
-        tol = 1e-9 * max(np.linalg.norm(m, 2), 1e-300)
-    return matkit.spectral_abscissa(m) < -tol
+        tol = 1e-9 * max(form.norm2, 1e-300)
+    return form.spectral_abscissa < -tol
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,15 @@ class FilterRealization:
         return negligible(
             float(np.linalg.norm(self.mismatch_diag)), float(np.linalg.norm(self.nominal.a))
         )
+
+    @cached_property
+    def closed_loop_schur(self) -> SchurForm:
+        """Real Schur factorization of ``closed_loop``, shared by every solve and check in it.
+
+        It is computed on first use; :meth:`with_gamma` returns a new object,
+        which starts without one.
+        """
+        return SchurForm.of(self.closed_loop)
 
     def closed_loop_at(self, gamma: float) -> np.ndarray:
         """Closed-loop matrix rebuilt at another consensus gain."""

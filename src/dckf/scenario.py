@@ -97,6 +97,8 @@ def _positive(node: Any, field: str) -> float:
 
 # More gains than any sweep needs; larger grids are refused before allocation.
 _MAX_GAINS = 10_000
+# More covariance records than any preset needs (at most 500), for the same reason.
+_MAX_RECORDS = 10_000
 
 
 def _gamma_values(spec: Any, threshold) -> np.ndarray:
@@ -325,6 +327,8 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
         raise ScenarioError(
             f"ode.record_every {ode.record_every:g} does not divide ode.horizon {ode.horizon:g}"
         )
+    if records > _MAX_RECORDS:
+        raise ScenarioError(f"ode.horizon / ode.record_every exceeds {_MAX_RECORDS} records")
 
     scenario = Scenario(
         name=str(doc.get("name", name_hint)),

@@ -46,6 +46,7 @@ from .filtering import FilterRealization
 from .model import TrueSystem
 
 __all__ = [
+    "SimulationOverflowError",
     "SimConfig",
     "SimTrial",
     "MseSeries",
@@ -61,11 +62,23 @@ _HISTORY_BYTES = 2 * 2**20
 _NOISE_BYTES = 4 * 2**20
 # Largest entry a piece's operators may hold; longer strides are split.
 _POWER_LIMIT = 1e100
+# Far above any preset (at most 400 trials, 25,000 steps and 500 records);
+# larger runs are refused before anything is allocated or stepped.
+_MAX_TRIALS = 10**6
+_MAX_STEPS = 10**7
+_MAX_RECORDS = 10_000
+
+
+class SimulationOverflowError(RuntimeError):
+    """Every Monte Carlo trial of some filter realization overflowed; no average exists."""
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step size, horizon, trial count, seed, and the recording stride (in steps)."""
+    """Step size, horizon, trial count, seed, and the recording stride (in steps).
+
+    A run has at most ``10**6`` trials, ``10**7`` steps and ``10**4`` records.
+    """
 
     dt: float
     horizon: float
@@ -76,10 +89,16 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (0 < self.dt < self.horizon < math.inf):
             raise ValueError("need 0 < dt < horizon < inf")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        if not 1 <= self.trials <= _MAX_TRIALS:
+            raise ValueError(f"need 1 to {_MAX_TRIALS} trials")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if not self.horizon / self.dt <= _MAX_STEPS:
+            raise ValueError(f"horizon / dt exceeds {_MAX_STEPS} steps")
+        if self.step_count // self.record_stride > _MAX_RECORDS:
+            raise ValueError(f"more than {_MAX_RECORDS} records; raise record_stride")
 
     @property
     def step_count(self) -> int:
@@ -296,7 +315,8 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     alone.  Trials run in chunks in increasing trial order and each chunk is
     reduced before the next, so the aggregate is a deterministic function of
     the config and only one chunk's per-record errors are held at a time.
-    Raises ``RuntimeError`` when every trial of some realization overflows.
+    Raises :class:`SimulationOverflowError` when every trial of some
+    realization overflows.
     """
     engine = _Engine(ts, realizations, cfg)
     steps = cfg.record_steps()
@@ -327,7 +347,7 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
         good = overflow[:, g] < 0
         used = int(np.sum(good))
         if used == 0:
-            raise RuntimeError("every trial overflowed; nothing to average")
+            raise SimulationOverflowError("every trial overflowed; nothing to average")
         per_sensor = sums[:, g] / used
         steady_per_trial = steady[good, g]
         out.append(

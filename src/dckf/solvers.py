@@ -12,9 +12,14 @@ Q) make the Hamiltonian marginal; those modes are deflated exactly, which
 yields the semi-stabilizing solution the distributed filter actually uses in
 that situation.
 
-Lyapunov/Sylvester equations are solved either by the dense Kronecker
-linear system (small problems) or by Schur-form back-substitution; both
-paths honor the same residual contract.
+Lyapunov/Sylvester equations are solved by the Bartels-Stewart method on
+real Schur forms: each coefficient matrix is factored once (:class:`SchurForm`)
+and every equation in it or its transpose is one LAPACK ``trsyl`` solve on
+those factors, at every size.  The closed loop of a filter carries its own
+factorization, so the steady-state solves, the trace-gap factors and the
+stability and solvability checks share it.  A solve that misses the residual
+contract gets one refinement step on the same factors before it is judged.
+The dense Kronecker system remains as a small-size oracle (``method="kron"``).
 
 The covariance ODEs ``dX/dt = A X + X A' + W`` are stepped exactly:
 ``X(t + h) = Phi X(t) Phi' + Q_h`` with ``Phi = e^{A h}`` and ``Q_h`` from
@@ -26,6 +31,7 @@ multiplies the step count, and marginal closed loops need no special case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,6 +48,7 @@ __all__ = [
     "CareSolutionError",
     "SingularEquationError",
     "NotHurwitzError",
+    "SchurForm",
     "solve_care",
     "solve_lyapunov",
     "solve_sylvester",
@@ -55,8 +62,6 @@ __all__ = [
     "build_augmented",
     "propagate_augmented",
 ]
-
-KRON_DIRECT_MAX_DIM = 32
 
 
 class SolverError(RuntimeError):
@@ -80,9 +85,62 @@ class NotHurwitzError(SolverError):
 # ---------------------------------------------------------------------------
 
 
-def _sylvester_spectra_check(a: np.ndarray, b: np.ndarray) -> None:
-    wa = np.linalg.eigvals(a)
-    wb = np.linalg.eigvals(b)
+def _no_sort(wr, wi):
+    """``gees`` select callback; it is required even when nothing is sorted."""
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class SchurForm:
+    """Real Schur factorization ``matrix = z @ op(t) @ z.T`` of one square matrix.
+
+    ``t`` is quasi-upper-triangular and ``z`` orthogonal; ``op`` transposes
+    ``t`` when ``transposed`` is set, so ``form.T`` factors ``matrix.T`` with
+    the same arrays.  Every Sylvester/Lyapunov equation in the matrix or its
+    transpose is solved on these factors, and the eigenvalues, spectral
+    abscissa and spectral norm that the solvability and stability checks
+    need are read from the same object.  Build one with :meth:`of`.
+    """
+
+    matrix: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
+    eigvals: np.ndarray
+    transposed: bool = False
+
+    @classmethod
+    def of(cls, m: "np.ndarray | SchurForm") -> "SchurForm":
+        """Factor ``m`` (LAPACK ``gees``); a :class:`SchurForm` is returned as is."""
+        if isinstance(m, SchurForm):
+            return m
+        m = np.atleast_2d(np.asarray(m, dtype=float))
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise np.linalg.LinAlgError("matrix has non-finite entries")
+        gees = scipy.linalg.lapack.dgees
+        lwork = int(gees(_no_sort, m, lwork=-1)[-2][0])
+        t, _, wr, wi, z, _, info = gees(_no_sort, m, lwork=max(lwork, 1))
+        if info != 0:
+            raise SolverError(f"real Schur factorization failed (LAPACK info {info})")
+        return cls(m, t, z, wr + 1j * wi)
+
+    @property
+    def T(self) -> "SchurForm":
+        return SchurForm(self.matrix.T, self.t, self.z, self.eigvals, not self.transposed)
+
+    @property
+    def spectral_abscissa(self) -> float:
+        return float(np.max(self.eigvals.real))
+
+    @cached_property
+    def norm2(self) -> float:
+        """Spectral norm of ``matrix``, computed once per factorization."""
+        return float(np.linalg.norm(self.matrix, 2))
+
+
+def _sylvester_spectra_check(a: SchurForm, b: SchurForm) -> None:
+    wa, wb = a.eigvals, b.eigvals
     scale = max(np.max(np.abs(wa), initial=0.0) + np.max(np.abs(wb), initial=0.0), 1e-300)
     gap = np.min(np.abs(wa[:, None] + wb[None, :]))
     if gap <= 1e-10 * scale:
@@ -92,73 +150,79 @@ def _sylvester_spectra_check(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def _sylvester_kron(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    n, m = a.shape[0], b.shape[0]
-    coef = np.kron(np.eye(m), a) + np.kron(b.T, np.eye(n))
+def _sylvester_kron(a: SchurForm, b: SchurForm, c: np.ndarray) -> np.ndarray:
+    n, m = a.matrix.shape[0], b.matrix.shape[0]
+    coef = np.kron(np.eye(m), a.matrix) + np.kron(b.matrix.T, np.eye(n))
     x = np.linalg.solve(coef, matkit.vec(c))
     return matkit.unvec(x, n, m)
 
 
-def _sylvester_schur(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Complex Schur forms turn the equation into a triangular system solved
-    # column by column (Bartels-Stewart scheme).
-    ta, ua = scipy.linalg.schur(a.astype(complex), output="complex")
-    tb, ub = scipy.linalg.schur(b.astype(complex), output="complex")
-    f = ua.conj().T @ c @ ub
-    n, m = a.shape[0], b.shape[0]
-    y = np.zeros((n, m), dtype=complex)
-    eye = np.eye(n)
-    for k in range(m):
-        rhs = f[:, k] - y[:, :k] @ tb[:k, k]
-        y[:, k] = scipy.linalg.solve_triangular(ta + tb[k, k] * eye, rhs)
-    x = ua @ y @ ub.conj().T
-    return x.real
+def _sylvester_trsyl(a: SchurForm, b: SchurForm, c: np.ndarray) -> np.ndarray:
+    # Bartels-Stewart: rotate onto both Schur bases, solve the quasi-triangular
+    # equation with LAPACK trsyl, rotate back.
+    f = a.z.T @ c @ b.z
+    y, scale, info = scipy.linalg.lapack.dtrsyl(
+        a.t, b.t, f, trana="T" if a.transposed else "N", tranb="T" if b.transposed else "N"
+    )
+    if info < 0:
+        raise SolverError(f"LAPACK trsyl rejected argument {-info}")
+    return a.z @ (y / scale) @ b.z.T
 
 
 def solve_sylvester(
-    a: np.ndarray,
-    b: np.ndarray,
+    a: "np.ndarray | SchurForm",
+    b: "np.ndarray | SchurForm",
     c: np.ndarray,
     method: str = "auto",
 ) -> np.ndarray:
     """Solve ``a @ x + x @ b = c``.
 
-    ``method`` is one of ``auto`` (Kronecker for small problems, Schur
-    otherwise), ``kron``, or ``schur``.  Raises
-    :class:`SingularEquationError` when some eigenvalue sum of ``a`` and
-    ``b`` is numerically zero, and :class:`SolverError` when the residual
-    contract ``||a x + x b - c||_F <= 1e-9 (1 + ||x||_F)`` is violated.
+    ``a`` and ``b`` are matrices or their :class:`SchurForm`; passing a form
+    (or ``form.T``) reuses its factorization, so every equation in one matrix
+    costs one factorization in total.  ``method`` is ``auto`` or ``schur``
+    (the same path: LAPACK ``trsyl`` on the real Schur forms, at every size)
+    or ``kron`` (the dense Kronecker system, a small-size oracle).  When the
+    first solve misses the residual contract
+    ``||a x + x b - c||_F <= 1e-9 (1 + ||x||_F)``, one refinement step
+    ``x += solve(c - a x - x b)`` on the same factors is taken before it is
+    judged.  Raises :class:`SingularEquationError` when some eigenvalue sum
+    of ``a`` and ``b`` is numerically zero, and :class:`SolverError` when the
+    refined solution still violates the contract.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("a and b must be square")
-    if c.shape != (a.shape[0], b.shape[0]):
-        raise ValueError(f"c must be {a.shape[0]}x{b.shape[0]}, got {c.shape}")
-    _sylvester_spectra_check(a, b)
-    if method == "auto":
-        method = "kron" if max(a.shape[0], b.shape[0]) <= KRON_DIRECT_MAX_DIM else "schur"
-    if method == "kron":
-        x = _sylvester_kron(a, b, c)
-    elif method == "schur":
-        x = _sylvester_schur(a, b, c)
+    if method in ("auto", "schur"):
+        solve = _sylvester_trsyl
+    elif method == "kron":
+        solve = _sylvester_kron
     else:
         raise ValueError(f"unknown method {method!r}")
-    residual = np.linalg.norm(a @ x + x @ b - c)
-    if residual > 1e-9 * (1.0 + np.linalg.norm(x)):
+    a, b = SchurForm.of(a), SchurForm.of(b)
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    if c.shape != (a.matrix.shape[0], b.matrix.shape[0]):
+        raise ValueError(f"c must be {a.matrix.shape[0]}x{b.matrix.shape[0]}, got {c.shape}")
+    _sylvester_spectra_check(a, b)
+    x = solve(a, b, c)
+    defect = c - a.matrix @ x - x @ b.matrix
+    # Written as "not <=" so that a NaN residual counts as a miss.
+    if not np.linalg.norm(defect) <= 1e-9 * (1.0 + np.linalg.norm(x)):
+        x = x + solve(a, b, defect)
+        defect = c - a.matrix @ x - x @ b.matrix
+    residual = np.linalg.norm(defect)
+    if not residual <= 1e-9 * (1.0 + np.linalg.norm(x)):
         raise SolverError(f"Sylvester residual {residual:.3e} violates the solver contract")
     return x
 
 
-def solve_lyapunov(m: np.ndarray, w: np.ndarray, method: str = "auto") -> np.ndarray:
+def solve_lyapunov(
+    m: "np.ndarray | SchurForm", w: np.ndarray, method: str = "auto"
+) -> np.ndarray:
     """Solve the continuous Lyapunov equation ``m @ x + x @ m.T + w = 0``.
 
+    ``m`` may be a :class:`SchurForm`; one factorization serves both sides.
     The result is symmetrized when ``w`` is symmetric.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+    form = SchurForm.of(m)
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    x = solve_sylvester(m, m.T, -w, method=method)
+    x = solve_sylvester(form, form.T, -w, method=method)
     if matkit.is_symmetric(w, rtol=1e-9):
         x = matkit.symmetrize(x)
     return x
@@ -328,9 +392,9 @@ class SteadyStateResult:
     residuals: dict[str, float]
 
 
-def _hurwitz_guard(m: np.ndarray, what: str) -> None:
-    alpha = matkit.spectral_abscissa(m)
-    if alpha > 1e-9 * max(np.linalg.norm(m, 2), 1e-300):
+def _hurwitz_guard(form: SchurForm, what: str) -> None:
+    alpha = form.spectral_abscissa
+    if alpha > 1e-9 * max(form.norm2, 1e-300):
         raise NotHurwitzError(f"{what} is unstable (spectral abscissa {alpha:.3e})")
 
 
@@ -342,12 +406,15 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
     moment and the cross term are solved first (requiring a Hurwitz true
     state matrix), and their contribution drives the error-covariance
     equation.  A closed-loop matrix with an imaginary-axis eigenvalue makes
-    the equations singular and raises :class:`SingularEquationError`.
+    the equations singular and raises :class:`SingularEquationError`.  Every
+    closed-loop solve, and the Hurwitz guard, reads the one factorization
+    ``fr.closed_loop_schur``.
     """
     st = stack(ts, nm)
     n_sensors = ts.sensor_count
     acl = fr.closed_loop
-    _hurwitz_guard(acl, "closed-loop matrix")
+    form = fr.closed_loop_schur
+    _hurwitz_guard(form, "closed-loop matrix")
     u_q = matkit.kron(matkit.ones_matrix(n_sensors), ts.q)
     w_nom = fr.gain_diag @ st.r_diag_nom @ fr.gain_diag.T + matkit.kron(
         matkit.ones_matrix(n_sensors), nm.q
@@ -356,26 +423,29 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
     residuals: dict[str, float] = {}
 
     if fr.mismatch_is_zero:
-        error_cov = solve_lyapunov(acl, w_err)
+        error_cov = solve_lyapunov(form, w_err)
         residuals["error_cov"] = float(np.linalg.norm(acl @ error_cov + error_cov @ acl.T + w_err))
-        nominal_cov = solve_lyapunov(acl, w_nom)
+        nominal_cov = solve_lyapunov(form, w_nom)
         residuals["nominal_cov"] = float(
             np.linalg.norm(acl @ nominal_cov + nominal_cov @ acl.T + w_nom)
         )
         return SteadyStateResult(nominal_cov, error_cov, None, None, residuals)
 
-    _hurwitz_guard(ts.a, "true state matrix (required for nonzero mismatch feedthrough)")
+    _hurwitz_guard(
+        SchurForm.of(ts.a), "true state matrix (required for nonzero mismatch feedthrough)"
+    )
     f = fr.mismatch_diag
     a_d = st.a_diag
-    state_cov = solve_lyapunov(a_d, u_q)
+    a_d_form = SchurForm.of(a_d)
+    state_cov = solve_lyapunov(a_d_form, u_q)
     residuals["state_cov"] = float(np.linalg.norm(a_d @ state_cov + state_cov @ a_d.T + u_q))
     rhs_cross = f @ state_cov + u_q
-    cross_cov = solve_sylvester(acl, a_d.T, -rhs_cross)
+    cross_cov = solve_sylvester(form, a_d_form.T, -rhs_cross)
     residuals["cross_cov"] = float(np.linalg.norm(acl @ cross_cov + cross_cov @ a_d.T + rhs_cross))
     w_full = w_err + f @ cross_cov.T + cross_cov @ f.T
-    error_cov = solve_lyapunov(acl, w_full)
+    error_cov = solve_lyapunov(form, w_full)
     residuals["error_cov"] = float(np.linalg.norm(acl @ error_cov + error_cov @ acl.T + w_full))
-    nominal_cov = solve_lyapunov(acl, w_nom)
+    nominal_cov = solve_lyapunov(form, w_nom)
     residuals["nominal_cov"] = float(np.linalg.norm(acl @ nominal_cov + nominal_cov @ acl.T + w_nom))
     return SteadyStateResult(nominal_cov, error_cov, cross_cov, state_cov, residuals)
 

@@ -45,6 +45,29 @@ def random_connected_topology(rng, n):
     return topo
 
 
+def ring_chord_network(nodes, seed=0):
+    """case1's sensors cycled over a ring of ``nodes`` sensors plus ``nodes // 4`` random chords.
+
+    The stacked dimension is 4 * nodes, and the Hurwitz threshold of such a
+    network is large (2e5 at 25 nodes, 2e6 at 50), so ``||closed_loop||_2``
+    reaches 1e7 to 7e7 at 100 times the threshold.
+    """
+    from dckf.scenario import parse_scenario, preset_dict
+
+    doc = preset_dict("case1")
+    for block in ("true_system", "nominal"):
+        sensors = doc[block]["sensors"]
+        doc[block]["sensors"] = [sensors[k % len(sensors)] for k in range(nodes)]
+    rng = np.random.default_rng((seed, nodes))
+    edges = {tuple(sorted((i, (i + 1) % nodes))) for i in range(nodes)}
+    target = len(edges) + nodes // 4
+    while len(edges) < target:
+        edges.add(tuple(sorted(int(v) for v in rng.choice(nodes, size=2, replace=False))))
+    doc["name"] = f"ring-chord-{nodes}"
+    doc["topology"] = {"nodes": nodes, "edges": [list(e) for e in sorted(edges)]}
+    return parse_scenario(doc)
+
+
 def rk4_propagate(fr, ts, nm, grid, dt=1e-3, init=None):
     """Reference integrator: fixed-step classical RK4 on the four coupled blocks.
 

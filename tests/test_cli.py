@@ -294,8 +294,9 @@ def _set(path, value):
     return mutate
 
 
-# Malformed inputs that once ended in a Python traceback, with the exit code
-# each must give on validate, sweep and simulate.
+# Malformed or oversized inputs that once ended in a Python traceback or an
+# unbounded allocation, with the exit code each must give on validate, sweep
+# and simulate.
 MALFORMED = {
     "sensor_not_an_object": (_set(["true_system", "sensors", 0], 5), (1, 1, 1)),
     "gamma_not_an_object": (_set(["gamma"], 3), (1, 1, 1)),
@@ -310,6 +311,14 @@ MALFORMED = {
         _set(["topology"], {"nodes": 6, "edges": [[0, 1], [2, 3], [4, 5]]}),
         (2, 2, 2),
     ),
+    "sim_seed_negative": (_set(["sim", "seed"], -3), (1, 1, 1)),
+    "sim_trials_too_many": (_set(["sim", "trials"], 10**12), (1, 1, 1)),
+    "sim_steps_too_many": (_set(["sim", "horizon"], 1e7), (1, 1, 1)),
+    "sim_records_too_many": (
+        _set(["sim"], {"dt": 1e-4, "horizon": 2.0, "trials": 4, "seed": 5, "record_stride": 1}),
+        (1, 1, 1),
+    ),
+    "ode_records_too_many": (_set(["ode", "horizon"], 1e7), (1, 1, 1)),
 }
 
 
@@ -322,6 +331,35 @@ def test_malformed_scenario_exit_codes(tmp_path, capsys, name):
     for command, code in zip(("validate", "sweep", "simulate"), codes):
         assert main([command, "--scenario", path, "--out", str(tmp_path)]) == code, command
         assert "Traceback" not in capsys.readouterr().err
+
+
+def overflowing_doc():
+    """A scalar truth with a = 5 under a filter built for a = -1.
+
+    The truth grows like e^{5 t}, so over 160 s every Monte Carlo trial
+    overflows and no mean squared error exists.
+    """
+    sensor = {"c": [[1.0]], "r": [[0.3]]}
+    return {
+        "name": "overflowing",
+        "true_system": {
+            "a": [[5.0]], "q": [[0.2]], "sensors": [sensor, sensor], "x0": [0.4], "sigma0": [[0.5]],
+        },
+        "nominal": {"a": [[-1.0]], "q": [[0.2]], "sensors": [sensor, sensor]},
+        "topology": {"nodes": 2, "edges": [[0, 1]]},
+        "gamma": {"value": 2.0},
+        "sim": {"dt": 1e-2, "horizon": 160.0, "trials": 4, "seed": 5, "record_stride": 100},
+        "ode": {"dt": 1e-2, "horizon": 160.0, "record_every": 16.0},
+    }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", [["simulate"], ["divergence", "--simulate"]])
+def test_every_trial_overflowing_is_exit_2(tmp_path, capsys, command):
+    path = write_scenario(tmp_path, overflowing_doc())
+    assert main([*command, "--scenario", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "simulation failure: every trial overflowed; nothing to average\n"
 
 
 HOSTILE_VALUES = st.one_of(
@@ -369,3 +407,19 @@ def test_validate_never_raises_on_mutated_presets(doc):
         path = Path(out) / "fuzz.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(path), "--out", out]) in (0, 1, 2)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(doc=mutated_presets())
+def test_commands_never_raise_on_mutated_presets(doc):
+    commands = (["sweep", "--simulate"], ["divergence", "--simulate"], ["relations"], ["simulate"])
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        for command in commands:
+            argv = [*command, "--scenario", str(path), "--out", out, "--trials", "2"]
+            assert main(argv) in (0, 1, 2), command

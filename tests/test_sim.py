@@ -29,6 +29,14 @@ def test_sim_config_validation():
         sim.SimConfig(dt=0.1, horizon=0.05, trials=10, seed=0)
     with pytest.raises(ValueError):
         sim.SimConfig(dt=0.01, horizon=1.0, trials=0, seed=0)
+    with pytest.raises(ValueError):
+        sim.SimConfig(dt=0.01, horizon=1.0, trials=10**7, seed=0)
+    with pytest.raises(ValueError):
+        sim.SimConfig(dt=0.01, horizon=1.0, trials=10, seed=-1)
+    with pytest.raises(ValueError):
+        sim.SimConfig(dt=1e-300, horizon=1.0, trials=10, seed=0, record_stride=10**300)
+    with pytest.raises(ValueError):
+        sim.SimConfig(dt=1e-4, horizon=2.0, trials=10, seed=0, record_stride=1)
 
 
 def test_record_steps_include_endpoints():

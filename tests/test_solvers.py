@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dckf import solvers
-from dckf.filtering import build_filter
+from dckf.analysis import trace_bounds
+from dckf.filtering import build_filter, gamma_threshold
 from dckf.graph import complete
-from dckf.model import NominalModel, Sensor, TrueSystem
-from conftest import random_spd, rk4_propagate
+from dckf.model import NominalModel, Sensor, TrueSystem, deviations, stack
+from conftest import random_spd, ring_chord_network, rk4_propagate
 
 
 def kron_oracle_sylvester(a, b, c):
@@ -181,11 +182,69 @@ def test_sylvester_detects_singular_spectra():
 
 def test_lyapunov_schur_path_on_larger_problem():
     rng = np.random.default_rng(13)
-    n = solvers.KRON_DIRECT_MAX_DIM + 4
+    n = 36
     m = rng.standard_normal((n, n)) - 2 * n * np.eye(n)
     w = random_spd(rng, n, floor=0.5)
-    x = solvers.solve_lyapunov(m, w)  # auto routes to schur
+    x = solvers.solve_lyapunov(m, w)
     assert np.linalg.norm(m @ x + x @ m.T + w) <= 1e-9 * (1 + np.linalg.norm(x))
+
+
+def test_shared_schur_form_solves_match_kron(case1):
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    gammas = np.sort(case1.resolve_gammas())
+    fr = build_filter(nm, ts, topo, float(gammas[0])).with_gamma(float(gammas[-1]))
+    form = fr.closed_loop_schur
+    assert form is fr.closed_loop_schur
+    assert np.array_equal(form.matrix, fr.closed_loop)
+    acl = fr.closed_loop
+    a_d = stack(ts, nm).a_diag
+    a_d_form = solvers.SchurForm.of(a_d)
+    rng = np.random.default_rng(17)
+    q = acl.shape[0]
+    w = random_spd(rng, q)
+    c = rng.standard_normal((q, q))
+    pairs = [
+        (solvers.solve_lyapunov(form, w), solvers.solve_lyapunov(acl, w, method="kron")),
+        (solvers.solve_lyapunov(form.T, w), solvers.solve_lyapunov(acl.T, w, method="kron")),
+        (
+            solvers.solve_sylvester(form, a_d_form.T, c),
+            solvers.solve_sylvester(acl, a_d.T, c, method="kron"),
+        ),
+        (
+            solvers.solve_sylvester(form.T, form, c),
+            solvers.solve_sylvester(acl.T, acl, c, method="kron"),
+        ),
+    ]
+    for x, expected in pairs:
+        assert np.linalg.norm(x - expected) <= 1e-10 * max(1.0, np.linalg.norm(expected))
+
+
+def ring_chord_filter(nodes, scale):
+    sc = ring_chord_network(nodes)
+    ts, nm, topo = sc.true_system, sc.nominal, sc.topology
+    return build_filter(nm, ts, topo, scale * gamma_threshold(nm, topo)), ts, nm
+
+
+@pytest.mark.parametrize("nodes, scale", [(25, 100.0), (50, 1.05)])
+def test_steady_state_on_large_ring_chord_networks(nodes, scale):
+    # At 25 nodes and 100x the threshold ||closed_loop||_2 is about 1e7; the
+    # first solve misses the residual contract by rounding alone (about 5x)
+    # and the refinement step brings it under.
+    fr, ts, nm = ring_chord_filter(nodes, scale)
+    ss = solvers.steady_state(fr, ts, nm)
+    for key, residual in ss.residuals.items():
+        assert residual <= 1e-9 * (1.0 + np.linalg.norm(getattr(ss, key))), key
+    assert trace_bounds(fr, ss, deviations(ts, nm)).sandwich_holds
+
+
+def test_steady_state_contract_out_of_reach_at_50_nodes_stiff():
+    # At 50 nodes and 100x the threshold ||closed_loop||_2 is about 7e7.  The
+    # residual of a double-precision solution then stalls at about twice the
+    # fixed contract 1e-9 (1 + ||x||_F), however many refinement steps are
+    # taken, so the solve is refused rather than returned.
+    fr, ts, nm = ring_chord_filter(50, 100.0)
+    with pytest.raises(solvers.SolverError, match="violates the solver contract"):
+        solvers.steady_state(fr, ts, nm)
 
 
 # ---------------------------------------------------------------------------
