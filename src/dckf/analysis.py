@@ -32,7 +32,9 @@ from .filtering import (
 )
 from .graph import Topology
 from .model import Deviations, NominalModel, TrueSystem
-from .solvers import SchurForm, SteadyStateResult, _covariance_flow, solve_lyapunov
+from .solvers import (
+    SchurForm, SteadyStateResult, _check_grid, _covariance_flow, _neutral_eigenpairs, solve_lyapunov
+)
 
 __all__ = [
     "HypothesisError",
@@ -121,7 +123,6 @@ def deviation_gap(
     nm = fr.nominal
     n, n_sensors = fr.n, fr.sensor_count
     big = n * n_sensors
-    a_diag_nom = matkit.kron(np.eye(n_sensors), nm.a)
     d_a_diag_norm = np.sqrt(n_sensors) * dev.d_a_norm
 
     if margin_variant == "dimension":
@@ -131,11 +132,11 @@ def deviation_gap(
     else:
         raise ValueError(f"unknown margin variant {margin_variant!r}")
 
-    cross_margin = matkit.kron_sum_fro_norm(fr.closed_loop, a_diag_nom) - cross_coef * d_a_diag_norm
+    margin_scale = matkit.kron_sum_fro_norm(fr.closed_loop, nm.a_diag)
+    cross_margin = margin_scale - cross_coef * d_a_diag_norm
     state_margin = (
-        matkit.kron_sum_fro_norm(a_diag_nom, a_diag_nom) - 2.0 * np.sqrt(big) * d_a_diag_norm
+        matkit.kron_sum_fro_norm(nm.a_diag, nm.a_diag) - 2.0 * np.sqrt(big) * d_a_diag_norm
     )
-    margin_scale = matkit.kron_sum_fro_norm(fr.closed_loop, a_diag_nom)
     if abs(cross_margin) <= 1e-9 * margin_scale or abs(state_margin) <= 1e-9 * margin_scale:
         raise HypothesisError("a norm-bound margin is numerically zero; the bound is undefined")
 
@@ -201,9 +202,8 @@ def nominal_trace_floor(fr: FilterRealization, nm: NominalModel) -> float:
     in (gamma - gamma_ref), so the floor decays to zero as the gain grows.
     """
     _gamma_gate(fr, "nominal trace floor")
-    r_diag_nom = matkit.block_diag([s.r for s in nm.sensors])
     drive_trace = float(
-        np.trace(fr.gain_diag @ r_diag_nom @ fr.gain_diag.T)
+        np.trace(fr.gain_diag @ nm.r_diag @ fr.gain_diag.T)
     ) + fr.sensor_count * float(np.trace(nm.q))
     denom = 2.0 * float(np.trace(-fr.closed_loop_ref)) + 2.0 * (
         fr.gamma - fr.gamma_ref
@@ -349,18 +349,14 @@ def divergence_test(
     """
     fr = build_filter(nm, ts, topo, gamma)
     a_scale = max(np.linalg.norm(nm.a, 2), 1e-300)
-    q_nom_scale = max(np.linalg.norm(nm.q, 2), 1e-300)
     q_true_scale = max(np.linalg.norm(ts.q, 2), 1e-300)
-    w, v = np.linalg.eig(nm.a.T)
 
     candidates: list[tuple[float, np.ndarray]] = []
-    for k in range(w.size):
-        if abs(w[k].real) > 1e-8 * a_scale or w[k].imag < -1e-8 * a_scale:
+    for w, v in _neutral_eigenpairs(nm.a, nm.q):
+        if w.imag < -1e-8 * a_scale:
             continue
-        e = _canonical_phase(v[:, k])
-        if np.linalg.norm(nm.q @ e) > 1e-8 * q_nom_scale:
-            continue
-        freq = max(float(w[k].imag), 0.0)
+        e = _canonical_phase(v)
+        freq = max(float(w.imag), 0.0)
         if any(
             abs(freq - f0) <= 1e-8 * (1.0 + a_scale) and abs(np.vdot(e0, e)) > 1.0 - 1e-8
             for f0, e0 in candidates
@@ -426,6 +422,9 @@ class RelationReport:
     ordering: str
 
 
+_ORDERING_RTOL = 1e-8
+
+
 def _classify_sign(m: np.ndarray) -> str:
     scale = float(np.linalg.norm(m, 2))
     if scale == 0.0:
@@ -446,16 +445,13 @@ def relation_analysis(
     dev: Deviations,
     gap_init: np.ndarray,
     grid,
-    dt: float = 1e-3,
-    psd_tol: float = 1e-8,
 ) -> RelationReport:
     """Analyze the gap (nominal index minus error covariance) over time.
 
     Requires exact state and measurement matrices (only the noise
     intensities may deviate).  The gap obeys a Lyapunov-type ODE driven by
     the constant mismatch-drive matrix.  ``gap`` steps it exactly with the
-    shared covariance flow of :mod:`dckf.solvers`, so ``dt`` is kept for
-    compatibility only and does not affect accuracy; ``gap_closed`` is an
+    shared covariance flow of :mod:`dckf.solvers`; ``gap_closed`` is an
     independent check, evaluated per grid point from the matrix exponential
     and one Lyapunov solve.
     """
@@ -465,9 +461,7 @@ def relation_analysis(
             "(only noise-intensity deviations allowed)"
         )
     _gamma_gate(fr, "relation analysis")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must be 1-D and strictly increasing")
+    grid = _check_grid(grid)
 
     d_r_diag = matkit.block_diag(list(dev.d_r))
     drive = matkit.symmetrize(
@@ -509,10 +503,10 @@ def relation_analysis(
     init_sign = _classify_sign(gap)
     scale = max(np.max(norms), 1.0)
     if sign in ("psd", "zero") and init_sign in ("psd", "zero"):
-        ordering = "nominal_upper" if np.all(min_eigs >= -psd_tol * scale) else "violated"
+        ordering = "nominal_upper" if np.all(min_eigs >= -_ORDERING_RTOL * scale) else "violated"
     elif sign in ("nsd", "zero") and init_sign in ("nsd", "zero"):
         max_eigs = np.array([np.linalg.eigvalsh(m)[-1] for m in out])
-        ordering = "nominal_lower" if np.all(max_eigs <= psd_tol * scale) else "violated"
+        ordering = "nominal_lower" if np.all(max_eigs <= _ORDERING_RTOL * scale) else "violated"
     else:
         ordering = "inconclusive"
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, matkit
+from . import __version__
 from .analysis import (
     HypothesisError,
     asymptotic_fit,
@@ -120,7 +120,7 @@ def cmd_validate(args, scenario: Scenario) -> int:
             mismatch = build_filter(nm, ts, topo, gamma).mismatch_diag
         except SolverError:
             # No computable gains: the deviation feedthrough is nonzero anyway.
-            mismatch = matkit.kron(np.eye(ts.sensor_count), -dev.d_a)
+            mismatch = ts.a_diag - nm.a_diag
     report = validate_assumptions(ts, nm, topo, mismatch)
     checks = [
         ("network connected", report.connected),
@@ -259,7 +259,7 @@ def cmd_divergence(args, scenario: Scenario) -> int:
 
     fr = build_filter(nm, ts, topo, gamma)
     grid = scenario.ode.grid()
-    traj = propagate(fr, ts, nm, grid, dt=scenario.ode.dt, init=scenario.initial_state())
+    traj = propagate(fr, ts, nm, grid, init=scenario.initial_state())
     rows = []
     proj_vec = None
     if report.certificates:
@@ -337,13 +337,11 @@ def cmd_relations(args, scenario: Scenario) -> int:
     init = scenario.initial_state()
     grid = scenario.ode.grid()
     try:
-        rel = relation_analysis(
-            fr, dev, init.nominal_cov - init.error_cov, grid, dt=scenario.ode.dt
-        )
+        rel = relation_analysis(fr, dev, init.nominal_cov - init.error_cov, grid)
     except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 2
-    traj = propagate(fr, ts, nm, grid, dt=scenario.ode.dt, init=init)
+    traj = propagate(fr, ts, nm, grid, init=init)
     rows = [
         [
             float(t),
@@ -385,7 +383,7 @@ def cmd_simulate(args, scenario: Scenario) -> int:
     fr = build_filter(nm, ts, topo, gamma)
     cfg = scenario.sim_config(args.trials, args.seed)
     series = monte_carlo_mse(ts, fr, cfg)
-    traj = propagate(fr, ts, nm, series.time, dt=scenario.ode.dt, init=scenario.initial_state())
+    traj = propagate(fr, ts, nm, series.time, init=scenario.initial_state())
     n_sensors = ts.sensor_count
     rows = [
         [

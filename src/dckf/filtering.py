@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matkit
 from .graph import Topology, laplacian, laplacian_spectrum
-from .model import NominalModel, TrueSystem, negligible
+from .model import NominalModel, TrueSystem, _check_pair, negligible
 from .solvers import SchurForm, solve_care
 
 __all__ = [
@@ -27,17 +27,17 @@ __all__ = [
 ]
 
 
-def is_hurwitz(m: "np.ndarray | SchurForm", tol: float | None = None) -> bool:
-    """True when every eigenvalue has real part below ``-tol``.
+_HURWITZ_RTOL = 1e-9
 
-    The default tolerance is ``1e-9 * ||m||_2``, so a marginal matrix
-    reports as not Hurwitz.  ``m`` may be a :class:`~dckf.solvers.SchurForm`,
-    whose eigenvalues and norm are then reused.
+
+def is_hurwitz(m: "np.ndarray | SchurForm") -> bool:
+    """True when every eigenvalue has real part below ``-1e-9 * ||m||_2``.
+
+    A marginal matrix therefore reports as not Hurwitz.  ``m`` may be a
+    :class:`~dckf.solvers.SchurForm`, whose eigenvalues and norm are then reused.
     """
     form = SchurForm.of(m)
-    if tol is None:
-        tol = 1e-9 * max(form.norm2, 1e-300)
-    return form.spectral_abscissa < -tol
+    return form.spectral_abscissa < -_HURWITZ_RTOL * max(form.norm2, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,7 @@ def _nominal_core(nm: NominalModel, topo: Topology) -> _NominalCore:
         raise ValueError(
             f"topology has {topo.node_count} nodes, model has {nm.sensor_count} sensors"
         )
-    c_stack = np.vstack([s.c for s in nm.sensors])
-    r_diag = matkit.block_diag([s.r for s in nm.sensors])
-    p_inf = solve_care(nm.a, c_stack, r_diag, nm.q)
+    p_inf = solve_care(nm.a, nm.c_stack, nm.r_diag, nm.q)
     n_sensors = nm.sensor_count
     gains = tuple(
         n_sensors * np.linalg.solve(s.r, s.c @ p_inf).T for s in nm.sensors
@@ -87,9 +85,7 @@ def gamma_threshold(
     connectivity is not positive.
     """
     if p_inf is None:
-        c_stack = np.vstack([s.c for s in nm.sensors])
-        r_diag = matkit.block_diag([s.r for s in nm.sensors])
-        p_inf = solve_care(nm.a, c_stack, r_diag, nm.q)
+        p_inf = solve_care(nm.a, nm.c_stack, nm.r_diag, nm.q)
     if lambda_override is not None:
         connectivity = float(lambda_override)
     else:
@@ -97,9 +93,7 @@ def gamma_threshold(
     if connectivity <= 0.0:
         raise ValueError("algebraic connectivity must be positive (connected graph or override)")
     p_inv = matkit.eigh_psd_inverse(p_inf)
-    c_stack = np.vstack([s.c for s in nm.sensors])
-    r_diag = matkit.block_diag([s.r for s in nm.sensors])
-    gram = matkit.symmetrize(c_stack.T @ np.linalg.solve(r_diag, c_stack))
+    gram = matkit.symmetrize(nm.c_stack.T @ np.linalg.solve(nm.r_diag, nm.c_stack))
     drift_term = float(np.linalg.norm(p_inv @ nm.a + nm.a.T @ p_inv, 2))
     n_sensors = nm.sensor_count
     mix = matkit.symmetrize(p_inv @ nm.q @ p_inv + gram)
@@ -187,8 +181,7 @@ def build_filter(
     """
     if gamma <= 0.0:
         raise ValueError("consensus gain must be positive")
-    if ts.n != nm.n or ts.sensor_count != nm.sensor_count:
-        raise ValueError("true system and nominal model dimensions disagree")
+    _check_pair(ts, nm)
     core = _nominal_core(nm, topo)
     mismatch = [
         ts.a - nm.a - k @ (st.c - sn.c)

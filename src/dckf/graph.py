@@ -105,7 +105,10 @@ class LaplacianSpectrum:
         return float(self.eigenvalues[-2])
 
 
-def laplacian_spectrum(t: Topology, connectivity_rtol: float = 1e-9) -> LaplacianSpectrum:
+_CONNECTIVITY_RTOL = 1e-9
+
+
+def laplacian_spectrum(t: Topology) -> LaplacianSpectrum:
     """Eigen-decompose the Laplacian of a connected topology.
 
     Raises ``ValueError`` when the graph is disconnected (BFS is the
@@ -116,6 +119,6 @@ def laplacian_spectrum(t: Topology, connectivity_rtol: float = 1e-9) -> Laplacia
     # eigh rather than eigvalsh: the two LAPACK drivers differ in the last
     # bits, and every gain threshold downstream is computed from these values.
     decreasing = np.linalg.eigh(laplacian(t))[0][::-1].copy()
-    if t.node_count > 1 and decreasing[-2] <= connectivity_rtol * max(decreasing[0], 1.0):
+    if t.node_count > 1 and decreasing[-2] <= _CONNECTIVITY_RTOL * max(decreasing[0], 1.0):
         raise ValueError("algebraic connectivity is numerically zero on a BFS-connected graph")
     return LaplacianSpectrum(eigenvalues=decreasing)

@@ -100,17 +100,21 @@ def is_symmetric(a: np.ndarray, rtol: float = 1e-10) -> bool:
     return bool(np.linalg.norm(a - a.T) <= rtol * max(scale, 1.0))
 
 
-def sqrtm_psd(a: np.ndarray, neg_rtol: float = 1e-10) -> np.ndarray:
+_SQRT_NEG_RTOL = 1e-10
+_INVERSE_COND_RTOL = 1e-12
+
+
+def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of a symmetric PSD matrix.
 
-    Eigenvalues below ``-neg_rtol * max_eigenvalue`` raise; small negative
-    eigenvalues due to round-off are clipped to zero.
+    Eigenvalues below ``-_SQRT_NEG_RTOL * max_eigenvalue`` raise; small
+    negative eigenvalues due to round-off are clipped to zero.
     """
     a = _as_square(a)
     if not is_symmetric(a, rtol=1e-8):
         raise ValueError("sqrtm_psd expects a (numerically) symmetric matrix")
     w, v = np.linalg.eigh(symmetrize(a))
-    floor = -neg_rtol * max(w[-1], 0.0) - 1e-300
+    floor = -_SQRT_NEG_RTOL * max(w[-1], 0.0) - 1e-300
     if w[0] < floor:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
@@ -144,11 +148,11 @@ def kron_sum_fro_norm(m: np.ndarray, p: np.ndarray) -> float:
     return float(np.sqrt(total))
 
 
-def eigh_psd_inverse(a: np.ndarray, cond_rtol: float = 1e-12) -> np.ndarray:
+def eigh_psd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via eigendecomposition."""
     a = _as_square(a)
     w, v = np.linalg.eigh(symmetrize(a))
-    if w[0] <= cond_rtol * w[-1] or w[-1] <= 0.0:
+    if w[0] <= _INVERSE_COND_RTOL * w[-1] or w[-1] <= 0.0:
         raise np.linalg.LinAlgError(
             f"matrix is singular or not positive definite (eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}])"
         )

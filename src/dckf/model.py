@@ -11,6 +11,7 @@ feedthrough is nonzero) stability of the true state matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,72 +85,92 @@ class Sensor:
         return self.c.shape[0]
 
 
-def _validate_sensor_model(a, q, sensors, what: str):
-    a = _check_square(f"{what} state matrix", a)
-    n = a.shape[0]
-    q = _check_psd(f"{what} process noise intensity", _check_square(f"{what} process noise", q, n))
-    sensors = tuple(s if isinstance(s, Sensor) else Sensor(*s) for s in sensors)
-    if not sensors:
-        raise ValueError(f"{what} needs at least one sensor")
-    for k, s in enumerate(sensors):
-        if s.c.shape[1] != n:
-            raise ValueError(f"{what} sensor {k}: c has {s.c.shape[1]} columns, state dim is {n}")
-    return a, q, sensors
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
-class TrueSystem:
-    """Actual dynamics, noise intensities, per-sensor models, initial moments."""
+class _SensorNetwork:
+    """A state/noise model ``(a, q)`` observed by a network of sensors, and its stacked forms.
+
+    ``c_stack`` stacks the ``c`` matrices, ``r_diag`` is the block diagonal
+    of the ``r``, ``a_diag = kron(I_N, a)`` and ``q_network = kron(11', q)``.
+    Each is built once per model, on first use, and is read-only: every
+    caller shares it, so an in-place write raises instead of corrupting it.
+    """
 
     a: np.ndarray
     q: np.ndarray
     sensors: tuple[Sensor, ...]
+
+    _label = "model"  # names the model in validation errors
+
+    def __post_init__(self) -> None:
+        what = self._label
+        a = _check_square(f"{what} state matrix", self.a)
+        n = a.shape[0]
+        q = _check_psd(f"{what} process noise intensity", _check_square(f"{what} process noise", self.q, n))
+        sensors = tuple(s if isinstance(s, Sensor) else Sensor(*s) for s in self.sensors)
+        if not sensors:
+            raise ValueError(f"{what} needs at least one sensor")
+        for k, s in enumerate(sensors):
+            if s.c.shape[1] != n:
+                raise ValueError(f"{what} sensor {k}: c has {s.c.shape[1]} columns, state dim is {n}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "sensors", sensors)
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def sensor_count(self) -> int:
+        return len(self.sensors)
+
+    @cached_property
+    def c_stack(self) -> np.ndarray:
+        return _read_only(np.vstack([s.c for s in self.sensors]))
+
+    @cached_property
+    def r_diag(self) -> np.ndarray:
+        return _read_only(matkit.block_diag([s.r for s in self.sensors]))
+
+    @cached_property
+    def a_diag(self) -> np.ndarray:
+        return _read_only(matkit.kron(np.eye(self.sensor_count), self.a))
+
+    @cached_property
+    def q_network(self) -> np.ndarray:
+        return _read_only(matkit.kron(matkit.ones_matrix(self.sensor_count), self.q))
+
+
+@dataclass(frozen=True)
+class TrueSystem(_SensorNetwork):
+    """Actual dynamics, noise intensities, per-sensor models, initial moments."""
+
     x0: np.ndarray
     sigma0: np.ndarray
 
+    _label = "true system"
+
     def __post_init__(self) -> None:
-        a, q, sensors = _validate_sensor_model(self.a, self.q, self.sensors, "true system")
-        n = a.shape[0]
+        super().__post_init__()
+        n = self.n
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.size != n:
             raise ValueError(f"x0 has {x0.size} entries, state dim is {n}")
         sigma0 = _check_psd("initial covariance", _check_square("initial covariance", self.sigma0, n))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "sensors", sensors)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "sigma0", sigma0)
 
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def sensor_count(self) -> int:
-        return len(self.sensors)
-
 
 @dataclass(frozen=True)
-class NominalModel:
+class NominalModel(_SensorNetwork):
     """The filter designer's (possibly wrong) parameters."""
 
-    a: np.ndarray
-    q: np.ndarray
-    sensors: tuple[Sensor, ...]
-
-    def __post_init__(self) -> None:
-        a, q, sensors = _validate_sensor_model(self.a, self.q, self.sensors, "nominal model")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "sensors", sensors)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def sensor_count(self) -> int:
-        return len(self.sensors)
+    _label = "nominal model"
 
 
 def _check_pair(ts: TrueSystem, nm: NominalModel) -> None:
@@ -214,14 +235,7 @@ def deviations(ts: TrueSystem, nm: NominalModel) -> Deviations:
 
 @dataclass(frozen=True)
 class StackedMatrices:
-    """Stacked/block-diagonal forms for the sensor network.
-
-    ``c_stack``   : all measurement matrices stacked vertically (sum m_i rows)
-    ``r_diag``    : block diagonal of the measurement noise intensities
-    ``a_diag``    : kron(I_N, A)
-
-    Fields with the ``_nom`` suffix hold the nominal counterparts.
-    """
+    """Stacked forms of a true system and a nominal model; ``_nom`` fields are the nominal's."""
 
     c_stack: np.ndarray
     r_diag: np.ndarray
@@ -233,15 +247,7 @@ class StackedMatrices:
 
 def stack(ts: TrueSystem, nm: NominalModel) -> StackedMatrices:
     _check_pair(ts, nm)
-    eye_n = np.eye(ts.sensor_count)
-    return StackedMatrices(
-        c_stack=np.vstack([s.c for s in ts.sensors]),
-        r_diag=matkit.block_diag([s.r for s in ts.sensors]),
-        a_diag=matkit.kron(eye_n, ts.a),
-        c_stack_nom=np.vstack([s.c for s in nm.sensors]),
-        r_diag_nom=matkit.block_diag([s.r for s in nm.sensors]),
-        a_diag_nom=matkit.kron(eye_n, nm.a),
-    )
+    return StackedMatrices(ts.c_stack, ts.r_diag, ts.a_diag, nm.c_stack, nm.r_diag, nm.a_diag)
 
 
 def observability_matrix(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -327,10 +333,8 @@ def validate_assumptions(
         raise ValueError(
             f"topology has {topo.node_count} nodes but the system has {ts.sensor_count} sensors"
         )
-    st = stack(ts, nm)
-    n = nm.n
-    observable = _full_rank(observability_matrix(nm.a, st.c_stack_nom), n)
-    controllable = _full_rank(controllability_matrix(nm.a, matkit.sqrtm_psd(nm.q)), n)
+    observable = _full_rank(observability_matrix(nm.a, nm.c_stack), nm.n)
+    controllable = _full_rank(controllability_matrix(nm.a, matkit.sqrtm_psd(nm.q)), nm.n)
     f = np.asarray(mismatch_diag, dtype=float)
     mismatch_zero = negligible(float(np.linalg.norm(f)), float(np.linalg.norm(nm.a)))
     alpha = matkit.spectral_abscissa(ts.a)

@@ -156,7 +156,10 @@ def _parse_sensors(node: Any, where: str) -> tuple[Sensor, ...]:
 
 @dataclass(frozen=True)
 class OdeConfig:
-    """Step size and recording grid for analytic covariance propagation."""
+    """Recording grid for analytic covariance propagation.
+
+    ``dt`` is parsed and must be positive, but the flows are exact, so it affects no output.
+    """
 
     dt: float = 1e-3
     horizon: float = 10.0

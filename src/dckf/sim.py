@@ -168,7 +168,7 @@ class _Engine:
         self.gains = len(realizations)
         q = self.q = n * ts.sensor_count
         self.width = n + self.gains * q
-        c_stack_t = np.vstack([s.c for s in ts.sensors]).T
+        c_stack_t = ts.c_stack.T
         m_total = c_stack_t.shape[1]
         self.cols = n + m_total
         self.sigma0_half_t = matkit.sqrtm_psd(ts.sigma0).T

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matkit
-from .model import NominalModel, TrueSystem, stack
+from .model import NominalModel, TrueSystem, _check_pair
 
 if TYPE_CHECKING:  # pragma: no cover
     from .filtering import FilterRealization
@@ -233,23 +233,32 @@ def solve_lyapunov(
 # ---------------------------------------------------------------------------
 
 
-def _neutral_modes(a: np.ndarray, q: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis of the neutral subspace, or None when empty.
+def _neutral_eigenpairs(a: np.ndarray, q: np.ndarray) -> list[tuple[complex, np.ndarray]]:
+    """Eigenpairs ``(w, e)`` of ``a.T`` that are neutral modes the noise ``q`` is blind to.
 
-    A neutral mode is an eigenvector of ``a.T`` whose eigenvalue sits on the
-    imaginary axis and which lies in the null space of ``q``.  The span of
-    the real and imaginary parts of all such eigenvectors is returned.
+    ``w`` sits on the imaginary axis (``|Re w| <= 1e-8 ||a||_2``) and ``e``
+    lies in the null space of ``q`` (``||q e|| <= 1e-8 ||q||_2 ||e||``).
+    Conjugate pairs are both returned, in the order ``eig`` gives them.
     """
     w, v = np.linalg.eig(a.T)
     a_scale = max(np.linalg.norm(a, 2), 1e-300)
     q_scale = max(np.linalg.norm(q, 2), 1e-300)
+    return [
+        (w[k], v[:, k])
+        for k in range(w.size)
+        if abs(w[k].real) <= 1e-8 * a_scale
+        and np.linalg.norm(q @ v[:, k]) <= 1e-8 * q_scale * np.linalg.norm(v[:, k])
+    ]
+
+
+def _neutral_modes(a: np.ndarray, q: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis of the neutral subspace, or None when empty.
+
+    The span of the real and imaginary parts of the eigenvectors from
+    :func:`_neutral_eigenpairs` is returned.
+    """
     cols = []
-    for k in range(w.size):
-        if abs(w[k].real) > 1e-8 * a_scale:
-            continue
-        e = v[:, k]
-        if np.linalg.norm(q @ e) > 1e-8 * q_scale * np.linalg.norm(e):
-            continue
+    for _, e in _neutral_eigenpairs(a, q):
         cols.append(e.real)
         if np.linalg.norm(e.imag) > 1e-12:
             cols.append(e.imag)
@@ -398,6 +407,15 @@ def _hurwitz_guard(form: SchurForm, what: str) -> None:
         raise NotHurwitzError(f"{what} is unstable (spectral abscissa {alpha:.3e})")
 
 
+def _noise_drive(fr: "FilterRealization", model: "TrueSystem | NominalModel") -> np.ndarray:
+    """``K R K' + kron(11', Q)``: the noise intensity driving the stacked error.
+
+    ``R`` and ``Q`` are ``model``'s, so the nominal model gives the drive of
+    the nominal index and the true system that of the error covariance.
+    """
+    return fr.gain_diag @ model.r_diag @ fr.gain_diag.T + model.q_network
+
+
 def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> SteadyStateResult:
     """Solve the steady-state equations for the nominal index and the error covariance.
 
@@ -410,16 +428,13 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
     closed-loop solve, and the Hurwitz guard, reads the one factorization
     ``fr.closed_loop_schur``.
     """
-    st = stack(ts, nm)
-    n_sensors = ts.sensor_count
+    _check_pair(ts, nm)
     acl = fr.closed_loop
     form = fr.closed_loop_schur
     _hurwitz_guard(form, "closed-loop matrix")
-    u_q = matkit.kron(matkit.ones_matrix(n_sensors), ts.q)
-    w_nom = fr.gain_diag @ st.r_diag_nom @ fr.gain_diag.T + matkit.kron(
-        matkit.ones_matrix(n_sensors), nm.q
-    )
-    w_err = fr.gain_diag @ st.r_diag @ fr.gain_diag.T + u_q
+    u_q = ts.q_network
+    w_nom = _noise_drive(fr, nm)
+    w_err = _noise_drive(fr, ts)
     residuals: dict[str, float] = {}
 
     if fr.mismatch_is_zero:
@@ -435,7 +450,7 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
         SchurForm.of(ts.a), "true state matrix (required for nonzero mismatch feedthrough)"
     )
     f = fr.mismatch_diag
-    a_d = st.a_diag
+    a_d = ts.a_diag
     a_d_form = SchurForm.of(a_d)
     state_cov = solve_lyapunov(a_d_form, u_q)
     residuals["state_cov"] = float(np.linalg.norm(a_d @ state_cov + state_cov @ a_d.T + u_q))
@@ -570,7 +585,6 @@ def propagate(
     ts: TrueSystem,
     nm: NominalModel,
     grid: np.ndarray,
-    dt: float = 1e-3,
     init: TrajectoryInit | None = None,
 ) -> CovarianceTrajectory:
     """Exact covariance trajectories of the filter network on a time grid.
@@ -578,12 +592,9 @@ def propagate(
     The nominal index follows its own Lyapunov-type flow in the closed loop;
     the error, cross and state blocks are slices of the joint covariance of
     the :func:`build_augmented` system.  Both flows are stepped exactly
-    (matrix exponential plus Van Loan's integral), so ``dt`` no longer
-    affects accuracy; it is kept for compatibility and must be positive.
+    (matrix exponential plus Van Loan's integral).
     """
     grid = _check_grid(grid)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if init is None:
         init = default_initial_state(ts)
     q_dim = fr.closed_loop.shape[0]
@@ -591,12 +602,8 @@ def propagate(
         shape = np.shape(getattr(init, name))
         if shape != (q_dim, q_dim):
             raise ValueError(f"initial {name} must be {q_dim}x{q_dim}, got {shape}")
-    st = stack(ts, nm)
-    w_nom = fr.gain_diag @ st.r_diag_nom @ fr.gain_diag.T + matkit.kron(
-        matkit.ones_matrix(ts.sensor_count), nm.q
-    )
-    nominal = _covariance_flow(fr.closed_loop, w_nom, init.nominal_cov, grid)
     joint = propagate_augmented(build_augmented(fr, ts, nm, init), grid)
+    nominal = _covariance_flow(fr.closed_loop, _noise_drive(fr, nm), init.nominal_cov, grid)
     error = joint[:, :q_dim, :q_dim]
     traces = np.einsum("kii->k", error)
     return CovarianceTrajectory(
@@ -637,19 +644,16 @@ def build_augmented(
 ) -> AugmentedJointSystem:
     if init is None:
         init = default_initial_state(ts)
-    st = stack(ts, nm)
+    _check_pair(ts, nm)
     q_dim = fr.closed_loop.shape[0]
-    m_dim = st.r_diag.shape[0]
-    drift = np.block([[fr.closed_loop, fr.mismatch_diag], [np.zeros((q_dim, q_dim)), st.a_diag]])
+    drift = np.block([[fr.closed_loop, fr.mismatch_diag], [np.zeros((q_dim, q_dim)), ts.a_diag]])
     input_map = np.block(
         [
             [-fr.gain_diag, np.eye(q_dim)],
-            [np.zeros((q_dim, m_dim)), np.eye(q_dim)],
+            [np.zeros(fr.gain_diag.shape), np.eye(q_dim)],
         ]
     )
-    noise = matkit.block_diag(
-        [st.r_diag, matkit.kron(matkit.ones_matrix(ts.sensor_count), ts.q)]
-    )
+    noise = matkit.block_diag([ts.r_diag, ts.q_network])
     init_cov = np.block(
         [[init.error_cov, init.cross_cov], [init.cross_cov.T, init.state_cov]]
     )
@@ -658,12 +662,7 @@ def build_augmented(
     )
 
 
-def propagate_augmented(
-    aug: AugmentedJointSystem, grid: np.ndarray, dt: float = 1e-3
-) -> np.ndarray:
-    """Exact joint covariance flow; returns (len(grid), 2q, 2q).
-
-    ``dt`` is kept for compatibility and does not affect the result.
-    """
+def propagate_augmented(aug: AugmentedJointSystem, grid: np.ndarray) -> np.ndarray:
+    """Exact joint covariance flow; returns (len(grid), 2q, 2q)."""
     drive = aug.input_map @ aug.noise_intensity @ aug.input_map.T
     return _covariance_flow(aug.drift, drive, aug.init_cov, grid)

@@ -174,7 +174,7 @@ def test_criterion_6_divergence_certificate():
 
         fr = build_filter(nm, ts, topo, gamma)
         grid = sc.ode.grid()
-        traj = solvers.propagate(fr, ts, nm, grid, dt=sc.ode.dt, init=sc.initial_state())
+        traj = solvers.propagate(fr, ts, nm, grid, init=sc.initial_state())
         v = np.kron(np.ones(6), cert.vector.real)
         proj_err = np.array([v @ m @ v for m in traj.error_cov])
         proj_nom = np.array([v @ m @ v for m in traj.nominal_cov])
@@ -197,7 +197,7 @@ def test_criterion_7_index_ordering():
         init = sc.initial_state()
         gap0 = init.nominal_cov - init.error_cov
         assert np.linalg.norm(gap0) == 0.0
-        rel = relation_analysis(fr, dev, gap0, sc.ode.grid(), dt=sc.ode.dt)
+        rel = relation_analysis(fr, dev, gap0, sc.ode.grid())
         assert rel.drive_sign == "psd"
         assert np.all(rel.gap_min_eig >= -1e-8)
         assert np.all(rel.gap_norm <= rel.gap_norm_bound * (1 + 1e-9) + 1e-12)
@@ -224,7 +224,7 @@ def test_criterion_9_joint_system_cross_check():
         grid = sc.ode.grid()
         traj = rk4_propagate(fr, ts, nm, grid, dt=sc.ode.dt)
         joint = solvers.propagate_augmented(
-            solvers.build_augmented(fr, ts, nm), grid, dt=sc.ode.dt
+            solvers.build_augmented(fr, ts, nm), grid
         )
         q = fr.closed_loop.shape[0]
         assert np.max(np.abs(joint[:, :q, :q] - traj.error_cov)) <= 1e-8

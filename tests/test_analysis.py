@@ -233,7 +233,7 @@ def test_divergence_complex_pair_projected_growth():
     cert = report.certificates[0]
     fr = build_filter(nm, ts, topo, 4.0)
     grid = np.linspace(0.0, 20.0, 81)
-    traj = propagate(fr, ts, nm, grid, dt=1e-3)
+    traj = propagate(fr, ts, nm, grid)
     v_re = np.kron(np.ones(2), cert.vector.real)
     v_im = np.kron(np.ones(2), cert.vector.imag)
     combined = np.array([v_re @ m @ v_re + v_im @ m @ v_im for m in traj.error_cov])
@@ -264,7 +264,7 @@ def test_relation_matches_propagate_difference(case3):
     grid = np.linspace(0.0, 3.0, 13)
     init = case3.initial_state()
     rel = analysis.relation_analysis(fr, dev, init.nominal_cov - init.error_cov, grid)
-    traj = propagate(fr, ts, nm, grid, dt=1e-3, init=init)
+    traj = propagate(fr, ts, nm, grid, init=init)
     diff = traj.nominal_cov - traj.error_cov
     assert np.max(np.abs(rel.gap - diff)) <= 1e-9
 
@@ -301,7 +301,7 @@ def test_relation_bound_on_random_admissible_scenarios():
         fr = build_filter(nm, ts, topo, gamma=1.2 * thr)
         e0 = random_spd(rng, n * nm.sensor_count, floor=0.0)
         grid = np.linspace(0.0, 2.0, 21)
-        rel = analysis.relation_analysis(fr, deviations(ts, nm), e0, grid, dt=2.5e-4)
+        rel = analysis.relation_analysis(fr, deviations(ts, nm), e0, grid)
         assert np.all(rel.gap_norm <= rel.gap_norm_bound * (1 + 1e-9) + 1e-12)
         assert np.max(np.abs(rel.gap - rel.gap_closed)) <= 1e-8
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dckf import graph, model
 from dckf.filtering import build_filter
@@ -75,10 +76,30 @@ def test_stacked_diag_deviation_norm_scaling():
 
 
 def test_stack_structure():
-    ts, nm = toy_pair()
+    ts, _ = toy_pair()
+    nm = model.NominalModel(
+        a=ts.a + 0.5,
+        q=2.0 * ts.q,
+        sensors=[model.Sensor(c=s.c + 0.1, r=s.r + k) for k, s in enumerate(ts.sensors)],
+    )
     st = model.stack(ts, nm)
     np.testing.assert_array_equal(st.c_stack, [[1.0, 0.0], [1.0, 0.0]])
     np.testing.assert_array_equal(st.a_diag, np.kron(np.eye(2), ts.a))
+    for m, suffix in ((ts, ""), (nm, "_nom")):
+        oracles = {
+            "c_stack": np.vstack([s.c for s in m.sensors]),
+            "r_diag": scipy.linalg.block_diag(*[s.r for s in m.sensors]),
+            "a_diag": np.kron(np.eye(2), m.a),
+            "q_network": np.kron(np.ones((2, 2)), m.q),
+        }
+        for name, oracle in oracles.items():
+            cached = getattr(m, name)
+            assert getattr(m, name) is cached
+            np.testing.assert_array_equal(cached, oracle)
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
+            if name != "q_network":
+                assert getattr(st, name + suffix) is cached
 
 
 def test_stack_vehicle_measurement_noise(baseline):

@@ -120,7 +120,7 @@ def test_ensemble_second_moment_matches_state_covariance(baseline):
         states.append(traj_x)
     states = np.concatenate(states, axis=0)
     times = cfg.record_steps() * cfg.dt
-    traj = propagate(fr, ts, nm, times, dt=1e-3)
+    traj = propagate(fr, ts, nm, times)
     for k in (1, 2):  # skip t=0 (exact by construction)
         moment = np.einsum("bi,bj->ij", states[:, k], states[:, k]) / states.shape[0]
         analytic = traj.state_cov[k][:4, :4]

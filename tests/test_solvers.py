@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import dckf
 from dckf import solvers
 from dckf.analysis import trace_bounds
 from dckf.filtering import build_filter, gamma_threshold
@@ -247,6 +248,21 @@ def test_steady_state_contract_out_of_reach_at_50_nodes_stiff():
         solvers.steady_state(fr, ts, nm)
 
 
+def test_library_call_shapes_of_a_network_benchmark_op():
+    # The calls, argument order included, that an op on a generated network
+    # makes: build the filter at the top gain, move it to another gain, solve
+    # the steady state, bound its trace, and read the stacked true A.
+    sc = ring_chord_network(6)
+    ts, nm, topo = sc.true_system, sc.nominal, sc.topology
+    gammas = np.sort(sc.resolve_gammas())
+    base = dckf.build_filter(nm, ts, topo, float(gammas[-1]))
+    fr = base.with_gamma(float(gammas[0]))
+    ss = dckf.steady_state(fr, ts, nm)
+    report = dckf.trace_bounds(fr, ss, dckf.deviations(ts, nm))
+    assert report.sandwich_holds
+    np.testing.assert_array_equal(dckf.stack(ts, nm).a_diag, np.kron(np.eye(6), ts.a))
+
+
 # ---------------------------------------------------------------------------
 # Steady state
 # ---------------------------------------------------------------------------
@@ -290,7 +306,7 @@ def test_steady_state_matches_long_horizon_ode():
     fr = build_filter(nm, ts, topo, 2.0)
     ss = solvers.steady_state(fr, ts, nm)
     grid = np.linspace(0.0, 30.0, 16)
-    traj = solvers.propagate(fr, ts, nm, grid, dt=1e-3)
+    traj = solvers.propagate(fr, ts, nm, grid)
     assert abs(np.trace(traj.error_cov[-1]) - np.trace(ss.error_cov)) <= 1e-6
     np.testing.assert_allclose(traj.error_cov[-1], ss.error_cov, atol=1e-7)
     np.testing.assert_allclose(traj.cross_cov[-1], ss.cross_cov, atol=1e-7)
@@ -305,7 +321,7 @@ def test_steady_state_matches_long_horizon_ode_case1(case1):
     fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
     ss = solvers.steady_state(fr, ts, nm)
     grid = np.linspace(0.0, 90.0, 10)
-    traj = solvers.propagate(fr, ts, nm, grid, dt=2.5e-3)
+    traj = solvers.propagate(fr, ts, nm, grid)
     assert abs(np.trace(traj.error_cov[-1]) - np.trace(ss.error_cov)) <= 1e-6
 
 
@@ -318,7 +334,7 @@ def test_propagate_zero_deviation_trajectories_coincide(baseline):
     ts, nm, topo = baseline.true_system, baseline.nominal, baseline.topology
     fr = build_filter(nm, ts, topo, float(baseline.resolve_gammas()[0]))
     grid = np.linspace(0.0, 2.0, 11)
-    traj = solvers.propagate(fr, ts, nm, grid, dt=1e-3)
+    traj = solvers.propagate(fr, ts, nm, grid)
     np.testing.assert_allclose(traj.nominal_cov, traj.error_cov, atol=1e-10)
 
 
@@ -326,7 +342,7 @@ def test_propagate_preserves_symmetry(case1):
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
     grid = np.linspace(0.0, 1.0, 6)
-    traj = solvers.propagate(fr, ts, nm, grid, dt=1e-3)
+    traj = solvers.propagate(fr, ts, nm, grid)
     for field in (traj.nominal_cov, traj.error_cov, traj.state_cov):
         for m in field:
             assert np.linalg.norm(m - m.T) <= 1e-9
@@ -338,7 +354,7 @@ def test_propagate_agrees_with_augmented_system(baseline):
     grid = np.linspace(0.0, 5.0, 26)
     traj = rk4_propagate(fr, ts, nm, grid, dt=1e-3)
     aug = solvers.build_augmented(fr, ts, nm)
-    joint = solvers.propagate_augmented(aug, grid, dt=1e-3)
+    joint = solvers.propagate_augmented(aug, grid)
     q = fr.closed_loop.shape[0]
     assert np.max(np.abs(joint[:, :q, :q] - traj.error_cov)) <= 1e-8
     assert np.max(np.abs(joint[:, :q, q:] - traj.cross_cov)) <= 1e-8
@@ -353,7 +369,7 @@ def test_propagate_case2_projection_growth(case2):
     ts, nm, topo = case2.true_system, case2.nominal, case2.topology
     fr = build_filter(nm, ts, topo, 10.0)
     grid = np.linspace(0.0, 15.0, 31)
-    traj = solvers.propagate(fr, ts, nm, grid, dt=1e-3, init=case2.initial_state())
+    traj = solvers.propagate(fr, ts, nm, grid, init=case2.initial_state())
     v = np.kron(np.ones(6), [1.0, 0.0, 0.0, 0.0])
     proj_err = np.array([v @ m @ v for m in traj.error_cov])
     proj_nom = np.array([v @ m @ v for m in traj.nominal_cov])
@@ -369,7 +385,7 @@ def test_propagate_case2_full_horizon_growth(case2):
     fr = build_filter(nm, ts, topo, float(case2.resolve_gammas()[0]))
     grid = case2.ode.grid()
     assert grid[-1] == 50.0
-    traj = solvers.propagate(fr, ts, nm, grid, dt=case2.ode.dt, init=case2.initial_state())
+    traj = solvers.propagate(fr, ts, nm, grid, init=case2.initial_state())
     v = np.kron(np.ones(6), [1.0, 0.0, 0.0, 0.0])
     proj_err = np.array([v @ m @ v for m in traj.error_cov])
     proj_nom = np.array([v @ m @ v for m in traj.nominal_cov])
@@ -388,7 +404,7 @@ def test_propagate_case1_stiff_top_gain_matches_oracle(case1):
     assert fr.gamma == pytest.approx(100.0 * fr.gamma_min, rel=1e-9)
     grid = np.linspace(0.0, 2.0, 21)
     start = time.perf_counter()
-    traj = solvers.propagate(fr, ts, nm, grid, dt=case1.ode.dt, init=case1.initial_state())
+    traj = solvers.propagate(fr, ts, nm, grid, init=case1.initial_state())
     assert time.perf_counter() - start < 1.0
     oracle = rk4_propagate(fr, ts, nm, grid, dt=case1.ode.dt, init=case1.initial_state())
     for field in ("nominal_cov", "error_cov", "cross_cov", "state_cov"):
@@ -401,7 +417,7 @@ def test_propagate_reports_growth_rate(case2):
     ts, nm, topo = case2.true_system, case2.nominal, case2.topology
     fr = build_filter(nm, ts, topo, 10.0)
     grid = np.linspace(0.0, 6.0, 13)
-    traj = solvers.propagate(fr, ts, nm, grid, dt=1e-3, init=case2.initial_state())
+    traj = solvers.propagate(fr, ts, nm, grid, init=case2.initial_state())
     assert np.all(traj.error_trace_rate[-4:] > 0)
 
 
