@@ -23,15 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .filtering import (
-    FilterRealization,
-    _nominal_core,
-    build_filter,
-    gamma_threshold,
-    is_hurwitz,
-)
-from .graph import Topology
-from .model import Deviations, NominalModel, TrueSystem
+from .filtering import FilterRealization, is_hurwitz
+from .model import Deviations, NominalModel, TrueSystem, _check_pair
 from .solvers import (
     SchurForm, SteadyStateResult, _check_grid, _covariance_flow, _neutral_eigenpairs, solve_lyapunov
 )
@@ -239,26 +232,28 @@ class AsymptoticFit:
         return self.a2 > 0 and self.b2 > 0
 
 
-def asymptotic_fit(nm: NominalModel, topo: Topology, gamma_grid) -> AsymptoticFit:
-    """Fit the squared trace-gap factors to a + b/g + c/g^2 over a gain grid."""
+def asymptotic_fit(fr: FilterRealization, gamma_grid) -> AsymptoticFit:
+    """Fit the squared trace-gap factors of a filter to a + b/g + c/g^2 over a gain grid.
+
+    Only the gain-independent parts of ``fr`` are used; its working gain is ignored.
+    """
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.size < 6:
         raise ValueError("the fit needs at least 6 gain values")
     if grid.max() / grid.min() < 10.0:
         raise ValueError("the gain grid must span at least one decade")
-    core = _nominal_core(nm, topo)
-    threshold = gamma_threshold(nm, topo, p_inf=core.p_inf)
-    if np.any(grid <= threshold):
+    if fr.gamma_min is None:
+        raise HypothesisError("the fit needs a consensus-gain threshold; this filter has none")
+    if np.any(grid <= fr.gamma_min):
         raise ValueError("every gain in the grid must exceed the Hurwitz threshold")
 
-    coupling = matkit.kron(core.lap, core.p_inf)
     y_plain = np.empty(grid.size)
     y_gain = np.empty(grid.size)
     for k, g in enumerate(np.sort(grid)):
-        form = SchurForm.of(core.feedback_diag - g * coupling)
+        form = SchurForm.of(fr.closed_loop_at(g))
         if not is_hurwitz(form):
             raise HypothesisError(f"closed loop is not Hurwitz at gain {g:.6g}")
-        plain, weighted = _inverse_vec_norms(form, core.gain_diag)
+        plain, weighted = _inverse_vec_norms(form, fr.gain_diag)
         y_plain[k] = plain**2
         y_gain[k] = weighted**2
 
@@ -332,22 +327,18 @@ def _canonical_phase(e: np.ndarray) -> np.ndarray:
     return e
 
 
-def divergence_test(
-    nm: NominalModel,
-    ts: TrueSystem,
-    topo: Topology,
-    gamma: float,
-) -> DivergenceReport:
-    """Search for neutral modes that defeat the nominal noise model.
+def divergence_test(fr: FilterRealization, ts: TrueSystem) -> DivergenceReport:
+    """Search for neutral modes that defeat the nominal noise model of a filter.
 
     Certificates pair an imaginary-axis eigenvalue of the transposed nominal
     state matrix with an eigenvector in the null space of the nominal
-    process noise.  Each is verified against the stacked closed loop built
-    at ``gamma``; conjugate pairs are reported once with nonnegative
-    frequency.  An empty certificate list means this criterion detects no
-    divergence.
+    process noise.  Each is verified against the filter's stacked closed
+    loop at its working gain; conjugate pairs are reported once with
+    nonnegative frequency.  An empty certificate list means this criterion
+    detects no divergence.
     """
-    fr = build_filter(nm, ts, topo, gamma)
+    nm = fr.nominal
+    _check_pair(ts, nm)
     a_scale = max(np.linalg.norm(nm.a, 2), 1e-300)
     q_true_scale = max(np.linalg.norm(ts.q, 2), 1e-300)
 
@@ -386,7 +377,7 @@ def divergence_test(
     return DivergenceReport(
         certificates=tuple(certificates),
         mismatch_zero=fr.mismatch_is_zero,
-        gamma=float(gamma),
+        gamma=fr.gamma,
     )
 
 

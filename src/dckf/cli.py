@@ -75,12 +75,12 @@ def _parse_gamma_override(text: str) -> dict:
         if text.startswith("log:"):
             parts = text.split(":")
             if len(parts) not in (4, 5):
-                raise ScenarioError("gamma override: expected log:<lo>:<hi>:<points>[:threshold]")
+                raise ScenarioError("gamma override: expected log:<lo>:<hi>:<points>[:threshold|absolute]")
             spec = {
                 "lo": float(parts[1]),
                 "hi": float(parts[2]),
                 "points": int(parts[3]),
-                "scale": "threshold" if len(parts) == 5 and parts[4] == "threshold" else "absolute",
+                "scale": parts[4] if len(parts) == 5 else "absolute",
             }
             return {"log_range": spec}
         if "," in text:
@@ -113,11 +113,9 @@ def cmd_validate(args, scenario: Scenario) -> int:
         mismatch = np.zeros((ts.n * ts.sensor_count,) * 2)
     else:
         try:
-            gamma = _first_gamma(scenario)
-        except (ScenarioError, ValueError, SolverError, np.linalg.LinAlgError):
-            gamma = 1.0
-        try:
-            mismatch = build_filter(nm, ts, topo, gamma).mismatch_diag
+            # The mismatch feedthrough depends on the gains only, not on the
+            # consensus gain, so any positive gain gives the same matrix.
+            mismatch = build_filter(nm, ts, topo, 1.0).mismatch_diag
         except SolverError:
             # No computable gains: the deviation feedthrough is nonzero anyway.
             mismatch = ts.a_diag - nm.a_diag
@@ -180,7 +178,7 @@ def cmd_sweep(args, scenario: Scenario) -> int:
         return 2
     threshold = base.gamma_min
     fit = asymptotic_fit(
-        nm, topo, np.logspace(np.log10(2.0 * threshold), np.log10(200.0 * threshold), 20)
+        base, np.logspace(np.log10(2.0 * threshold), np.log10(200.0 * threshold), 20)
     )
     cfg = scenario.sim_config(args.trials, args.seed) if args.simulate else None
 
@@ -244,7 +242,8 @@ DIVERGENCE_HEADER = ["time", "error_proj", "nominal_proj", "tr_error", "tr_nomin
 def cmd_divergence(args, scenario: Scenario) -> int:
     ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
     gamma = _first_gamma(scenario)
-    report = divergence_test(nm, ts, topo, gamma)
+    fr = build_filter(nm, ts, topo, gamma)
+    report = divergence_test(fr, ts)
     if report.certificates:
         for cert in report.certificates:
             direction = np.array2string(cert.vector.real, precision=6)
@@ -257,7 +256,6 @@ def cmd_divergence(args, scenario: Scenario) -> int:
     else:
         print("no divergence certificates; the nominal noise model excites every neutral mode")
 
-    fr = build_filter(nm, ts, topo, gamma)
     grid = scenario.ode.grid()
     traj = propagate(fr, ts, nm, grid, init=scenario.initial_state())
     rows = []
@@ -336,11 +334,7 @@ def cmd_relations(args, scenario: Scenario) -> int:
     fr = build_filter(nm, ts, topo, gamma)
     init = scenario.initial_state()
     grid = scenario.ode.grid()
-    try:
-        rel = relation_analysis(fr, dev, init.nominal_cov - init.error_cov, grid)
-    except HypothesisError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return 2
+    rel = relation_analysis(fr, dev, init.nominal_cov - init.error_cov, grid)
     traj = propagate(fr, ts, nm, grid, init=init)
     rows = [
         [
@@ -444,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
-        p.add_argument("--gamma", default=None, help="override the gain spec: VALUE | v1,v2,... | log:lo:hi:n[:threshold]")
+        p.add_argument("--gamma", default=None, help="override the gain spec: VALUE | v1,v2,... | log:lo:hi:n[:threshold|absolute]")
         if sim_flag:
             p.add_argument("--simulate", action="store_true", help="add Monte Carlo columns")
 

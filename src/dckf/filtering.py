@@ -17,7 +17,7 @@ import numpy as np
 from . import matkit
 from .graph import Topology, laplacian, laplacian_spectrum
 from .model import NominalModel, TrueSystem, _check_pair, negligible
-from .solvers import SchurForm, solve_care
+from .solvers import SchurForm
 
 __all__ = [
     "FilterRealization",
@@ -40,42 +40,10 @@ def is_hurwitz(m: "np.ndarray | SchurForm") -> bool:
     return form.spectral_abscissa < -_HURWITZ_RTOL * max(form.norm2, 1e-300)
 
 
-@dataclass(frozen=True)
-class _NominalCore:
-    """Gamma-independent pieces of the filter: covariance, gains, local loops."""
-
-    p_inf: np.ndarray
-    gains: tuple[np.ndarray, ...]
-    gain_diag: np.ndarray
-    feedback_diag: np.ndarray
-    lap: np.ndarray
-
-
-def _nominal_core(nm: NominalModel, topo: Topology) -> _NominalCore:
-    if topo.node_count != nm.sensor_count:
-        raise ValueError(
-            f"topology has {topo.node_count} nodes, model has {nm.sensor_count} sensors"
-        )
-    p_inf = solve_care(nm.a, nm.c_stack, nm.r_diag, nm.q)
-    n_sensors = nm.sensor_count
-    gains = tuple(
-        n_sensors * np.linalg.solve(s.r, s.c @ p_inf).T for s in nm.sensors
-    )
-    feedback = [nm.a - k @ s.c for k, s in zip(gains, nm.sensors)]
-    return _NominalCore(
-        p_inf=p_inf,
-        gains=gains,
-        gain_diag=matkit.block_diag(list(gains)),
-        feedback_diag=matkit.block_diag(feedback),
-        lap=laplacian(topo),
-    )
-
-
 def gamma_threshold(
     nm: NominalModel,
     topo: Topology,
     lambda_override: float | None = None,
-    p_inf: np.ndarray | None = None,
 ) -> float:
     """Consensus-gain threshold above which the closed loop is Hurwitz.
 
@@ -84,8 +52,7 @@ def gamma_threshold(
     Raises when the steady filter covariance is singular or when the
     connectivity is not positive.
     """
-    if p_inf is None:
-        p_inf = solve_care(nm.a, nm.c_stack, nm.r_diag, nm.q)
+    p_inf = nm.p_inf
     if lambda_override is not None:
         connectivity = float(lambda_override)
     else:
@@ -182,15 +149,22 @@ def build_filter(
     if gamma <= 0.0:
         raise ValueError("consensus gain must be positive")
     _check_pair(ts, nm)
-    core = _nominal_core(nm, topo)
+    if topo.node_count != nm.sensor_count:
+        raise ValueError(
+            f"topology has {topo.node_count} nodes, model has {nm.sensor_count} sensors"
+        )
+    p_inf = nm.p_inf
+    gains = tuple(nm.sensor_count * np.linalg.solve(s.r, s.c @ p_inf).T for s in nm.sensors)
+    feedback_diag = matkit.block_diag([nm.a - k @ s.c for k, s in zip(gains, nm.sensors)])
     mismatch = [
         ts.a - nm.a - k @ (st.c - sn.c)
-        for k, st, sn in zip(core.gains, ts.sensors, nm.sensors)
+        for k, st, sn in zip(gains, ts.sensors, nm.sensors)
     ]
-    coupling = matkit.kron(core.lap, core.p_inf)
+    lap = laplacian(topo)
+    coupling = matkit.kron(lap, p_inf)
     gamma_min: float | None
     try:
-        gamma_min = gamma_threshold(nm, topo, p_inf=core.p_inf)
+        gamma_min = gamma_threshold(nm, topo)
     except (np.linalg.LinAlgError, ValueError):
         gamma_min = None
     if gamma_ref is None:
@@ -199,16 +173,16 @@ def build_filter(
     elif gamma_ref > gamma:
         raise ValueError("reference gain must not exceed the working gain")
     return FilterRealization(
-        p_inf=core.p_inf,
-        gains=core.gains,
-        gain_diag=core.gain_diag,
-        feedback_diag=core.feedback_diag,
+        p_inf=p_inf,
+        gains=gains,
+        gain_diag=matkit.block_diag(list(gains)),
+        feedback_diag=feedback_diag,
         mismatch_diag=matkit.block_diag(mismatch),
-        closed_loop=core.feedback_diag - gamma * coupling,
-        closed_loop_ref=core.feedback_diag - gamma_ref * coupling,
+        closed_loop=feedback_diag - gamma * coupling,
+        closed_loop_ref=feedback_diag - gamma_ref * coupling,
         gamma=float(gamma),
         gamma_min=gamma_min,
         gamma_ref=float(gamma_ref),
-        lap=core.lap,
+        lap=lap,
         nominal=nm,
     )

@@ -168,9 +168,19 @@ class TrueSystem(_SensorNetwork):
 
 @dataclass(frozen=True)
 class NominalModel(_SensorNetwork):
-    """The filter designer's (possibly wrong) parameters."""
+    """The filter designer's (possibly wrong) parameters.
+
+    ``p_inf``, the nominal Riccati solution that the gains and the gain
+    threshold derive from, is solved once per model and read-only like the stacked forms.
+    """
 
     _label = "nominal model"
+
+    @cached_property
+    def p_inf(self) -> np.ndarray:
+        from .solvers import solve_care  # solvers imports this module
+
+        return _read_only(solve_care(self.a, self.c_stack, self.r_diag, self.q))
 
 
 def _check_pair(ts: TrueSystem, nm: NominalModel) -> None:

@@ -182,6 +182,11 @@ class Scenario:
     ode: OdeConfig
     init_spec: dict
 
+    def __post_init__(self) -> None:
+        # Fail early on spec errors that do not need the threshold value; this
+        # also covers a spec swapped in later with ``dataclasses.replace``.
+        _gamma_values(self.gamma_spec, lambda: 1.0)
+
     def resolve_gammas(self) -> np.ndarray:
         """Concrete consensus-gain values for this scenario."""
         return _gamma_values(self.gamma_spec, self._threshold)
@@ -315,9 +320,7 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
             f"{true_system.sensor_count} sensors"
         )
 
-    gamma_block = _require(doc, "gamma", "scenario")
-    # Fail early on spec errors that do not need the threshold value.
-    _gamma_values(gamma_block, lambda: 1.0)
+    gamma_block = _object(_require(doc, "gamma", "scenario"), "gamma block")
 
     ode_block = _object(doc.get("ode", {}), "ode")
     ode = OdeConfig(

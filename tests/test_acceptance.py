@@ -61,7 +61,7 @@ def case1_sweep_rows():
     fr = build_filter(nm, ts, topo, float(gammas[-1]))
     thr = fr.gamma_min
     fit = asymptotic_fit(
-        nm, topo, np.logspace(np.log10(2 * thr), np.log10(200 * thr), 20)
+        fr, np.logspace(np.log10(2 * thr), np.log10(200 * thr), 20)
     )
     realizations = [fr.with_gamma(float(g)) for g in gammas]
     # One shared set of trials drives every gain (common random numbers).
@@ -145,8 +145,9 @@ def test_criterion_4_asymptotic_decay():
     with criterion(4, "asymptotic gain decay", 30.0):
         sc = load_scenario("case1")
         thr = gamma_threshold(sc.nominal, sc.topology)
+        fr = build_filter(sc.nominal, sc.true_system, sc.topology, 2 * thr)
         grid = np.logspace(np.log10(2 * thr), np.log10(200 * thr), 20)
-        fit = asymptotic_fit(sc.nominal, sc.topology, grid)
+        fit = asymptotic_fit(fr, grid)
         assert fit.fit_residual <= 1e-3
         assert fit.a1 > 0 and fit.b1 > 0
 
@@ -164,7 +165,8 @@ def test_criterion_6_divergence_certificate():
         sc = load_scenario("case2")
         ts, nm, topo = sc.true_system, sc.nominal, sc.topology
         gamma = float(sc.resolve_gammas()[0])
-        report = divergence_test(nm, ts, topo, gamma)
+        fr = build_filter(nm, ts, topo, gamma)
+        report = divergence_test(fr, ts)
         assert len(report.certificates) == 1
         cert = report.certificates[0]
         assert cert.freq == pytest.approx(0.0, abs=1e-12)
@@ -172,7 +174,6 @@ def test_criterion_6_divergence_certificate():
         assert cert.aug_residual <= 1e-10
         assert cert.will_diverge
 
-        fr = build_filter(nm, ts, topo, gamma)
         grid = sc.ode.grid()
         traj = solvers.propagate(fr, ts, nm, grid, init=sc.initial_state())
         v = np.kron(np.ones(6), cert.vector.real)

@@ -129,37 +129,45 @@ def test_nominal_trace_floor_reference_gain_denominator(case1):
 
 
 def test_asymptotic_fit_case1(case1):
-    nm, topo = case1.nominal, case1.topology
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     thr = gamma_threshold(nm, topo)
+    fr = build_filter(nm, ts, topo, 2 * thr)
     grid = np.logspace(np.log10(2 * thr), np.log10(200 * thr), 20)
-    fit = analysis.asymptotic_fit(nm, topo, grid)
+    fit = analysis.asymptotic_fit(fr, grid)
     assert fit.fit_residual <= 1e-3
     assert fit.plain_positive
     # Extrapolation far beyond the fitted range stays within a percent.
     g = 1e4 * thr
-    from dckf.filtering import _nominal_core
-
-    core = _nominal_core(nm, topo)
-    acl = core.feedback_diag - g * matkit.kron(core.lap, core.p_inf)
-    plain, _ = analysis._inverse_vec_norms(acl, core.gain_diag)
+    plain, _ = analysis._inverse_vec_norms(fr.closed_loop_at(g), fr.gain_diag)
     predicted = np.sqrt(fit.a1 + fit.b1 / g + fit.c1 / g**2)
     assert predicted == pytest.approx(plain, rel=0.01)
 
 
 def test_asymptotic_fit_grid_validation(case1):
-    nm, topo = case1.nominal, case1.topology
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     thr = gamma_threshold(nm, topo)
+    fr = build_filter(nm, ts, topo, 2 * thr)
     with pytest.raises(ValueError):
-        analysis.asymptotic_fit(nm, topo, np.linspace(2 * thr, 3 * thr, 20))  # < decade
+        analysis.asymptotic_fit(fr, np.linspace(2 * thr, 3 * thr, 20))  # < decade
     with pytest.raises(ValueError):
-        analysis.asymptotic_fit(nm, topo, np.array([2, 3, 40]) * thr)  # too few
+        analysis.asymptotic_fit(fr, np.array([2, 3, 40]) * thr)  # too few
     with pytest.raises(ValueError):
-        analysis.asymptotic_fit(nm, topo, np.logspace(-1, 1, 8) * thr)  # below threshold
+        analysis.asymptotic_fit(fr, np.logspace(-1, 1, 8) * thr)  # below threshold
+
+
+def test_asymptotic_fit_needs_a_threshold(case2):
+    # case2's steady covariance is singular, so its filter has no threshold.
+    fr = build_filter(case2.nominal, case2.true_system, case2.topology, 10.0)
+    assert fr.gamma_min is None
+    with pytest.raises(analysis.HypothesisError):
+        analysis.asymptotic_fit(fr, np.logspace(0, 2, 8))
 
 
 def test_divergence_case2_certificate(case2):
     ts, nm, topo = case2.true_system, case2.nominal, case2.topology
-    report = analysis.divergence_test(nm, ts, topo, gamma=10.0)
+    fr = build_filter(nm, ts, topo, 10.0)
+    report = analysis.divergence_test(fr, ts)
+    assert report.gamma == fr.gamma
     assert report.mismatch_zero
     assert len(report.certificates) == 1
     cert = report.certificates[0]
@@ -174,7 +182,7 @@ def test_divergence_case2_certificate(case2):
 
 def test_divergence_case1_empty(case1):
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
-    report = analysis.divergence_test(nm, ts, topo, gamma=600.0)
+    report = analysis.divergence_test(build_filter(nm, ts, topo, 600.0), ts)
     assert report.certificates == ()
     assert not report.any_divergence
 
@@ -183,7 +191,8 @@ def test_divergence_pd_nominal_noise_never_certifies():
     rng = np.random.default_rng(31)
     for _ in range(5):
         nm, topo = random_assumption2_setup(rng)  # q is PD by construction
-        report = analysis.divergence_test(nm, as_true(nm), topo, gamma=2.0)
+        ts = as_true(nm)
+        report = analysis.divergence_test(build_filter(nm, ts, topo, 2.0), ts)
         assert report.certificates == ()
 
 
@@ -193,7 +202,7 @@ def test_divergence_blind_true_noise_not_flagged(case2):
     nm, topo = case2.nominal, case2.topology
     ts = case2.true_system
     blind_true = TrueSystem(a=ts.a, q=nm.q, sensors=ts.sensors, x0=ts.x0, sigma0=ts.sigma0)
-    report = analysis.divergence_test(nm, blind_true, topo, gamma=10.0)
+    report = analysis.divergence_test(build_filter(nm, blind_true, topo, 10.0), blind_true)
     assert len(report.certificates) == 1
     cert = report.certificates[0]
     assert not cert.will_diverge
@@ -214,7 +223,7 @@ def oscillatory_blind_pair():
 
 def test_divergence_complex_pair_certificate():
     ts, nm, topo = oscillatory_blind_pair()
-    report = analysis.divergence_test(nm, ts, topo, gamma=4.0)
+    report = analysis.divergence_test(build_filter(nm, ts, topo, 4.0), ts)
     assert len(report.certificates) == 1  # conjugate pair reported once
     cert = report.certificates[0]
     assert cert.freq == pytest.approx(1.0, abs=1e-10)
@@ -229,9 +238,8 @@ def test_divergence_complex_pair_projected_growth():
     # The two real projections oscillate, but their sum grows linearly at
     # the certificate rate.
     ts, nm, topo = oscillatory_blind_pair()
-    report = analysis.divergence_test(nm, ts, topo, gamma=4.0)
-    cert = report.certificates[0]
     fr = build_filter(nm, ts, topo, 4.0)
+    cert = analysis.divergence_test(fr, ts).certificates[0]
     grid = np.linspace(0.0, 20.0, 81)
     traj = propagate(fr, ts, nm, grid)
     v_re = np.kron(np.ones(2), cert.vector.real)

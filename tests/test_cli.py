@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dckf import solvers
 from dckf.cli import main
 from dckf.scenario import load_scenario, parse_scenario, preset_dict, preset_names
 
@@ -333,6 +334,46 @@ def test_malformed_scenario_exit_codes(tmp_path, capsys, name):
         assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["-3", "log:5:1:3", "log:1.05:100:5:treshold"])
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_malformed_gamma_override_is_exit_1(tmp_path, capsys, command, gamma):
+    assert main([command, "--scenario", "case1", "--out", str(tmp_path), f"--gamma={gamma}"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_relations_hypothesis_violation_is_exit_2(tmp_path, capsys):
+    # case2's closed loop keeps a neutral mode at every gain, so it is never Hurwitz.
+    argv = ["relations", "--scenario", "case2", "--out", str(tmp_path), "--gamma", "0.001"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "hypothesis violation: relation analysis requires a Hurwitz closed-loop matrix\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--scenario", "case1"],
+        ["divergence", "--scenario", "case2"],
+        ["relations", "--scenario", "case3"],
+        ["simulate", "--scenario", "baseline", "--trials", "2"],
+        ["validate", "--scenario", "case1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_command_solves_the_nominal_riccati_equation_once(tmp_path, monkeypatch, argv):
+    calls = []
+    solve_care = solvers.solve_care
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_care(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_care", counting)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def overflowing_doc():
     """A scalar truth with a = 5 under a filter built for a = -1.
 
@@ -396,6 +437,10 @@ def mutated_presets(draw):
     return doc
 
 
+# Hostile magnitudes (entries near 1e308, unstable truths over long horizons)
+# overflow numpy kernels on purpose; these tests check the exit codes, so the
+# RuntimeWarnings they provoke are not failures here, as in the overflow test above.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(
     max_examples=60,
     deadline=None,
@@ -409,6 +454,7 @@ def test_validate_never_raises_on_mutated_presets(doc):
         assert main(["validate", "--scenario", str(path), "--out", out]) in (0, 1, 2)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(
     max_examples=60,
     deadline=None,

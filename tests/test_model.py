@@ -4,6 +4,7 @@ import scipy.linalg
 
 from dckf import graph, model
 from dckf.filtering import build_filter
+from dckf.solvers import solve_care
 
 
 def toy_pair(n=2):
@@ -100,6 +101,13 @@ def test_stack_structure():
                 cached[0, 0] = 1.0
             if name != "q_network":
                 assert getattr(st, name + suffix) is cached
+    # The nominal Riccati solution is cached the same way, and every filter shares it.
+    p_inf = nm.p_inf
+    assert nm.p_inf is p_inf
+    with pytest.raises(ValueError):
+        p_inf[0, 0] = 1.0
+    np.testing.assert_array_equal(p_inf, solve_care(nm.a, nm.c_stack, nm.r_diag, nm.q))
+    assert build_filter(nm, ts, graph.complete(2), 1.0).p_inf is p_inf
 
 
 def test_stack_vehicle_measurement_noise(baseline):
