@@ -32,11 +32,28 @@ calls (drawing ``a`` rows and then ``b`` rows gives the same numbers as
 drawing ``a + b``), so the engine draws each piece's rows when it needs them
 and the grouping does not change any trial's noise.  Every gain of a sweep
 sees the same rows (common random numbers).
+
+Parallel chunks: trials run in fixed chunks whose size depends only on the
+config and the memory caps.  Each chunk's squared errors are a pure function
+of its trial range, computed while the engine's operators are only read (they
+are all built on the caller's thread first), so up to ``workers`` chunks are
+in flight on a thread pool at once; numpy releases the GIL in the noise fills
+and the products.  The caller reduces the chunks one by one in trial order,
+so the sums see the same operands in the same order whatever the worker count
+or the number of cores.  ``workers`` is the usable core count divided by the
+BLAS thread count (``OPENBLAS_NUM_THREADS``, then ``GOTO_NUM_THREADS``, then
+``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1 when none is set, because
+then BLAS already keeps every core busy.  Chunks whose noise per piece is
+under ``_POOL_BYTES`` run on the caller's thread: that work is mostly Python
+and holds the GIL.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,10 +73,15 @@ __all__ = [
 ]
 
 # Memory caps: a piece's noise operator, a trial chunk's per-record squared
-# errors, and a trial chunk's noise rows for one piece.
+# errors, and a trial chunk's noise rows for one piece (two chunks in flight
+# hold 4 MiB of noise).
 _OPERATOR_BYTES = 4 * 2**20
 _HISTORY_BYTES = 2 * 2**20
-_NOISE_BYTES = 4 * 2**20
+_NOISE_BYTES = 2 * 2**20
+# Chunks with less noise per piece than this run on the caller's thread.
+_POOL_BYTES = 256 * 2**10
+# BLAS thread variables in the order OpenBLAS reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Largest entry a piece's operators may hold; longer strides are split.
 _POWER_LIMIT = 1e100
 # Far above any preset (at most 400 trials, 25,000 steps and 500 records);
@@ -195,6 +217,11 @@ class _Engine:
         self.noise_blocks = noise_blocks
         self._operators: dict[int, _Operators] = {}
         self.max_piece = max(1, _OPERATOR_BYTES // (self.cols * self.width * 8))
+        # Every operator is built here, before any trial runs, so trial chunks
+        # running on other threads only read the engine.
+        strides = dict.fromkeys(int(s) for s in np.diff(cfg.record_steps()))
+        self.plan = {stride: self.pieces(stride) for stride in strides}
+        self.longest_piece = max(ops.length for pieces in self.plan.values() for ops in pieces)
 
     def pieces(self, stride: int) -> list[_Operators]:
         """Operators that advance ``z`` by ``stride`` steps, applied in order."""
@@ -239,12 +266,16 @@ class _Engine:
         self._operators[length] = ops
         return ops
 
+    def noise_bytes(self, trials: int) -> int:
+        """Noise rows that ``trials`` trials hold for the longest piece."""
+        return trials * self.longest_piece * self.cols * 8
+
     def chunk_size(self) -> int:
         """Trials run together: bounded by the record history and the noise rows they hold."""
         cfg = self.cfg
         history = cfg.record_steps().size * self.gains * self.n_sensors * 8
-        rows = min(self.max_piece, cfg.record_stride, cfg.step_count) * self.cols * 8
-        return max(1, min(cfg.trials, _HISTORY_BYTES // history, _NOISE_BYTES // rows))
+        noise = self.noise_bytes(1)
+        return max(1, min(cfg.trials, _HISTORY_BYTES // history, _NOISE_BYTES // noise))
 
     def run(self, trials):
         """Yield ``z`` of shape (trials, n + G q) at every record step, in order."""
@@ -256,7 +287,7 @@ class _Engine:
         z[:, n:] = np.tile(self.ts.x0, self.gains * self.n_sensors)
         yield z
         for stride in np.diff(cfg.record_steps()):
-            for ops in self.pieces(int(stride)):
+            for ops in self.plan[int(stride)]:
                 noise = np.empty((len(rngs), ops.length * self.cols))
                 for rng, row in zip(rngs, noise):
                     rng.standard_normal(out=row)
@@ -312,11 +343,12 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     Each trial's noise is drawn once and drives the truth and every filter,
     so the series of a gain sweep differ only by the gain (common random
     numbers), and each equals what ``monte_carlo_mse`` gives for that gain
-    alone.  Trials run in chunks in increasing trial order and each chunk is
-    reduced before the next, so the aggregate is a deterministic function of
-    the config and only one chunk's per-record errors are held at a time.
-    Raises :class:`SimulationOverflowError` when every trial of some
-    realization overflows.
+    alone.  Trials run in fixed chunks, up to ``workers`` of them at once
+    (see the module notes), and the chunks are reduced one by one in
+    increasing trial order, so the aggregate is a deterministic function of
+    the config, whatever the worker count.  Raises
+    :class:`SimulationOverflowError` when every trial of some realization
+    overflows.
     """
     engine = _Engine(ts, realizations, cfg)
     steps = cfg.record_steps()
@@ -329,18 +361,26 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     steady = np.empty((cfg.trials, gains))
     overflow = np.full((cfg.trials, gains), -1, dtype=int)
     chunk = engine.chunk_size()
-    for start in range(0, cfg.trials, chunk):
-        trials = range(start, min(start + chunk, cfg.trials))
+    chunks = [range(s, min(s + chunk, cfg.trials)) for s in range(0, cfg.trials, chunk)]
+
+    def work(trials: range) -> tuple[np.ndarray, np.ndarray]:
+        """Per-record squared errors of ``trials`` and the step each (trial, gain) overflowed at."""
         sse = np.empty((len(trials), steps.size, gains, engine.n_sensors))
-        flags = overflow[start : trials.stop]
+        flags = np.full((len(trials), gains), -1, dtype=int)
         for k, z in enumerate(engine.run(trials)):
             sse[:, k] = engine.squared_errors(z)
             flags[~np.isfinite(sse[:, k]).all(axis=2) & (flags < 0)] = steps[k]
+        return sse, flags
+
+    workers = _worker_count(len(chunks)) if engine.noise_bytes(chunk) >= _POOL_BYTES else 1
+    for (sse, flags), trials in zip(_in_order(work, chunks, workers), chunks):
+        overflow[trials.start : trials.stop] = flags
         good = flags < 0
-        for g in range(gains):
-            sums[:, g] += sse[good[:, g], :, g].sum(axis=0)
+        # Finite trial errors near the top of the double range may sum to inf.
         with np.errstate(over="ignore", invalid="ignore"):
-            steady[start : trials.stop] = sse[:, window].mean(axis=3).mean(axis=1)
+            for g in range(gains):
+                sums[:, g] += sse[good[:, g], :, g].sum(axis=0)
+            steady[trials.start : trials.stop] = sse[:, window].mean(axis=3).mean(axis=1)
 
     out = []
     for g in range(gains):
@@ -349,22 +389,78 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
         if used == 0:
             raise SimulationOverflowError("every trial overflowed; nothing to average")
         per_sensor = sums[:, g] / used
-        steady_per_trial = steady[good, g]
+        steady_mse, steady_se = _mean_and_se(steady[good, g])
         out.append(
             MseSeries(
                 time=times,
                 mse=per_sensor.mean(axis=1),
                 per_sensor_mse=per_sensor,
                 trials_used=used,
-                steady_mse=float(steady_per_trial.mean()),
-                steady_se=(
-                    float(steady_per_trial.std(ddof=1) / np.sqrt(used))
-                    if used > 1
-                    else float("nan")
-                ),
+                steady_mse=steady_mse,
+                steady_se=steady_se,
                 overflow_trials=tuple(
                     (int(l), int(step)) for l, step in enumerate(overflow[:, g]) if step >= 0
                 ),
             )
         )
     return out
+
+
+def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-trial values and its standard error (NaN for one value).
+
+    Both are taken of the values scaled by a power of two, which is exact, so
+    sums and squares of values near the top of the double range cannot
+    overflow, and ordinary values give the same bits as without the scaling.
+    An infinite value (a steady mean that overflowed) gives an infinite mean
+    and a NaN standard error.
+    """
+    _, exponent = np.frexp(np.max(np.abs(values)))
+    scaled = np.ldexp(values, -int(exponent))
+    mean = float(np.ldexp(scaled.mean(), int(exponent)))
+    if values.size < 2:
+        return mean, float("nan")
+    with np.errstate(invalid="ignore"):
+        spread = scaled.std(ddof=1) / np.sqrt(values.size)
+    return mean, float(np.ldexp(spread, int(exponent)))
+
+
+def _worker_count(chunks: int) -> int:
+    """Trial chunks to run at once: usable cores ÷ BLAS threads, at most ``chunks``.
+
+    The BLAS thread count is the first positive value among the variables
+    OpenBLAS reads; with none set, BLAS already uses every core, so 1.
+    """
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            break
+    else:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(cores // threads, chunks))
+
+
+def _in_order(work, items: list, workers: int):
+    """Yield ``work(item)`` for every item in order, with at most ``workers`` calls in flight."""
+    if workers <= 1:
+        yield from map(work, items)
+        return
+    pending: deque = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for item in items:
+                pending.append(pool.submit(work, item))
+                if len(pending) == workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()

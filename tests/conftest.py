@@ -214,6 +214,9 @@ def stepwise_monte_carlo(ts, fr, cfg, trials=None, keep_trajectories=False):
     if not window.any():
         window[-1] = True
     steady_per_trial = per_trial[:, window].mean(axis=1)
+    # The spread is taken relative to the largest trial, so squaring trial
+    # MSEs near the top of the double range cannot overflow.
+    top = float(np.max(steady_per_trial, initial=0.0)) or 1.0
     series = MseSeries(
         time=times,
         mse=per_sensor.mean(axis=1),
@@ -221,7 +224,9 @@ def stepwise_monte_carlo(ts, fr, cfg, trials=None, keep_trajectories=False):
         trials_used=used,
         steady_mse=float(steady_per_trial.mean()) if used else float("nan"),
         steady_se=(
-            float(steady_per_trial.std(ddof=1) / np.sqrt(used)) if used > 1 else float("nan")
+            float((steady_per_trial / top).std(ddof=1) * top / np.sqrt(used))
+            if used > 1
+            else float("nan")
         ),
         overflow_trials=tuple(
             (int(l), int(step)) for l, step in zip(trials, overflow) if step >= 0

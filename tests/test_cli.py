@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dckf import solvers
+from dckf import sim, solvers
 from dckf.cli import main
 from dckf.scenario import load_scenario, parse_scenario, preset_dict, preset_names
 
@@ -399,6 +400,29 @@ def overflowing_doc():
 def test_every_trial_overflowing_is_exit_2(tmp_path, capsys, command):
     path = write_scenario(tmp_path, overflowing_doc())
     assert main([*command, "--scenario", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "simulation failure: every trial overflowed; nothing to average\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", [["simulate"], ["divergence", "--simulate"]])
+def test_every_trial_overflowing_on_two_workers_is_exit_2(tmp_path, capsys, monkeypatch, command):
+    # One trial per chunk, every chunk on the pool, two chunks in flight.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sim, "_POOL_BYTES", 0)
+    monkeypatch.setattr(sim._Engine, "chunk_size", lambda self: 1)
+    workers = []
+    real = sim._worker_count
+
+    def recording(chunks):
+        workers.append(real(chunks))
+        return workers[-1]
+
+    monkeypatch.setattr(sim, "_worker_count", recording)
+    path = write_scenario(tmp_path, overflowing_doc())
+    assert main([*command, "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert workers == [2]
     err = capsys.readouterr().err
     assert err == "simulation failure: every trial overflowed; nothing to average\n"
 

@@ -1,3 +1,7 @@
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -291,3 +295,184 @@ def test_long_stride_with_unexcited_unstable_mode_stays_finite():
     assert got.overflow_trials == ()
     assert np.all(np.isfinite(got.mse))
     assert_series_match(got, stepwise_monte_carlo(ts, fr, cfg))
+
+
+# ---------------------------------------------------------------------------
+# Trial chunks on a thread pool.  The worker count follows the BLAS thread
+# variables and the usable cores; the outputs must not.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def blas_env(monkeypatch):
+    """Set the BLAS thread variable (None unsets all three) on a box with ``cores`` cores."""
+
+    def set_env(threads, cores=2):
+        for var in sim._BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "0")  # recorded, so the teardown restores the original
+            monkeypatch.delenv(var)
+        if threads is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+    return set_env
+
+
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """(chunks, workers) of every ``_in_order`` call."""
+    calls = []
+    real = sim._in_order
+
+    def spy(work, items, workers):
+        calls.append((len(items), workers))
+        return real(work, items, workers)
+
+    monkeypatch.setattr(sim, "_in_order", spy)
+    return calls
+
+
+def test_worker_count_rule(blas_env):
+    blas_env(None)
+    assert sim._worker_count(10) == 1  # BLAS already fills every core
+    blas_env("2")
+    assert sim._worker_count(10) == 1
+    blas_env("1")
+    assert sim._worker_count(10) == 2
+    assert sim._worker_count(1) == 1  # never more workers than chunks
+    blas_env("1", cores=4)
+    assert sim._worker_count(10) == 4
+    blas_env("junk", cores=4)
+    assert sim._worker_count(10) == 1
+    blas_env("0", cores=4)
+    os.environ["OMP_NUM_THREADS"] = "2"  # read after the OpenBLAS and GotoBLAS variables
+    assert sim._worker_count(10) == 2
+
+
+def test_in_order_keeps_order_and_raises():
+    def work(k):
+        time.sleep(0.01 * (k % 3))
+        if k == 5:
+            raise ValueError(k)
+        return k
+
+    assert list(sim._in_order(work, list(range(5)), 3)) == list(range(5))
+    got = []
+    with pytest.raises(ValueError):
+        for value in sim._in_order(work, list(range(8)), 2):
+            got.append(value)
+    assert got == list(range(5))
+
+
+def assert_series_identical(got, ref):
+    assert got.overflow_trials == ref.overflow_trials
+    assert got.trials_used == ref.trials_used
+    for key in ("time", "mse", "per_sensor_mse", "steady_mse", "steady_se"):
+        np.testing.assert_array_equal(getattr(got, key), getattr(ref, key), err_msg=key)
+
+
+def sweep_with_workers(blas_env, pool_calls, ts, frs, cfg):
+    """``monte_carlo_sweep`` on one worker, then on two; both results."""
+    runs = []
+    for threads, workers in (("2", 1), ("1", 2)):
+        blas_env(threads)
+        runs.append(sim.monte_carlo_sweep(ts, frs, cfg))
+        chunks, used = pool_calls[-1]
+        assert chunks >= 2 and used == workers
+    return runs
+
+
+def small_chunks(monkeypatch, size):
+    """Pool every chunk, however small, and cut the trials into chunks of ``size``."""
+    monkeypatch.setattr(sim, "_POOL_BYTES", 0)
+    monkeypatch.setattr(sim._Engine, "chunk_size", lambda self: size)
+
+
+def test_pool_is_bitwise_independent_of_workers_case1(case1, blas_env, pool_calls, monkeypatch):
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    gammas = np.sort(case1.resolve_gammas())
+    base = build_filter(nm, ts, topo, float(gammas[-1]))
+    frs = [base.with_gamma(float(gammas[k])) for k in (0, gammas.size // 2, gammas.size - 1)]
+    small_chunks(monkeypatch, 2)
+    one, two = sweep_with_workers(blas_env, pool_calls, ts, frs, case1.sim_config(trials=6, seed=3))
+    for a, b in zip(one, two):
+        assert_series_identical(b, a)
+
+
+def test_pool_is_bitwise_independent_of_workers_mixed_overflow(blas_env, pool_calls, monkeypatch):
+    ts, fr = unstable_scalar_pair()
+    cfg = sim.SimConfig(dt=1e-2, horizon=73.0, trials=24, seed=14, record_stride=10)
+    small_chunks(monkeypatch, 5)
+    (one,), (two,) = sweep_with_workers(blas_env, pool_calls, ts, [fr], cfg)
+    assert 0 < len(one.overflow_trials) < cfg.trials
+    assert_series_identical(two, one)
+
+
+def test_pool_stress_more_workers_than_cores(blas_env, pool_calls, monkeypatch):
+    # Eight workers on a two-core box, with the interpreter switching threads
+    # as often as it can: a chunk that read or wrote another's state would
+    # change the bits.
+    ts, fr = unstable_scalar_pair()
+    cfg = sim.SimConfig(dt=1e-2, horizon=73.0, trials=24, seed=14, record_stride=10)
+    small_chunks(monkeypatch, 1)
+    blas_env("2")
+    (one,) = sim.monte_carlo_sweep(ts, [fr], cfg)
+    blas_env("1", cores=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        (many,) = sim.monte_carlo_sweep(ts, [fr], cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool_calls == [(24, 1), (24, 8)]
+    assert_series_identical(many, one)
+
+
+def test_pool_is_bitwise_independent_of_workers_split_stride(blas_env, pool_calls, monkeypatch):
+    ts = TrueSystem(
+        a=np.diag([5.0, -1.0]),
+        q=np.diag([0.0, 1.0]),
+        sensors=[Sensor(c=[[0.0, 1.0]], r=[[0.1]])],
+        x0=[0.0, 1.0],
+        sigma0=np.diag([0.0, 0.1]),
+    )
+    nm = NominalModel(a=-np.eye(2), q=np.eye(2), sensors=ts.sensors)
+    fr = build_filter(nm, ts, Topology(np.zeros((1, 1))), gamma=1.0)
+    cfg = sim.SimConfig(dt=1e-2, horizon=160.0, trials=3, seed=13, record_stride=16000)
+    small_chunks(monkeypatch, 1)
+    (one,), (two,) = sweep_with_workers(blas_env, pool_calls, ts, [fr], cfg)
+    assert_series_identical(two, one)
+
+
+def test_pool_is_bitwise_independent_of_workers_case2(case2, blas_env, pool_calls):
+    # No knob turned: case2's chunks hold about 2 MB of noise per piece, so the
+    # pool runs on its own.
+    ts = case2.true_system
+    fr = build_filter(case2.nominal, ts, case2.topology, float(case2.resolve_gammas()[0]))
+    (one,), (two,) = sweep_with_workers(blas_env, pool_calls, ts, [fr], case2.sim_config())
+    assert_series_identical(two, one)
+
+
+def test_small_pieces_stay_on_the_callers_thread(case1, blas_env, pool_calls):
+    # case1's sweep pieces hold 16 KB of noise per chunk: too little for a pool.
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    frs = [build_filter(nm, ts, topo, float(g)) for g in np.sort(case1.resolve_gammas())]
+    blas_env("1")
+    sim.monte_carlo_sweep(ts, frs, case1.sim_config(trials=8, seed=3))
+    assert pool_calls == [(2, 1)]
+
+
+def test_standard_error_of_huge_trial_mses():
+    # Finite per-trial MSEs whose squares overflow a double.
+    values = np.array([1.0e300, 3.0e300, 2.0e300, 4.0e300])
+    mean, se = sim._mean_and_se(values)
+    assert mean == 2.5e300
+    scaled = values / 1e300
+    assert se == pytest.approx(1e300 * scaled.std(ddof=1) / 2.0, rel=1e-15)
+    ordinary = np.random.default_rng(0).random(50) * 7.3
+    assert sim._mean_and_se(ordinary) == (
+        float(ordinary.mean()),
+        float(ordinary.std(ddof=1) / np.sqrt(ordinary.size)),
+    )
+    mean, se = sim._mean_and_se(np.array([5.0]))
+    assert mean == 5.0 and np.isnan(se)
