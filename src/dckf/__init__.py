@@ -32,12 +32,11 @@ _EXPORTS = {
     ),
     "filtering": ("FilterRealization", "build_filter", "gamma_threshold", "is_hurwitz"),
     "graph": (
-        "LaplacianSpectrum",
         "Topology",
+        "algebraic_connectivity",
         "complete",
         "is_connected",
         "laplacian",
-        "laplacian_spectrum",
         "ring",
     ),
     "model": (

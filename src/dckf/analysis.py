@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import matkit
 from .filtering import FilterRealization, is_hurwitz
-from .model import Deviations, NominalModel, TrueSystem, _check_pair
+from .model import Deviations, TrueSystem, _check_pair
 from .solvers import (
     SchurForm, SteadyStateResult, _check_grid, _covariance_flow, _neutral_eigenpairs, solve_lyapunov
 )
@@ -184,17 +185,18 @@ def trace_bounds(
         state_margin=float(state_margin),
         cross_norm_bound=float(cross_norm_bound),
         state_norm_bound=float(state_norm_bound),
-        tr_nominal_floor=nominal_trace_floor(fr, fr.nominal),
+        tr_nominal_floor=nominal_trace_floor(fr),
     )
 
 
-def nominal_trace_floor(fr: FilterRealization, nm: NominalModel) -> float:
-    """Lower bound on the steady nominal-index trace.
+def nominal_trace_floor(fr: FilterRealization) -> float:
+    """Lower bound on the steady nominal-index trace of a filter.
 
     The bound separates the consensus gain: the denominator grows linearly
     in (gamma - gamma_ref), so the floor decays to zero as the gain grows.
     """
     _gamma_gate(fr, "nominal trace floor")
+    nm = fr.nominal
     drive_trace = float(
         np.trace(fr.gain_diag @ nm.r_diag @ fr.gain_diag.T)
     ) + fr.sensor_count * float(np.trace(nm.q))
@@ -454,10 +456,10 @@ def relation_analysis(
     _gamma_gate(fr, "relation analysis")
     grid = _check_grid(grid)
 
-    d_r_diag = matkit.block_diag(list(dev.d_r))
+    d_r_diag = scipy.linalg.block_diag(*dev.d_r)
+    ones = np.ones((fr.sensor_count, fr.sensor_count))
     drive = matkit.symmetrize(
-        fr.gain_diag @ d_r_diag @ fr.gain_diag.T
-        + matkit.kron(matkit.ones_matrix(fr.sensor_count), dev.d_q)
+        fr.gain_diag @ d_r_diag @ fr.gain_diag.T + np.kron(ones, dev.d_q)
     )
     acl = fr.closed_loop
     gap = matkit.symmetrize(np.asarray(gap_init, dtype=float))
@@ -476,11 +478,8 @@ def relation_analysis(
     min_eigs = np.array([np.linalg.eigvalsh(m)[0] for m in out])
     norms = np.array([np.linalg.norm(m, 2) for m in out])
 
-    rate = matkit.log_norm(fr.closed_loop_ref, "two") + matkit.log_norm(
-        fr.closed_loop_ref.T, "two"
-    )
-    coupling = -(fr.gamma - fr.gamma_ref) * matkit.kron(fr.lap, fr.p_inf)
-    coupling_log_norm = matkit.log_norm(coupling, "two")
+    rate = matkit.log_norm(fr.closed_loop_ref) + matkit.log_norm(fr.closed_loop_ref.T)
+    coupling_log_norm = matkit.log_norm(-(fr.gamma - fr.gamma_ref) * fr.coupling)
     delta_t = grid - grid[0]
     drive_norm = float(np.linalg.norm(drive, 2))
     init_norm = float(np.linalg.norm(gap, 2))

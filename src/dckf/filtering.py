@@ -13,10 +13,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from . import matkit
-from .graph import Topology, laplacian, laplacian_spectrum
-from .model import NominalModel, TrueSystem, _check_pair, negligible
+from .graph import Topology, algebraic_connectivity, laplacian
+from .model import NominalModel, TrueSystem, _check_pair, _read_only, negligible
 from .solvers import SchurForm
 
 __all__ = [
@@ -56,7 +57,7 @@ def gamma_threshold(
     if lambda_override is not None:
         connectivity = float(lambda_override)
     else:
-        connectivity = laplacian_spectrum(topo).algebraic_connectivity
+        connectivity = algebraic_connectivity(topo)
     if connectivity <= 0.0:
         raise ValueError("algebraic connectivity must be positive (connected graph or override)")
     p_inv = matkit.eigh_psd_inverse(p_inf)
@@ -77,27 +78,32 @@ def gamma_threshold(
 class FilterRealization:
     """One concrete distributed filter.
 
-    ``closed_loop`` is the stacked error-dynamics matrix at the working
-    consensus gain ``gamma``; ``closed_loop_ref`` is the same matrix at the
-    reference gain ``gamma_ref`` (used by the difference-norm bound).
-    ``mismatch_diag`` collects the per-sensor feedthrough of the modeling
-    error onto the estimation error; it is exactly zero when the state and
-    measurement matrices are exact.  ``gamma_min`` is the Hurwitz threshold
-    (None when the steady covariance is singular and no threshold exists).
+    ``coupling = kron(lap, p_inf)`` is the consensus term (read-only) and
+    ``closed_loop_at(g) = feedback_diag - g * coupling`` the stacked
+    error-dynamics matrix at gain ``g``: ``closed_loop`` at the working gain
+    ``gamma``, ``closed_loop_ref`` at the reference gain ``gamma_ref`` (used
+    by the difference-norm bound).  ``mismatch_diag`` collects the per-sensor
+    feedthrough of the modeling error onto the estimation error; it is
+    exactly zero when the state and measurement matrices are exact.
+    ``gamma_min`` is the Hurwitz threshold (None when the steady covariance
+    is singular and no threshold exists).
     """
 
-    p_inf: np.ndarray
     gains: tuple[np.ndarray, ...]
     gain_diag: np.ndarray
     feedback_diag: np.ndarray
     mismatch_diag: np.ndarray
-    closed_loop: np.ndarray
-    closed_loop_ref: np.ndarray
+    coupling: np.ndarray
     gamma: float
     gamma_min: float | None
     gamma_ref: float
     lap: np.ndarray
     nominal: NominalModel
+
+    @property
+    def p_inf(self) -> np.ndarray:
+        """The nominal model's steady Riccati solution."""
+        return self.nominal.p_inf
 
     @property
     def n(self) -> int:
@@ -114,23 +120,31 @@ class FilterRealization:
         )
 
     @cached_property
+    def closed_loop(self) -> np.ndarray:
+        return self.closed_loop_at(self.gamma)
+
+    @cached_property
+    def closed_loop_ref(self) -> np.ndarray:
+        return self.closed_loop_at(self.gamma_ref)
+
+    @cached_property
     def closed_loop_schur(self) -> SchurForm:
         """Real Schur factorization of ``closed_loop``, shared by every solve and check in it.
 
-        It is computed on first use; :meth:`with_gamma` returns a new object,
-        which starts without one.
+        It is computed on first use, like ``closed_loop`` and ``closed_loop_ref``;
+        :meth:`with_gamma` returns a new object, which starts without them.
         """
         return SchurForm.of(self.closed_loop)
 
     def closed_loop_at(self, gamma: float) -> np.ndarray:
         """Closed-loop matrix rebuilt at another consensus gain."""
-        return self.feedback_diag - gamma * matkit.kron(self.lap, self.p_inf)
+        return self.feedback_diag - gamma * self.coupling
 
     def with_gamma(self, gamma: float) -> "FilterRealization":
         """Same filter at a different working consensus gain."""
         if gamma <= 0.0:
             raise ValueError("consensus gain must be positive")
-        return replace(self, gamma=float(gamma), closed_loop=self.closed_loop_at(gamma))
+        return replace(self, gamma=float(gamma))
 
 
 def build_filter(
@@ -155,13 +169,13 @@ def build_filter(
         )
     p_inf = nm.p_inf
     gains = tuple(nm.sensor_count * np.linalg.solve(s.r, s.c @ p_inf).T for s in nm.sensors)
-    feedback_diag = matkit.block_diag([nm.a - k @ s.c for k, s in zip(gains, nm.sensors)])
+    feedback_diag = scipy.linalg.block_diag(*[nm.a - k @ s.c for k, s in zip(gains, nm.sensors)])
     mismatch = [
         ts.a - nm.a - k @ (st.c - sn.c)
         for k, st, sn in zip(gains, ts.sensors, nm.sensors)
     ]
     lap = laplacian(topo)
-    coupling = matkit.kron(lap, p_inf)
+    coupling = _read_only(np.kron(lap, p_inf))
     gamma_min: float | None
     try:
         gamma_min = gamma_threshold(nm, topo)
@@ -173,13 +187,11 @@ def build_filter(
     elif gamma_ref > gamma:
         raise ValueError("reference gain must not exceed the working gain")
     return FilterRealization(
-        p_inf=p_inf,
         gains=gains,
-        gain_diag=matkit.block_diag(list(gains)),
+        gain_diag=scipy.linalg.block_diag(*gains),
         feedback_diag=feedback_diag,
-        mismatch_diag=matkit.block_diag(mismatch),
-        closed_loop=feedback_diag - gamma * coupling,
-        closed_loop_ref=feedback_diag - gamma_ref * coupling,
+        mismatch_diag=scipy.linalg.block_diag(*mismatch),
+        coupling=coupling,
         gamma=float(gamma),
         gamma_min=gamma_min,
         gamma_ref=float(gamma_ref),

@@ -8,10 +8,9 @@ import numpy as np
 
 __all__ = [
     "Topology",
-    "LaplacianSpectrum",
     "laplacian",
     "is_connected",
-    "laplacian_spectrum",
+    "algebraic_connectivity",
     "ring",
     "complete",
 ]
@@ -52,9 +51,6 @@ class Topology:
             adj[i, j] = adj[j, i] = 1.0
         return cls(adj)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[i])
-
 
 def ring(n: int) -> Topology:
     """Cycle graph on n nodes."""
@@ -88,37 +84,22 @@ def is_connected(t: Topology) -> bool:
     return bool(seen.all())
 
 
-@dataclass(frozen=True)
-class LaplacianSpectrum:
-    """Laplacian eigenvalues in decreasing order.
-
-    ``eigenvalues[-1]`` is the zero eigenvalue and ``eigenvalues[-2]`` the
-    algebraic connectivity.
-    """
-
-    eigenvalues: np.ndarray
-
-    @property
-    def algebraic_connectivity(self) -> float:
-        if self.eigenvalues.size < 2:
-            raise ValueError("algebraic connectivity needs at least two nodes")
-        return float(self.eigenvalues[-2])
-
-
 _CONNECTIVITY_RTOL = 1e-9
 
 
-def laplacian_spectrum(t: Topology) -> LaplacianSpectrum:
-    """Eigen-decompose the Laplacian of a connected topology.
+def algebraic_connectivity(t: Topology) -> float:
+    """Second-smallest Laplacian eigenvalue of a connected topology with at least two nodes.
 
     Raises ``ValueError`` when the graph is disconnected (BFS is the
     authoritative check; the spectral gap is verified as well).
     """
+    if t.node_count < 2:
+        raise ValueError("algebraic connectivity needs at least two nodes")
     if not is_connected(t):
-        raise ValueError("topology is disconnected; Laplacian spectrum requires a connected graph")
+        raise ValueError("topology is disconnected; algebraic connectivity needs a connected graph")
     # eigh rather than eigvalsh: the two LAPACK drivers differ in the last
     # bits, and every gain threshold downstream is computed from these values.
-    decreasing = np.linalg.eigh(laplacian(t))[0][::-1].copy()
-    if t.node_count > 1 and decreasing[-2] <= _CONNECTIVITY_RTOL * max(decreasing[0], 1.0):
+    eigenvalues = np.linalg.eigh(laplacian(t))[0]
+    if eigenvalues[1] <= _CONNECTIVITY_RTOL * max(eigenvalues[-1], 1.0):
         raise ValueError("algebraic connectivity is numerically zero on a BFS-connected graph")
-    return LaplacianSpectrum(eigenvalues=decreasing)
+    return float(eigenvalues[1])

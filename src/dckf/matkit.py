@@ -1,31 +1,20 @@
 """Dense real-matrix kernels shared by every other module.
 
 All functions operate on plain ``numpy.ndarray`` inputs and never mutate
-them.  Vectorization follows the column-major convention, so the identity
-``vec(X @ Y @ Z) == kron(Z.T, X) @ vec(Y)`` holds exactly.
+them.
 """
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 import scipy.linalg
 
-LogNormKind = Literal["one", "two", "inf"]
-
 __all__ = [
-    "kron",
-    "vec",
-    "unvec",
     "log_norm",
-    "spectral_abscissa",
     "expm",
     "sqrtm_psd",
     "symmetrize",
     "is_symmetric",
-    "block_diag",
-    "ones_matrix",
     "kron_sum_fro_norm",
     "eigh_psd_inverse",
 ]
@@ -38,49 +27,14 @@ def _as_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with block (i, j) equal to ``a[i, j] * b``."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+def log_norm(a: np.ndarray) -> float:
+    """Logarithmic 2-norm (matrix measure): largest eigenvalue of (a + a.T) / 2.
 
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Stack the columns of ``a`` into one vector (column-major order)."""
-    return np.asarray(a, dtype=float).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a ``rows x cols`` target."""
-    v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape {v.size} entries into {rows}x{cols}")
-    return v.reshape(rows, cols, order="F")
-
-
-def log_norm(a: np.ndarray, kind: LogNormKind = "two") -> float:
-    """Logarithmic norm (matrix measure) of a square matrix.
-
-    ``one``  : max over columns of (diagonal entry + off-diagonal abs sum)
-    ``two``  : largest eigenvalue of the symmetric part (A + A.T) / 2
-    ``inf``  : max over rows of (diagonal entry + off-diagonal abs sum)
-
-    For every t >= 0 the induced norm satisfies
-    ``norm(expm(t * a)) <= exp(t * log_norm(a))``.
+    For every t >= 0 the spectral norm satisfies
+    ``norm(expm(t * a), 2) <= exp(t * log_norm(a))``.
     """
     a = _as_square(a)
-    if kind == "two":
-        return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
-    absd = np.abs(a) - np.diag(np.abs(np.diag(a)))  # off-diagonal magnitudes
-    if kind == "one":
-        return float(np.max(np.diag(a) + absd.sum(axis=0)))
-    if kind == "inf":
-        return float(np.max(np.diag(a) + absd.sum(axis=1)))
-    raise ValueError(f"unknown logarithmic norm kind: {kind!r}")
-
-
-def spectral_abscissa(a: np.ndarray) -> float:
-    """Largest real part over the eigenvalues of ``a``."""
-    a = _as_square(a)
-    return float(np.max(np.linalg.eigvals(a).real))
+    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -119,16 +73,6 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
     return symmetrize(root)
-
-
-def block_diag(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
-    """Block-diagonal assembly of 2-D arrays."""
-    return scipy.linalg.block_diag(*[np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks])
-
-
-def ones_matrix(n: int) -> np.ndarray:
-    """The rank-one all-ones matrix 1 @ 1.T of size n x n."""
-    return np.ones((n, n))
 
 
 def kron_sum_fro_norm(m: np.ndarray, p: np.ndarray) -> float:

@@ -57,6 +57,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import matkit
 from .filtering import FilterRealization
@@ -89,6 +90,9 @@ _POWER_LIMIT = 1e100
 _MAX_TRIALS = 10**6
 _MAX_STEPS = 10**7
 _MAX_RECORDS = 10_000
+# Squared errors are summed scaled by 2**-_SUM_SHIFT, which is exact for normal
+# values, so finite errors near the top of the double range cannot sum to inf.
+_SUM_SHIFT = 64
 
 
 class SimulationOverflowError(RuntimeError):
@@ -200,7 +204,7 @@ class _Engine:
         noise_blocks = np.zeros((self.gains, self.cols, n + q))
         blocks[:, :n, :n] = np.eye(n) + dt * ts.a.T
         noise_blocks[:, :n, :n] = np.sqrt(dt) * matkit.sqrtm_psd(ts.q).T
-        r_half_t = matkit.block_diag([matkit.sqrtm_psd(s.r) for s in ts.sensors]).T
+        r_half_t = scipy.linalg.block_diag(*[matkit.sqrtm_psd(s.r) for s in ts.sensors]).T
         for g, fr in enumerate(realizations):
             # Zero-order-hold discretization of the filter recursion; the
             # augmented exponential also yields the input map when the closed
@@ -376,10 +380,10 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     for (sse, flags), trials in zip(_in_order(work, chunks, workers), chunks):
         overflow[trials.start : trials.stop] = flags
         good = flags < 0
-        # Finite trial errors near the top of the double range may sum to inf.
+        # ``steady`` averages overflowed trials too (never read); huge finite errors may reach inf.
         with np.errstate(over="ignore", invalid="ignore"):
             for g in range(gains):
-                sums[:, g] += sse[good[:, g], :, g].sum(axis=0)
+                sums[:, g] += np.ldexp(sse[good[:, g], :, g], -_SUM_SHIFT).sum(axis=0)
             steady[trials.start : trials.stop] = sse[:, window].mean(axis=3).mean(axis=1)
 
     out = []
@@ -388,13 +392,13 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
         used = int(np.sum(good))
         if used == 0:
             raise SimulationOverflowError("every trial overflowed; nothing to average")
-        per_sensor = sums[:, g] / used
+        scaled = sums[:, g] / used
         steady_mse, steady_se = _mean_and_se(steady[good, g])
         out.append(
             MseSeries(
                 time=times,
-                mse=per_sensor.mean(axis=1),
-                per_sensor_mse=per_sensor,
+                mse=np.ldexp(scaled.mean(axis=1), _SUM_SHIFT),
+                per_sensor_mse=np.ldexp(scaled, _SUM_SHIFT),
                 trials_used=used,
                 steady_mse=steady_mse,
                 steady_se=steady_se,

@@ -153,8 +153,8 @@ def _sylvester_spectra_check(a: SchurForm, b: SchurForm) -> None:
 def _sylvester_kron(a: SchurForm, b: SchurForm, c: np.ndarray) -> np.ndarray:
     n, m = a.matrix.shape[0], b.matrix.shape[0]
     coef = np.kron(np.eye(m), a.matrix) + np.kron(b.matrix.T, np.eye(n))
-    x = np.linalg.solve(coef, matkit.vec(c))
-    return matkit.unvec(x, n, m)
+    x = np.linalg.solve(coef, c.reshape(-1, order="F"))
+    return x.reshape(n, m, order="F")
 
 
 def _sylvester_trsyl(a: SchurForm, b: SchurForm, c: np.ndarray) -> np.ndarray:
@@ -173,23 +173,23 @@ def solve_sylvester(
     a: "np.ndarray | SchurForm",
     b: "np.ndarray | SchurForm",
     c: np.ndarray,
-    method: str = "auto",
+    method: str = "schur",
 ) -> np.ndarray:
     """Solve ``a @ x + x @ b = c``.
 
     ``a`` and ``b`` are matrices or their :class:`SchurForm`; passing a form
     (or ``form.T``) reuses its factorization, so every equation in one matrix
-    costs one factorization in total.  ``method`` is ``auto`` or ``schur``
-    (the same path: LAPACK ``trsyl`` on the real Schur forms, at every size)
-    or ``kron`` (the dense Kronecker system, a small-size oracle).  When the
-    first solve misses the residual contract
+    costs one factorization in total.  ``method`` is ``schur`` (LAPACK
+    ``trsyl`` on the real Schur forms, at every size) or ``kron`` (the dense
+    Kronecker system on column-major vectorizations, a small-size oracle).
+    When the first solve misses the residual contract
     ``||a x + x b - c||_F <= 1e-9 (1 + ||x||_F)``, one refinement step
     ``x += solve(c - a x - x b)`` on the same factors is taken before it is
     judged.  Raises :class:`SingularEquationError` when some eigenvalue sum
     of ``a`` and ``b`` is numerically zero, and :class:`SolverError` when the
     refined solution still violates the contract.
     """
-    if method in ("auto", "schur"):
+    if method == "schur":
         solve = _sylvester_trsyl
     elif method == "kron":
         solve = _sylvester_kron
@@ -213,7 +213,7 @@ def solve_sylvester(
 
 
 def solve_lyapunov(
-    m: "np.ndarray | SchurForm", w: np.ndarray, method: str = "auto"
+    m: "np.ndarray | SchurForm", w: np.ndarray, method: str = "schur"
 ) -> np.ndarray:
     """Solve the continuous Lyapunov equation ``m @ x + x @ m.T + w = 0``.
 
@@ -419,49 +419,45 @@ def _noise_drive(fr: "FilterRealization", model: "TrueSystem | NominalModel") ->
 def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> SteadyStateResult:
     """Solve the steady-state equations for the nominal index and the error covariance.
 
-    With zero mismatch feedthrough both indices satisfy plain Lyapunov
-    equations in the closed-loop matrix.  Otherwise the stacked state second
-    moment and the cross term are solved first (requiring a Hurwitz true
-    state matrix), and their contribution drives the error-covariance
-    equation.  A closed-loop matrix with an imaginary-axis eigenvalue makes
-    the equations singular and raises :class:`SingularEquationError`.  Every
-    closed-loop solve, and the Hurwitz guard, reads the one factorization
-    ``fr.closed_loop_schur``.
+    Both indices satisfy Lyapunov equations in the closed-loop matrix.  With
+    nonzero mismatch feedthrough the stacked state second moment and the
+    cross term are solved first (requiring a Hurwitz true state matrix), and
+    their contribution joins the drive of the error-covariance equation;
+    with zero feedthrough they are skipped and left ``None``.  A closed-loop
+    matrix with an imaginary-axis eigenvalue makes the equations singular and
+    raises :class:`SingularEquationError`.  Every closed-loop solve, and the
+    Hurwitz guard, reads the one factorization ``fr.closed_loop_schur``.
     """
     _check_pair(ts, nm)
     acl = fr.closed_loop
     form = fr.closed_loop_schur
     _hurwitz_guard(form, "closed-loop matrix")
-    u_q = ts.q_network
     w_nom = _noise_drive(fr, nm)
     w_err = _noise_drive(fr, ts)
     residuals: dict[str, float] = {}
 
-    if fr.mismatch_is_zero:
-        error_cov = solve_lyapunov(form, w_err)
-        residuals["error_cov"] = float(np.linalg.norm(acl @ error_cov + error_cov @ acl.T + w_err))
-        nominal_cov = solve_lyapunov(form, w_nom)
-        residuals["nominal_cov"] = float(
-            np.linalg.norm(acl @ nominal_cov + nominal_cov @ acl.T + w_nom)
-        )
-        return SteadyStateResult(nominal_cov, error_cov, None, None, residuals)
+    def recorded(key: str, x: np.ndarray, a: np.ndarray, b: np.ndarray, rhs: np.ndarray):
+        """Record the residual norm of ``a x + x b + rhs = 0`` for ``x`` and return ``x``."""
+        residuals[key] = float(np.linalg.norm(a @ x + x @ b + rhs))
+        return x
 
-    _hurwitz_guard(
-        SchurForm.of(ts.a), "true state matrix (required for nonzero mismatch feedthrough)"
-    )
-    f = fr.mismatch_diag
-    a_d = ts.a_diag
-    a_d_form = SchurForm.of(a_d)
-    state_cov = solve_lyapunov(a_d_form, u_q)
-    residuals["state_cov"] = float(np.linalg.norm(a_d @ state_cov + state_cov @ a_d.T + u_q))
-    rhs_cross = f @ state_cov + u_q
-    cross_cov = solve_sylvester(form, a_d_form.T, -rhs_cross)
-    residuals["cross_cov"] = float(np.linalg.norm(acl @ cross_cov + cross_cov @ a_d.T + rhs_cross))
-    w_full = w_err + f @ cross_cov.T + cross_cov @ f.T
-    error_cov = solve_lyapunov(form, w_full)
-    residuals["error_cov"] = float(np.linalg.norm(acl @ error_cov + error_cov @ acl.T + w_full))
-    nominal_cov = solve_lyapunov(form, w_nom)
-    residuals["nominal_cov"] = float(np.linalg.norm(acl @ nominal_cov + nominal_cov @ acl.T + w_nom))
+    state_cov = cross_cov = None
+    if not fr.mismatch_is_zero:
+        _hurwitz_guard(
+            SchurForm.of(ts.a), "true state matrix (required for nonzero mismatch feedthrough)"
+        )
+        f = fr.mismatch_diag
+        u_q = ts.q_network
+        a_d = ts.a_diag
+        a_d_form = SchurForm.of(a_d)
+        state_cov = recorded("state_cov", solve_lyapunov(a_d_form, u_q), a_d, a_d.T, u_q)
+        rhs_cross = f @ state_cov + u_q
+        cross_cov = recorded(
+            "cross_cov", solve_sylvester(form, a_d_form.T, -rhs_cross), acl, a_d.T, rhs_cross
+        )
+        w_err = w_err + f @ cross_cov.T + cross_cov @ f.T
+    error_cov = recorded("error_cov", solve_lyapunov(form, w_err), acl, acl.T, w_err)
+    nominal_cov = recorded("nominal_cov", solve_lyapunov(form, w_nom), acl, acl.T, w_nom)
     return SteadyStateResult(nominal_cov, error_cov, cross_cov, state_cov, residuals)
 
 
@@ -488,9 +484,9 @@ def default_initial_state(ts: TrueSystem) -> TrajectoryInit:
     the initial state covariance, and the cross term matches it.
     """
     n_sensors = ts.sensor_count
-    ones = matkit.ones_matrix(n_sensors)
-    base = matkit.kron(ones, ts.sigma0)
-    second_moment = matkit.kron(ones, ts.sigma0 + np.outer(ts.x0, ts.x0))
+    ones = np.ones((n_sensors, n_sensors))
+    base = np.kron(ones, ts.sigma0)
+    second_moment = np.kron(ones, ts.sigma0 + np.outer(ts.x0, ts.x0))
     return TrajectoryInit(
         nominal_cov=base.copy(),
         error_cov=base.copy(),
@@ -626,13 +622,13 @@ class AugmentedJointSystem:
     """Joint dynamics of the stacked error and the replicated true state.
 
     ``drift`` is upper block triangular (the replicated state does not feed
-    back from the error); ``noise_intensity`` is block diagonal with the
-    measurement and replicated process intensities.
+    back from the error); ``drive = B W B'`` is the noise intensity of the
+    joint system, with ``W`` block diagonal in the measurement and
+    replicated process intensities and ``B`` their input map.
     """
 
     drift: np.ndarray
-    input_map: np.ndarray
-    noise_intensity: np.ndarray
+    drive: np.ndarray
     init_cov: np.ndarray
 
 
@@ -653,16 +649,15 @@ def build_augmented(
             [np.zeros(fr.gain_diag.shape), np.eye(q_dim)],
         ]
     )
-    noise = matkit.block_diag([ts.r_diag, ts.q_network])
+    noise = scipy.linalg.block_diag(ts.r_diag, ts.q_network)
     init_cov = np.block(
         [[init.error_cov, init.cross_cov], [init.cross_cov.T, init.state_cov]]
     )
     return AugmentedJointSystem(
-        drift=drift, input_map=input_map, noise_intensity=noise, init_cov=init_cov
+        drift=drift, drive=input_map @ noise @ input_map.T, init_cov=init_cov
     )
 
 
 def propagate_augmented(aug: AugmentedJointSystem, grid: np.ndarray) -> np.ndarray:
     """Exact joint covariance flow; returns (len(grid), 2q, 2q)."""
-    drive = aug.input_map @ aug.noise_intensity @ aug.input_map.T
-    return _covariance_flow(aug.drift, drive, aug.init_cov, grid)
+    return _covariance_flow(aug.drift, aug.drive, aug.init_cov, grid)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dckf.scenario import load_scenario
 
@@ -88,9 +89,9 @@ def rk4_propagate(fr, ts, nm, grid, dt=1e-3, init=None):
     acl = fr.closed_loop
     f = fr.mismatch_diag
     a_d = st.a_diag
-    ones = matkit.ones_matrix(ts.sensor_count)
-    u_q = matkit.kron(ones, ts.q)
-    w_nom = fr.gain_diag @ st.r_diag_nom @ fr.gain_diag.T + matkit.kron(ones, nm.q)
+    ones = np.ones((ts.sensor_count, ts.sensor_count))
+    u_q = np.kron(ones, ts.q)
+    w_nom = fr.gain_diag @ st.r_diag_nom @ fr.gain_diag.T + np.kron(ones, nm.q)
     w_err = fr.gain_diag @ st.r_diag @ fr.gain_diag.T + u_q
     dt = min(dt, 1.25 / float(np.linalg.norm(acl, 2)))
 
@@ -158,7 +159,7 @@ def stepwise_monte_carlo(ts, fr, cfg, trials=None, keep_trajectories=False):
     c_stack_t = np.vstack([s.c for s in ts.sensors]).T
     m_total = c_stack_t.shape[1]
     q_half_t = matkit.sqrtm_psd(ts.q).T
-    r_half_t = matkit.block_diag([matkit.sqrtm_psd(s.r) for s in ts.sensors]).T
+    r_half_t = scipy.linalg.block_diag(*[matkit.sqrtm_psd(s.r) for s in ts.sensors]).T
     sigma0_half_t = matkit.sqrtm_psd(ts.sigma0).T
     q_dim = fr.closed_loop.shape[0]
     aug = np.zeros((q_dim + m_total, q_dim + m_total))
@@ -208,7 +209,11 @@ def stepwise_monte_carlo(ts, fr, cfg, trials=None, keep_trajectories=False):
 
     good = overflow < 0
     used = int(np.sum(good))
-    per_sensor = sensor_sse[good].mean(axis=0)
+    # The mean is taken of the errors scaled by 2**-64 and scaled back, which
+    # is exact, so finite errors near the top of the double range cannot
+    # overflow it.
+    scaled = np.ldexp(sensor_sse[good], -64).mean(axis=0)
+    per_sensor = np.ldexp(scaled, 64)
     per_trial = sensor_sse[good].mean(axis=2)
     window = times >= 0.8 * cfg.horizon
     if not window.any():
@@ -219,7 +224,7 @@ def stepwise_monte_carlo(ts, fr, cfg, trials=None, keep_trajectories=False):
     top = float(np.max(steady_per_trial, initial=0.0)) or 1.0
     series = MseSeries(
         time=times,
-        mse=per_sensor.mean(axis=1),
+        mse=np.ldexp(scaled.mean(axis=1), 64),
         per_sensor_mse=per_sensor,
         trials_used=used,
         steady_mse=float(steady_per_trial.mean()) if used else float("nan"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dckf import analysis, matkit
 from dckf.filtering import build_filter, gamma_threshold
@@ -33,7 +34,7 @@ def test_gap_factors_match_explicit_kronecker_inverse():
     acl = fr.closed_loop
     q = acl.shape[0]
     kron_sum = np.kron(np.eye(q), acl) + np.kron(acl, np.eye(q))
-    row = matkit.vec(np.eye(q)) @ np.linalg.inv(kron_sum)
+    row = np.eye(q).reshape(-1, order="F") @ np.linalg.inv(kron_sum)
     plain_explicit = np.linalg.norm(row)
     weighted_explicit = np.linalg.norm(row @ np.kron(fr.gain_diag, fr.gain_diag))
     plain, weighted = analysis._inverse_vec_norms(acl, fr.gain_diag)
@@ -81,7 +82,7 @@ def test_trace_bounds_margin_variants_differ(case1):
 def test_trace_bounds_rejects_zero_margin():
     ts, nm, topo = tiny_pair()
     fr = build_filter(nm, ts, topo, gamma=3.0)
-    a_diag_nom = matkit.kron(np.eye(2), nm.a)
+    a_diag_nom = np.kron(np.eye(2), nm.a)
     target = matkit.kron_sum_fro_norm(fr.closed_loop, a_diag_nom)
     # Craft a state-matrix deviation whose stacked norm hits the margin zero.
     d_a_norm = target / (np.sqrt(2.0) * np.sqrt(2.0))
@@ -101,7 +102,7 @@ def test_trace_bounds_gamma_gate(case1):
     fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[-1]))
     below = fr.with_gamma(0.5 * fr.gamma_ref)
     with pytest.raises(analysis.HypothesisError):
-        analysis.nominal_trace_floor(below, nm)
+        analysis.nominal_trace_floor(below)
 
 
 def test_nominal_trace_floor_bounds_and_decay(case1):
@@ -111,7 +112,7 @@ def test_nominal_trace_floor_bounds_and_decay(case1):
     floors = []
     for g in gammas[::4]:
         frg = fr.with_gamma(float(g))
-        floor = analysis.nominal_trace_floor(frg, nm)
+        floor = analysis.nominal_trace_floor(frg)
         tr_nominal = float(np.trace(steady_state(frg, ts, nm).nominal_cov))
         assert floor <= tr_nominal + 1e-12
         floors.append(floor)
@@ -122,8 +123,8 @@ def test_nominal_trace_floor_reference_gain_denominator(case1):
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     thr = gamma_threshold(nm, topo)
     fr = build_filter(nm, ts, topo, gamma=1.05 * thr)  # working gain == reference gain
-    floor = analysis.nominal_trace_floor(fr, nm)
-    r_diag_nom = matkit.block_diag([s.r for s in nm.sensors])
+    floor = analysis.nominal_trace_floor(fr)
+    r_diag_nom = scipy.linalg.block_diag(*[s.r for s in nm.sensors])
     drive = np.trace(fr.gain_diag @ r_diag_nom @ fr.gain_diag.T) + 6 * np.trace(nm.q)
     assert floor == pytest.approx(drive / (2.0 * np.trace(-fr.closed_loop_ref)), rel=1e-12)
 

@@ -274,6 +274,7 @@ def test_mixed_overflow_matches_stepwise():
         ref = stepwise_monte_carlo(ts, fr, cfg)
     assert 0 < len(ref.overflow_trials) < cfg.trials
     assert np.isfinite(got.steady_mse)
+    assert np.all(np.isfinite(got.mse))
     assert_series_match(got, ref)
 
 

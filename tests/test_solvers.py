@@ -274,6 +274,7 @@ def test_steady_state_zero_deviation_indices_coincide(baseline):
     ss = solvers.steady_state(fr, ts, nm)
     np.testing.assert_allclose(ss.nominal_cov, ss.error_cov, atol=1e-12)
     assert ss.cross_cov is None and ss.state_cov is None
+    assert tuple(ss.residuals) == ("error_cov", "nominal_cov")
     assert max(ss.residuals.values()) <= 1e-9
 
 
@@ -320,6 +321,7 @@ def test_steady_state_matches_long_horizon_ode_case1(case1):
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
     ss = solvers.steady_state(fr, ts, nm)
+    assert tuple(ss.residuals) == ("state_cov", "cross_cov", "error_cov", "nominal_cov")
     grid = np.linspace(0.0, 90.0, 10)
     traj = solvers.propagate(fr, ts, nm, grid)
     assert abs(np.trace(traj.error_cov[-1]) - np.trace(ss.error_cov)) <= 1e-6
@@ -448,8 +450,10 @@ def test_augmented_system_structure(case1):
     assert np.all(aug.drift[q:, :q] == 0)
     np.testing.assert_array_equal(aug.drift[:q, :q], fr.closed_loop)
     np.testing.assert_array_equal(aug.drift[:q, q:], fr.mismatch_diag)
-    m_total = sum(s.m for s in ts.sensors)
-    assert np.all(aug.noise_intensity[:m_total, m_total:] == 0)
+    # drive = B diag(R, U) B' with B = [[-K, I], [0, I]] and U = kron(11', Q).
+    u_q = np.kron(np.ones((6, 6)), ts.q)
+    np.testing.assert_allclose(aug.drive[q:, q:], u_q, atol=1e-14)
+    np.testing.assert_allclose(aug.drive[:q, q:], u_q, atol=1e-14)
     np.testing.assert_allclose(
-        aug.noise_intensity[m_total:, m_total:], np.kron(np.ones((6, 6)), ts.q), atol=1e-14
+        aug.drive[:q, :q], fr.gain_diag @ ts.r_diag @ fr.gain_diag.T + u_q, atol=1e-12
     )
