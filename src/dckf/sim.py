@@ -34,18 +34,22 @@ and the grouping does not change any trial's noise.  Every gain of a sweep
 sees the same rows (common random numbers).
 
 Parallel chunks: trials run in fixed chunks whose size depends only on the
-config and the memory caps.  Each chunk's squared errors are a pure function
-of its trial range, computed while the engine's operators are only read (they
-are all built on the caller's thread first), so up to ``workers`` chunks are
-in flight on a thread pool at once; numpy releases the GIL in the noise fills
-and the products.  The caller reduces the chunks one by one in trial order,
-so the sums see the same operands in the same order whatever the worker count
-or the number of cores.  ``workers`` is the usable core count divided by the
-BLAS thread count (``OPENBLAS_NUM_THREADS``, then ``GOTO_NUM_THREADS``, then
-``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1 when none is set, because
-then BLAS already keeps every core busy.  Chunks whose noise per piece is
-under ``_POOL_BYTES`` run on the caller's thread: that work is mostly Python
-and holds the GIL.
+config and on the noise rows a chunk holds for one piece.  A chunk reduces
+its records as it steps them, so it keeps no per-record history: it returns
+its per-record sums over its trials and each trial's sum over the steady
+window.  A chunk in which some (trial, gain) overflows runs a second time,
+with that pair masked out of the sums at every record.  Each chunk's sums are
+a pure function of its trial range, computed while the engine's operators
+are only read (they are all built on the caller's thread first), so up to
+``workers`` chunks are in flight on a thread pool at once; numpy releases the
+GIL in the noise fills and the products.  The caller adds the chunks up one
+by one in trial order, so the sums see the same operands in the same order
+whatever the worker count or the number of cores.  ``workers`` is the usable
+core count divided by the BLAS thread count (``OPENBLAS_NUM_THREADS``, then
+``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1
+when none is set, because then BLAS already keeps every core busy.  Chunks
+whose noise per piece is under ``_POOL_BYTES`` run on the caller's thread:
+that work is mostly Python and holds the GIL.
 """
 
 from __future__ import annotations
@@ -73,11 +77,9 @@ __all__ = [
     "monte_carlo_sweep",
 ]
 
-# Memory caps: a piece's noise operator, a trial chunk's per-record squared
-# errors, and a trial chunk's noise rows for one piece (two chunks in flight
-# hold 4 MiB of noise).
+# Memory caps: a piece's noise operator, and a trial chunk's noise rows for one
+# piece (two chunks in flight hold 4 MiB of noise).
 _OPERATOR_BYTES = 4 * 2**20
-_HISTORY_BYTES = 2 * 2**20
 _NOISE_BYTES = 2 * 2**20
 # Chunks with less noise per piece than this run on the caller's thread.
 _POOL_BYTES = 256 * 2**10
@@ -275,11 +277,8 @@ class _Engine:
         return trials * self.longest_piece * self.cols * 8
 
     def chunk_size(self) -> int:
-        """Trials run together: bounded by the record history and the noise rows they hold."""
-        cfg = self.cfg
-        history = cfg.record_steps().size * self.gains * self.n_sensors * 8
-        noise = self.noise_bytes(1)
-        return max(1, min(cfg.trials, _HISTORY_BYTES // history, _NOISE_BYTES // noise))
+        """Trials run together: bounded by the noise rows they hold."""
+        return max(1, min(self.cfg.trials, _NOISE_BYTES // self.noise_bytes(1)))
 
     def run(self, trials):
         """Yield ``z`` of shape (trials, n + G q) at every record step, in order."""
@@ -347,10 +346,12 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     Each trial's noise is drawn once and drives the truth and every filter,
     so the series of a gain sweep differ only by the gain (common random
     numbers), and each equals what ``monte_carlo_mse`` gives for that gain
-    alone.  Trials run in fixed chunks, up to ``workers`` of them at once
-    (see the module notes), and the chunks are reduced one by one in
-    increasing trial order, so the aggregate is a deterministic function of
-    the config, whatever the worker count.  Raises
+    alone.  Trials run in fixed chunks, up to ``workers`` of them at once,
+    and each chunk reduces its records as it steps them (see the module
+    notes); a chunk in which some trial overflows runs a second time to
+    leave that trial out of every record.  The chunks are added up one by
+    one in increasing trial order, so the aggregate is a deterministic
+    function of the config, whatever the worker count.  Raises
     :class:`SimulationOverflowError` when every trial of some realization
     overflows.
     """
@@ -367,24 +368,35 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     chunk = engine.chunk_size()
     chunks = [range(s, min(s + chunk, cfg.trials)) for s in range(0, cfg.trials, chunk)]
 
-    def work(trials: range) -> tuple[np.ndarray, np.ndarray]:
-        """Per-record squared errors of ``trials`` and the step each (trial, gain) overflowed at."""
-        sse = np.empty((len(trials), steps.size, gains, engine.n_sensors))
+    def work(trials: range, keep: np.ndarray | None = None):
+        """Per-record sums over ``trials``, each trial's window sum, and overflow steps.
+
+        Both sums are of the squared errors scaled by 2**-_SUM_SHIFT, and pairs
+        that ``keep`` masks out add nothing.  A chunk with an overflow runs again
+        with its finite pairs as ``keep``; its streams repeat exactly.
+        """
+        chunk_sums = np.empty((steps.size, gains, engine.n_sensors))
+        window_sums = np.zeros((len(trials), gains))
         flags = np.full((len(trials), gains), -1, dtype=int)
-        for k, z in enumerate(engine.run(trials)):
-            sse[:, k] = engine.squared_errors(z)
-            flags[~np.isfinite(sse[:, k]).all(axis=2) & (flags < 0)] = steps[k]
-        return sse, flags
+        # Overflowed pairs are summed too until they are masked; inf * 0 is NaN, hence np.where.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, z in enumerate(engine.run(trials)):
+                sse = np.ldexp(engine.squared_errors(z), -_SUM_SHIFT)
+                flags[~np.isfinite(sse).all(axis=2) & (flags < 0)] = steps[k]
+                if keep is not None:
+                    sse = np.where(keep[:, :, None], sse, 0.0)
+                chunk_sums[k] = sse.sum(axis=0)
+                if window[k]:
+                    window_sums += sse.mean(axis=2)
+        if keep is None and np.any(flags >= 0):
+            return work(trials, flags < 0)
+        return chunk_sums, window_sums, flags
 
     workers = _worker_count(len(chunks)) if engine.noise_bytes(chunk) >= _POOL_BYTES else 1
-    for (sse, flags), trials in zip(_in_order(work, chunks, workers), chunks):
+    for (chunk_sums, window_sums, flags), trials in zip(_in_order(work, chunks, workers), chunks):
         overflow[trials.start : trials.stop] = flags
-        good = flags < 0
-        # ``steady`` averages overflowed trials too (never read); huge finite errors may reach inf.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for g in range(gains):
-                sums[:, g] += np.ldexp(sse[good[:, g], :, g], -_SUM_SHIFT).sum(axis=0)
-            steady[trials.start : trials.stop] = sse[:, window].mean(axis=3).mean(axis=1)
+        sums += chunk_sums
+        steady[trials.start : trials.stop] = np.ldexp(window_sums / window.sum(), _SUM_SHIFT)
 
     out = []
     for g in range(gains):
@@ -416,8 +428,7 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     Both are taken of the values scaled by a power of two, which is exact, so
     sums and squares of values near the top of the double range cannot
     overflow, and ordinary values give the same bits as without the scaling.
-    An infinite value (a steady mean that overflowed) gives an infinite mean
-    and a NaN standard error.
+    An infinite value gives an infinite mean and a NaN standard error.
     """
     _, exponent = np.frexp(np.max(np.abs(values)))
     scaled = np.ldexp(values, -int(exponent))

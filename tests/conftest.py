@@ -209,12 +209,13 @@ def stepwise_monte_carlo(ts, fr, cfg, trials=None, keep_trajectories=False):
 
     good = overflow < 0
     used = int(np.sum(good))
-    # The mean is taken of the errors scaled by 2**-64 and scaled back, which
-    # is exact, so finite errors near the top of the double range cannot
-    # overflow it.
-    scaled = np.ldexp(sensor_sse[good], -64).mean(axis=0)
+    # Every mean is taken of the errors scaled by 2**-64 and scaled back,
+    # which is exact, so finite errors near the top of the double range
+    # cannot overflow it.
+    scaled_sse = np.ldexp(sensor_sse[good], -64)
+    scaled = scaled_sse.mean(axis=0)
     per_sensor = np.ldexp(scaled, 64)
-    per_trial = sensor_sse[good].mean(axis=2)
+    per_trial = scaled_sse.mean(axis=2)
     window = times >= 0.8 * cfg.horizon
     if not window.any():
         window[-1] = True
@@ -227,9 +228,9 @@ def stepwise_monte_carlo(ts, fr, cfg, trials=None, keep_trajectories=False):
         mse=np.ldexp(scaled.mean(axis=1), 64),
         per_sensor_mse=per_sensor,
         trials_used=used,
-        steady_mse=float(steady_per_trial.mean()) if used else float("nan"),
+        steady_mse=float(np.ldexp(steady_per_trial.mean(), 64)) if used else float("nan"),
         steady_se=(
-            float((steady_per_trial / top).std(ddof=1) * top / np.sqrt(used))
+            float(np.ldexp((steady_per_trial / top).std(ddof=1) * top / np.sqrt(used), 64))
             if used > 1
             else float("nan")
         ),

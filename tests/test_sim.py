@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +280,70 @@ def test_mixed_overflow_matches_stepwise():
     assert_series_match(got, ref)
 
 
+@pytest.mark.parametrize("seed", [15, 16, 17])
+def test_steady_mse_of_huge_finite_trials(seed):
+    # The trials that stay finite end near the top of the double range, so an
+    # unscaled mean over the steady window would reach inf.
+    ts, fr = unstable_scalar_pair()
+    cfg = sim.SimConfig(dt=1e-2, horizon=73.0, trials=24, seed=seed, record_stride=10)
+    got = sim.monte_carlo_mse(ts, fr, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = stepwise_monte_carlo(ts, fr, cfg)
+    assert 0 < got.trials_used < cfg.trials
+    assert np.isfinite(got.steady_mse) and np.isfinite(got.steady_se)
+    assert_series_match(got, ref)
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """The trial range of every ``_Engine.run`` call."""
+    calls = []
+    real = sim._Engine.run
+
+    def spy(self, trials):
+        calls.append(trials)
+        return real(self, trials)
+
+    monkeypatch.setattr(sim._Engine, "run", spy)
+    return calls
+
+
+def test_case1_sweep_runs_as_one_batch(case1, run_calls):
+    # A chunk reduces its records as it steps them, so case1's trials run as
+    # one chunk, once, and the memory does not grow with the trial count.
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    frs = [build_filter(nm, ts, topo, float(g)) for g in np.sort(case1.resolve_gammas())]
+    peaks = []
+    for trials in (20, 200):
+        cfg = case1.sim_config(trials=trials, seed=3)
+        assert sim._Engine(ts, frs, cfg).chunk_size() == trials
+        # A tenth of the horizon keeps the pieces and cuts the records to 51.
+        short = dataclasses.replace(cfg, horizon=cfg.horizon / 10)
+        run_calls.clear()
+        tracemalloc.start()
+        try:
+            sim.monte_carlo_sweep(ts, frs, short)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert run_calls == [range(trials)]
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_only_chunks_with_an_overflow_run_twice(run_calls, monkeypatch):
+    ts, fr = unstable_scalar_pair()
+    cfg = sim.SimConfig(dt=1e-2, horizon=73.0, trials=24, seed=14, record_stride=10)
+    (whole,) = sim.monte_carlo_sweep(ts, [fr], cfg)
+    assert run_calls == [range(24)] * 2
+    run_calls.clear()
+    monkeypatch.setattr(sim._Engine, "chunk_size", lambda self: 1)
+    (single,) = sim.monte_carlo_sweep(ts, [fr], cfg)
+    overflowed = {l for l, _ in whole.overflow_trials}
+    assert 0 < len(overflowed) < cfg.trials
+    assert run_calls == [range(l, l + 1) for l in range(24) for _ in range(1 + (l in overflowed))]
+    assert_series_match(single, whole)
+
+
 def test_long_stride_with_unexcited_unstable_mode_stays_finite():
     # The first state grows by 1.05 per step but starts at zero and gets no
     # noise.  One 16000-step stride would need 1.05**16000, which is not a
@@ -455,12 +521,12 @@ def test_pool_is_bitwise_independent_of_workers_case2(case2, blas_env, pool_call
 
 
 def test_small_pieces_stay_on_the_callers_thread(case1, blas_env, pool_calls):
-    # case1's sweep pieces hold 16 KB of noise per chunk: too little for a pool.
+    # case1's sweep pieces hold 32 KB of noise for 8 trials: too little for a pool.
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     frs = [build_filter(nm, ts, topo, float(g)) for g in np.sort(case1.resolve_gammas())]
     blas_env("1")
     sim.monte_carlo_sweep(ts, frs, case1.sim_config(trials=8, seed=3))
-    assert pool_calls == [(2, 1)]
+    assert pool_calls == [(1, 1)]
 
 
 def test_standard_error_of_huge_trial_mses():
