@@ -68,7 +68,6 @@ _EXPORTS = {
         "simulate_trial",
     ),
     "solvers": (
-        "AugmentedJointSystem",
         "CareSolutionError",
         "CovarianceTrajectory",
         "NotHurwitzError",
@@ -77,10 +76,8 @@ _EXPORTS = {
         "SolverError",
         "SteadyStateResult",
         "TrajectoryInit",
-        "build_augmented",
         "default_initial_state",
         "propagate",
-        "propagate_augmented",
         "solve_care",
         "solve_lyapunov",
         "solve_sylvester",

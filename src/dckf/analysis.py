@@ -101,7 +101,6 @@ def deviation_gap(
     dev: Deviations,
     plain: float,
     weighted: float,
-    margin_variant: str = "dimension",
 ) -> tuple[float, float, float, float, float]:
     """Trace-gap radius from the deviation norms and the two trace-gap factors.
 
@@ -109,25 +108,16 @@ def deviation_gap(
     the module docstring (exact via a Lyapunov solve, or approximated by
     their asymptotic fit).  Returns
     ``(gap, cross_margin, state_margin, cross_norm_bound, state_norm_bound)``.
-    ``margin_variant`` selects the deviation coefficient inside the
-    cross-term margin: ``dimension`` uses sqrt(state dim * sensor count)
-    (consistent with the bound's derivation and more conservative), while
-    ``sensors`` uses sqrt(sensor count).
+    The deviation coefficient inside the cross-term margin is
+    sqrt(state dim * sensor count), as the bound's derivation gives.
     """
     nm = fr.nominal
     n, n_sensors = fr.n, fr.sensor_count
     big = n * n_sensors
     d_a_diag_norm = np.sqrt(n_sensors) * dev.d_a_norm
 
-    if margin_variant == "dimension":
-        cross_coef = np.sqrt(big)
-    elif margin_variant == "sensors":
-        cross_coef = np.sqrt(n_sensors)
-    else:
-        raise ValueError(f"unknown margin variant {margin_variant!r}")
-
     margin_scale = matkit.kron_sum_fro_norm(fr.closed_loop, nm.a_diag)
-    cross_margin = margin_scale - cross_coef * d_a_diag_norm
+    cross_margin = margin_scale - np.sqrt(big) * d_a_diag_norm
     state_margin = (
         matkit.kron_sum_fro_norm(nm.a_diag, nm.a_diag) - 2.0 * np.sqrt(big) * d_a_diag_norm
     )
@@ -160,17 +150,16 @@ def trace_bounds(
     fr: FilterRealization,
     ss: SteadyStateResult,
     dev: Deviations,
-    margin_variant: str = "dimension",
 ) -> BoundsReport:
     """Bound the steady error-covariance trace around the nominal trace.
 
     The two trace-gap factors are computed exactly through the Lyapunov
-    reformulation; see :func:`deviation_gap` for ``margin_variant``.
+    reformulation, and :func:`deviation_gap` turns them into the radius.
     """
     _gamma_gate(fr, "trace bound")
     plain, weighted = _inverse_vec_norms(fr.closed_loop_schur, fr.gain_diag)
     gap, cross_margin, state_margin, cross_norm_bound, state_norm_bound = deviation_gap(
-        fr, dev, plain, weighted, margin_variant
+        fr, dev, plain, weighted
     )
 
     tr_nominal = float(np.trace(ss.nominal_cov))
@@ -396,17 +385,15 @@ class RelationReport:
     (gain-weighted measurement-noise deviation plus the replicated
     process-noise deviation); its sign classification decides whether the
     nominal index brackets the error covariance from above or below.
-    ``gap`` holds the stepped gap trajectory, ``gap_closed`` the exact
-    closed-form evaluation, and ``gap_norm_bound`` the spectral-norm bound
-    from the reference-gain logarithmic norm (the consensus gain above the
-    reference has no effect on it).
+    ``gap`` holds the exactly stepped gap trajectory and ``gap_norm_bound``
+    the spectral-norm bound from the reference-gain logarithmic norm (the
+    consensus gain above the reference has no effect on it).
     """
 
     time: np.ndarray
     mismatch_drive: np.ndarray
     drive_sign: str
     gap: np.ndarray
-    gap_closed: np.ndarray
     gap_min_eig: np.ndarray
     gap_norm: np.ndarray
     gap_norm_bound: np.ndarray
@@ -444,9 +431,8 @@ def relation_analysis(
     Requires exact state and measurement matrices (only the noise
     intensities may deviate).  The gap obeys a Lyapunov-type ODE driven by
     the constant mismatch-drive matrix.  ``gap`` steps it exactly with the
-    shared covariance flow of :mod:`dckf.solvers`; ``gap_closed`` is an
-    independent check, evaluated per grid point from the matrix exponential
-    and one Lyapunov solve.
+    shared covariance flow of :mod:`dckf.solvers`, which forms one matrix
+    exponential per distinct span of the grid.
     """
     if not dev.state_matrix_exact:
         raise HypothesisError(
@@ -466,14 +452,6 @@ def relation_analysis(
     if gap.shape != acl.shape:
         raise ValueError(f"gap_init must be {acl.shape[0]}x{acl.shape[0]}, got {gap.shape}")
     out = _covariance_flow(acl, drive, gap, grid)
-
-    # Closed form: with Z solving acl Z + Z acl' + drive = 0, the forced
-    # response over [t0, t] is Z - e^{acl dt} Z e^{acl' dt}.
-    z_inf = solve_lyapunov(fr.closed_loop_schur, drive)
-    closed = np.empty_like(out)
-    for k, t in enumerate(grid):
-        phi = matkit.expm(acl * (t - grid[0]))
-        closed[k] = matkit.symmetrize(phi @ (gap - z_inf) @ phi.T + z_inf)
 
     min_eigs = np.array([np.linalg.eigvalsh(m)[0] for m in out])
     norms = np.array([np.linalg.norm(m, 2) for m in out])
@@ -505,7 +483,6 @@ def relation_analysis(
         mismatch_drive=drive,
         drive_sign=sign,
         gap=out,
-        gap_closed=closed,
         gap_min_eig=min_eigs,
         gap_norm=norms,
         gap_norm_bound=bound,

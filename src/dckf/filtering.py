@@ -41,25 +41,16 @@ def is_hurwitz(m: "np.ndarray | SchurForm") -> bool:
     return form.spectral_abscissa < -_HURWITZ_RTOL * max(form.norm2, 1e-300)
 
 
-def gamma_threshold(
-    nm: NominalModel,
-    topo: Topology,
-    lambda_override: float | None = None,
-) -> float:
+def gamma_threshold(nm: NominalModel, topo: Topology) -> float:
     """Consensus-gain threshold above which the closed loop is Hurwitz.
 
-    ``lambda_override`` substitutes a (lower bound on the) algebraic
-    connectivity, which covers the case of an imprecisely known topology.
-    Raises when the steady filter covariance is singular or when the
-    connectivity is not positive.
+    The threshold scales as ``1 / lambda_2`` in the algebraic connectivity of
+    ``topo``.  Raises ``np.linalg.LinAlgError`` when the steady filter
+    covariance is singular and ``ValueError`` when the topology is not
+    connected (see :func:`~dckf.graph.algebraic_connectivity`).
     """
     p_inf = nm.p_inf
-    if lambda_override is not None:
-        connectivity = float(lambda_override)
-    else:
-        connectivity = algebraic_connectivity(topo)
-    if connectivity <= 0.0:
-        raise ValueError("algebraic connectivity must be positive (connected graph or override)")
+    connectivity = algebraic_connectivity(topo)
     p_inv = matkit.eigh_psd_inverse(p_inf)
     gram = matkit.symmetrize(nm.c_stack.T @ np.linalg.solve(nm.r_diag, nm.c_stack))
     drift_term = float(np.linalg.norm(p_inv @ nm.a + nm.a.T @ p_inv, 2))
@@ -89,7 +80,6 @@ class FilterRealization:
     is singular and no threshold exists).
     """
 
-    gains: tuple[np.ndarray, ...]
     gain_diag: np.ndarray
     feedback_diag: np.ndarray
     mismatch_diag: np.ndarray
@@ -152,13 +142,12 @@ def build_filter(
     ts: TrueSystem,
     topo: Topology,
     gamma: float,
-    gamma_ref: float | None = None,
 ) -> FilterRealization:
     """Build the distributed filter for a nominal model on a topology.
 
-    ``gamma`` is the working consensus gain.  ``gamma_ref`` defaults to
-    1.05 times the Hurwitz threshold when the threshold is computable and
-    to ``gamma`` otherwise; it never exceeds ``gamma``.
+    ``gamma`` is the working consensus gain.  The reference gain
+    ``gamma_ref`` is 1.05 times the Hurwitz threshold when the threshold is
+    computable and ``gamma`` otherwise, and never exceeds ``gamma``.
     """
     if gamma <= 0.0:
         raise ValueError("consensus gain must be positive")
@@ -181,13 +170,8 @@ def build_filter(
         gamma_min = gamma_threshold(nm, topo)
     except (np.linalg.LinAlgError, ValueError):
         gamma_min = None
-    if gamma_ref is None:
-        gamma_ref = 1.05 * gamma_min if gamma_min is not None else gamma
-        gamma_ref = min(gamma_ref, gamma)
-    elif gamma_ref > gamma:
-        raise ValueError("reference gain must not exceed the working gain")
+    gamma_ref = min(1.05 * gamma_min if gamma_min is not None else gamma, gamma)
     return FilterRealization(
-        gains=gains,
         gain_diag=scipy.linalg.block_diag(*gains),
         feedback_diag=feedback_diag,
         mismatch_diag=scipy.linalg.block_diag(*mismatch),

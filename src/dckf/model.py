@@ -297,14 +297,6 @@ class AssumptionReport:
     true_a_hurwitz: bool
 
     @property
-    def network_ok(self) -> bool:
-        return self.connected
-
-    @property
-    def nominal_ok(self) -> bool:
-        return self.observable and self.controllable
-
-    @property
     def mismatch_ok(self) -> bool:
         # With zero mismatch feedthrough no condition on the true A is needed;
         # otherwise the true A must be Hurwitz for steady-state indices to exist.
@@ -312,7 +304,7 @@ class AssumptionReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.network_ok and self.nominal_ok and self.mismatch_ok
+        return self.connected and self.observable and self.controllable and self.mismatch_ok
 
     def failures(self) -> list[str]:
         out = []
@@ -337,8 +329,11 @@ def validate_assumptions(
 
     ``mismatch_diag`` is the block-diagonal mismatch feedthrough of the built
     filter (zero exactly when the state and measurement matrices are exact).
-    Rank checks use a relative singular-value cutoff of 1e-9.
+    Rank checks use a relative singular-value cutoff of 1e-9, and the true
+    state matrix is judged by :func:`~dckf.filtering.is_hurwitz`.
     """
+    from .filtering import is_hurwitz  # filtering imports this module
+
     _check_pair(ts, nm)
     if topo.node_count != ts.sensor_count:
         raise ValueError(
@@ -348,12 +343,10 @@ def validate_assumptions(
     controllable = _full_rank(controllability_matrix(nm.a, matkit.sqrtm_psd(nm.q)), nm.n)
     f = np.asarray(mismatch_diag, dtype=float)
     mismatch_zero = negligible(float(np.linalg.norm(f)), float(np.linalg.norm(nm.a)))
-    alpha = np.max(np.linalg.eigvals(ts.a).real)
-    hurwitz = alpha < -1e-9 * max(np.linalg.norm(ts.a, 2), 1e-300)
     return AssumptionReport(
         connected=is_connected(topo),
         observable=observable,
         controllable=controllable,
         mismatch_zero=mismatch_zero,
-        true_a_hurwitz=bool(hurwitz),
+        true_a_hurwitz=is_hurwitz(ts.a),
     )

@@ -58,9 +58,6 @@ __all__ = [
     "default_initial_state",
     "CovarianceTrajectory",
     "propagate",
-    "AugmentedJointSystem",
-    "build_augmented",
-    "propagate_augmented",
 ]
 
 
@@ -585,12 +582,15 @@ def propagate(
 ) -> CovarianceTrajectory:
     """Exact covariance trajectories of the filter network on a time grid.
 
-    The nominal index follows its own Lyapunov-type flow in the closed loop;
-    the error, cross and state blocks are slices of the joint covariance of
-    the :func:`build_augmented` system.  Both flows are stepped exactly
-    (matrix exponential plus Van Loan's integral).
+    The nominal index follows its own Lyapunov-type flow in the closed loop.
+    The error, cross and state blocks are slices of the joint covariance of
+    the stacked error and the replicated true state.  The joint drift
+    ``[[closed_loop, mismatch_diag], [0, a_diag]]`` is upper block
+    triangular (the replicated state does not feed back from the error),
+    and the joint drive is ``B diag(R, kron(11', Q)) B'`` with the true
+    intensities and the input map ``B = [[-K, I], [0, I]]``.  Both flows are
+    stepped exactly (matrix exponential plus Van Loan's integral).
     """
-    grid = _check_grid(grid)
     if init is None:
         init = default_initial_state(ts)
     q_dim = fr.closed_loop.shape[0]
@@ -598,50 +598,7 @@ def propagate(
         shape = np.shape(getattr(init, name))
         if shape != (q_dim, q_dim):
             raise ValueError(f"initial {name} must be {q_dim}x{q_dim}, got {shape}")
-    joint = propagate_augmented(build_augmented(fr, ts, nm, init), grid)
-    nominal = _covariance_flow(fr.closed_loop, _noise_drive(fr, nm), init.nominal_cov, grid)
-    error = joint[:, :q_dim, :q_dim]
-    traces = np.einsum("kii->k", error)
-    return CovarianceTrajectory(
-        time=grid,
-        nominal_cov=nominal,
-        error_cov=error,
-        cross_cov=joint[:, :q_dim, q_dim:],
-        state_cov=joint[:, q_dim:, q_dim:],
-        error_trace_rate=np.gradient(traces, grid),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Augmented joint system (error stacked with the replicated true state)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AugmentedJointSystem:
-    """Joint dynamics of the stacked error and the replicated true state.
-
-    ``drift`` is upper block triangular (the replicated state does not feed
-    back from the error); ``drive = B W B'`` is the noise intensity of the
-    joint system, with ``W`` block diagonal in the measurement and
-    replicated process intensities and ``B`` their input map.
-    """
-
-    drift: np.ndarray
-    drive: np.ndarray
-    init_cov: np.ndarray
-
-
-def build_augmented(
-    fr: "FilterRealization",
-    ts: TrueSystem,
-    nm: NominalModel,
-    init: TrajectoryInit | None = None,
-) -> AugmentedJointSystem:
-    if init is None:
-        init = default_initial_state(ts)
     _check_pair(ts, nm)
-    q_dim = fr.closed_loop.shape[0]
     drift = np.block([[fr.closed_loop, fr.mismatch_diag], [np.zeros((q_dim, q_dim)), ts.a_diag]])
     input_map = np.block(
         [
@@ -650,14 +607,17 @@ def build_augmented(
         ]
     )
     noise = scipy.linalg.block_diag(ts.r_diag, ts.q_network)
-    init_cov = np.block(
-        [[init.error_cov, init.cross_cov], [init.cross_cov.T, init.state_cov]]
+    joint_init = np.block([[init.error_cov, init.cross_cov], [init.cross_cov.T, init.state_cov]])
+    joint = _covariance_flow(drift, input_map @ noise @ input_map.T, joint_init, grid)
+    nominal = _covariance_flow(fr.closed_loop, _noise_drive(fr, nm), init.nominal_cov, grid)
+    error = joint[:, :q_dim, :q_dim]
+    traces = np.einsum("kii->k", error)
+    time = np.asarray(grid, dtype=float)
+    return CovarianceTrajectory(
+        time=time,
+        nominal_cov=nominal,
+        error_cov=error,
+        cross_cov=joint[:, :q_dim, q_dim:],
+        state_cov=joint[:, q_dim:, q_dim:],
+        error_trace_rate=np.gradient(traces, time),
     )
-    return AugmentedJointSystem(
-        drift=drift, drive=input_map @ noise @ input_map.T, init_cov=init_cov
-    )
-
-
-def propagate_augmented(aug: AugmentedJointSystem, grid: np.ndarray) -> np.ndarray:
-    """Exact joint covariance flow; returns (len(grid), 2q, 2q)."""
-    return _covariance_flow(aug.drift, aug.drive, aug.init_cov, grid)

@@ -136,6 +136,26 @@ def rk4_propagate(fr, ts, nm, grid, dt=1e-3, init=None):
     )
 
 
+def closed_form_gap(fr, rel):
+    """Reference gap trajectory of a ``RelationReport``, evaluated per grid point.
+
+    With Z solving ``acl Z + Z acl' + drive = 0`` (``drive`` is
+    ``rel.mismatch_drive``), the gap starting from ``rel.gap[0]`` is
+    ``e^{acl dt} (gap0 - Z) e^{acl' dt} + Z``: one Lyapunov solve and one
+    matrix exponential per grid point, independent of the stepped flow in
+    ``dckf.solvers``.
+    """
+    from dckf import matkit
+    from dckf.solvers import solve_lyapunov
+
+    z_inf = solve_lyapunov(fr.closed_loop_schur, rel.mismatch_drive)
+    out = np.empty_like(rel.gap)
+    for k, t in enumerate(rel.time):
+        phi = scipy.linalg.expm(fr.closed_loop * (t - rel.time[0]))
+        out[k] = matkit.symmetrize(phi @ (rel.gap[0] - z_inf) @ phi.T + z_inf)
+    return out
+
+
 def stepwise_monte_carlo(ts, fr, cfg, trials=None, keep_trajectories=False):
     """Reference Monte Carlo: one Python iteration per time step.
 

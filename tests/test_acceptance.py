@@ -24,7 +24,7 @@ from dckf.filtering import build_filter, gamma_threshold
 from dckf.model import deviations
 from dckf.scenario import load_scenario
 from dckf.sim import monte_carlo_mse, monte_carlo_sweep
-from conftest import random_spd, rk4_propagate
+from conftest import closed_form_gap, random_spd, rk4_propagate
 from test_filtering import random_assumption2_setup, as_true
 from test_solvers import kron_oracle_sylvester, random_care_instance
 
@@ -202,7 +202,7 @@ def test_criterion_7_index_ordering():
         assert rel.drive_sign == "psd"
         assert np.all(rel.gap_min_eig >= -1e-8)
         assert np.all(rel.gap_norm <= rel.gap_norm_bound * (1 + 1e-9) + 1e-12)
-        assert np.max(np.abs(rel.gap - rel.gap_closed)) <= 1e-8
+        assert np.max(np.abs(rel.gap - closed_form_gap(fr, rel))) <= 1e-8
 
 
 def test_criterion_8_simulation_matches_theory():
@@ -224,11 +224,8 @@ def test_criterion_9_joint_system_cross_check():
         fr = build_filter(nm, ts, topo, float(sc.resolve_gammas()[0]))
         grid = sc.ode.grid()
         traj = rk4_propagate(fr, ts, nm, grid, dt=sc.ode.dt)
-        joint = solvers.propagate_augmented(
-            solvers.build_augmented(fr, ts, nm), grid
-        )
-        q = fr.closed_loop.shape[0]
-        assert np.max(np.abs(joint[:, :q, :q] - traj.error_cov)) <= 1e-8
-        assert np.max(np.abs(joint[:, :q, q:] - traj.cross_cov)) <= 1e-8
+        joint = solvers.propagate(fr, ts, nm, grid)
+        assert np.max(np.abs(joint.error_cov - traj.error_cov)) <= 1e-8
+        assert np.max(np.abs(joint.cross_cov - traj.cross_cov)) <= 1e-8
         scale = 1.0 + np.max(np.abs(traj.state_cov))
-        assert np.max(np.abs(joint[:, q:, q:] - traj.state_cov)) <= 1e-8 * scale
+        assert np.max(np.abs(joint.state_cov - traj.state_cov)) <= 1e-8 * scale

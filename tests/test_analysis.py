@@ -7,7 +7,7 @@ from dckf.filtering import build_filter, gamma_threshold
 from dckf.graph import complete
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations
 from dckf.solvers import steady_state, propagate
-from conftest import random_spd
+from conftest import closed_form_gap, random_spd
 from test_filtering import random_assumption2_setup, as_true
 
 
@@ -64,19 +64,6 @@ def test_trace_bounds_sandwich_case1(case1):
         assert rep.sandwich_holds
         assert rep.lower == max(0.0, rep.tr_nominal - rep.gap)
         assert rep.upper == rep.tr_nominal + rep.gap
-
-
-def test_trace_bounds_margin_variants_differ(case1):
-    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
-    dev = deviations(ts, nm)
-    fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
-    ss = steady_state(fr, ts, nm)
-    proof = analysis.trace_bounds(fr, ss, dev, margin_variant="dimension")
-    statement = analysis.trace_bounds(fr, ss, dev, margin_variant="sensors")
-    # sqrt(nN) shrinks the margin denominator more, giving the larger gap.
-    assert proof.cross_margin < statement.cross_margin
-    assert proof.gap > statement.gap
-    assert statement.sandwich_holds
 
 
 def test_trace_bounds_rejects_zero_margin():
@@ -260,10 +247,23 @@ def test_relation_case3_nominal_upper_bound(case3):
     assert rel.ordering == "nominal_upper"
     assert np.all(rel.gap_min_eig >= -1e-8)
     # Closed form and integrated trajectory agree.
-    assert np.max(np.abs(rel.gap - rel.gap_closed)) <= 1e-8
+    assert np.max(np.abs(rel.gap - closed_form_gap(fr, rel))) <= 1e-8
     # The spectral-norm bound dominates the measured norm.
     assert np.all(rel.gap_norm <= rel.gap_norm_bound + 1e-10)
     assert abs(rel.coupling_log_norm) <= 1e-10
+
+
+def test_relation_analysis_forms_one_exponential_per_span(case3, monkeypatch):
+    ts, nm, topo = case3.true_system, case3.nominal, case3.topology
+    fr = build_filter(nm, ts, topo, float(case3.resolve_gammas()[0]))
+    calls = []
+    expm = matkit.expm
+    monkeypatch.setattr(matkit, "expm", lambda a: calls.append(a.shape) or expm(a))
+    grid = case3.ode.grid()
+    rel = analysis.relation_analysis(fr, deviations(ts, nm), np.zeros((24, 24)), grid)
+    # case3's grid has one distinct span, so the stepped flow needs one pair.
+    assert rel.gap.shape[0] == grid.size > 100
+    assert calls == [(48, 48)]
 
 
 def test_relation_matches_propagate_difference(case3):
@@ -312,7 +312,7 @@ def test_relation_bound_on_random_admissible_scenarios():
         grid = np.linspace(0.0, 2.0, 21)
         rel = analysis.relation_analysis(fr, deviations(ts, nm), e0, grid)
         assert np.all(rel.gap_norm <= rel.gap_norm_bound * (1 + 1e-9) + 1e-12)
-        assert np.max(np.abs(rel.gap - rel.gap_closed)) <= 1e-8
+        assert np.max(np.abs(rel.gap - closed_form_gap(fr, rel))) <= 1e-8
 
 
 def test_relation_indefinite_drive_inconclusive():

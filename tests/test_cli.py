@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import os
 import tempfile
@@ -204,6 +205,36 @@ def test_relations_case3_verdict(tmp_path):
     tr_nom = np.array([float(r[header.index("tr_nominal")]) for r in rows])
     tr_err = np.array([float(r[header.index("tr_error")]) for r in rows])
     assert np.all(tr_nom >= tr_err - 1e-9)
+
+
+def load_benchmark_checks():
+    """``perfbench/checks.py``, loaded by path: the benchmark's own output checks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_outputs_without_monte_carlo_match_the_benchmark_references(tmp_path):
+    # The benchmark's recorded answers for the flow op's deterministic files,
+    # checked here so that output drift shows up without a benchmark run.
+    checks = load_benchmark_checks()
+    assert main(["relations", "--scenario", "case3", "--out", str(tmp_path)]) == 0
+    assert main(["divergence", "--scenario", "case2", "--out", str(tmp_path)]) == 0
+    refs = sorted((checks.REFERENCE / "flow" / "common").iterdir())
+    assert [r.name for r in refs] == [
+        "case2_divergence.csv", "case3_relations.csv", "case3_relations_meta.json"
+    ]
+    problems = []
+    for ref in refs:
+        got = tmp_path / ref.name
+        if ref.suffix == ".csv":
+            problems += checks.compare_csv(got, ref)
+        else:
+            doc, ref_doc = (json.loads(f.read_text()) for f in (got, ref))
+            problems += checks.compare_json(doc, ref_doc, ref.name)
+    assert problems + checks.paper_checks(tmp_path) == []
 
 
 def test_relations_accepts_rounded_nominal_state_matrix(tmp_path):

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from dckf import graph, model
-from dckf.filtering import build_filter
+from dckf.filtering import build_filter, is_hurwitz
+from dckf.scenario import load_scenario
 from dckf.solvers import solve_care
 
 
@@ -144,6 +145,29 @@ def test_validate_case1_needs_hurwitz_and_has_it(case1):
     report = model.validate_assumptions(ts, nm, topo, fr.mismatch_diag)
     assert report.true_a_hurwitz
     assert report.all_ok
+
+
+@pytest.mark.parametrize(
+    "name, shift, expected",
+    [
+        ("baseline", 0.0, False),  # uniform motion: marginal, so not Hurwitz
+        ("case1", 0.0, True),
+        ("case2", 0.0, False),
+        ("case3", 0.0, False),
+        # case1's true A is lower triangular with diagonal -0.1, so a shift of
+        # 0.1 puts every eigenvalue exactly on the imaginary axis.
+        ("case1", 0.05, True),
+        ("case1", 0.1, False),
+        ("case1", 0.15, False),
+    ],
+)
+def test_true_a_hurwitz_is_the_filtering_rule(name, shift, expected):
+    sc = load_scenario(name)
+    ts, nm, topo = sc.true_system, sc.nominal, sc.topology
+    a = ts.a + shift * np.eye(ts.n)
+    ts = model.TrueSystem(a=a, q=ts.q, sensors=ts.sensors, x0=ts.x0, sigma0=ts.sigma0)
+    report = model.validate_assumptions(ts, nm, topo, np.zeros((24, 24)))
+    assert report.true_a_hurwitz is is_hurwitz(ts.a) is expected
 
 
 def test_validate_case2_controllability_fails(case2):

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -35,11 +37,10 @@ PUBLIC_NAMES = {
         "monte_carlo_sweep", "simulate_trial",
     ],
     "solvers": [
-        "AugmentedJointSystem", "CareSolutionError", "CovarianceTrajectory", "NotHurwitzError",
-        "SchurForm", "SingularEquationError", "SolverError", "SteadyStateResult",
-        "TrajectoryInit", "build_augmented", "default_initial_state", "propagate",
-        "propagate_augmented", "solve_care", "solve_lyapunov", "solve_sylvester",
-        "steady_state",
+        "CareSolutionError", "CovarianceTrajectory", "NotHurwitzError", "SchurForm",
+        "SingularEquationError", "SolverError", "SteadyStateResult", "TrajectoryInit",
+        "default_initial_state", "propagate", "solve_care", "solve_lyapunov",
+        "solve_sylvester", "steady_state",
     ],
 }
 SUBMODULES = [*PUBLIC_NAMES, "cli", "matkit"]
@@ -85,6 +86,23 @@ def test_every_all_entry_resolves(module):
     home = importlib.import_module(f"dckf.{module}")
     for name in home.__all__:
         getattr(home, name)
+
+
+def test_joint_system_layer_is_not_exported():
+    # ``propagate`` builds the joint flow itself; no public layer wraps it.
+    for name in ("AugmentedJointSystem", "build_augmented", "propagate_augmented"):
+        assert name not in dckf.__all__ and name not in dir(dckf), name
+        assert name not in dckf.solvers.__all__ and not hasattr(dckf.solvers, name), name
+
+
+def test_each_paper_result_has_one_formula():
+    # No connectivity override, caller-set reference gain or margin variant.
+    assert list(inspect.signature(dckf.gamma_threshold).parameters) == ["nm", "topo"]
+    assert "gamma_ref" not in inspect.signature(dckf.build_filter).parameters
+    for fn in (dckf.trace_bounds, dckf.deviation_gap):
+        assert "margin_variant" not in inspect.signature(fn).parameters, fn.__name__
+    assert "gains" not in {f.name for f in dataclasses.fields(dckf.FilterRealization)}
+    assert "gap_closed" not in {f.name for f in dataclasses.fields(dckf.RelationReport)}
 
 
 def test_star_import():

@@ -355,12 +355,10 @@ def test_propagate_agrees_with_augmented_system(baseline):
     fr = build_filter(nm, ts, topo, float(baseline.resolve_gammas()[0]))
     grid = np.linspace(0.0, 5.0, 26)
     traj = rk4_propagate(fr, ts, nm, grid, dt=1e-3)
-    aug = solvers.build_augmented(fr, ts, nm)
-    joint = solvers.propagate_augmented(aug, grid)
-    q = fr.closed_loop.shape[0]
-    assert np.max(np.abs(joint[:, :q, :q] - traj.error_cov)) <= 1e-8
-    assert np.max(np.abs(joint[:, :q, q:] - traj.cross_cov)) <= 1e-8
-    assert np.max(np.abs(joint[:, q:, q:] - traj.state_cov)) <= 1e-8 * (
+    joint = solvers.propagate(fr, ts, nm, grid)
+    assert np.max(np.abs(joint.error_cov - traj.error_cov)) <= 1e-8
+    assert np.max(np.abs(joint.cross_cov - traj.cross_cov)) <= 1e-8
+    assert np.max(np.abs(joint.state_cov - traj.state_cov)) <= 1e-8 * (
         1.0 + np.max(np.abs(traj.state_cov))
     )
 
@@ -440,20 +438,3 @@ def test_default_initial_state_structure(baseline):
     np.testing.assert_allclose(init.error_cov[:4, 4:8], 0.1 * np.eye(4), atol=1e-14)
     expected_state = 0.1 * np.eye(4) + np.outer(ts.x0, ts.x0)
     np.testing.assert_allclose(init.state_cov[:4, :4], expected_state, atol=1e-14)
-
-
-def test_augmented_system_structure(case1):
-    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
-    fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
-    aug = solvers.build_augmented(fr, ts, nm)
-    q = fr.closed_loop.shape[0]
-    assert np.all(aug.drift[q:, :q] == 0)
-    np.testing.assert_array_equal(aug.drift[:q, :q], fr.closed_loop)
-    np.testing.assert_array_equal(aug.drift[:q, q:], fr.mismatch_diag)
-    # drive = B diag(R, U) B' with B = [[-K, I], [0, I]] and U = kron(11', Q).
-    u_q = np.kron(np.ones((6, 6)), ts.q)
-    np.testing.assert_allclose(aug.drive[q:, q:], u_q, atol=1e-14)
-    np.testing.assert_allclose(aug.drive[:q, q:], u_q, atol=1e-14)
-    np.testing.assert_allclose(
-        aug.drive[:q, :q], fr.gain_diag @ ts.r_diag @ fr.gain_diag.T + u_q, atol=1e-12
-    )
