@@ -20,7 +20,6 @@ _EXPORTS = {
         "AsymptoticFit",
         "BoundsReport",
         "DivergenceCertificate",
-        "DivergenceReport",
         "HypothesisError",
         "RelationReport",
         "asymptotic_fit",

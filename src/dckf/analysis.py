@@ -39,7 +39,6 @@ __all__ = [
     "AsymptoticFit",
     "asymptotic_fit",
     "DivergenceCertificate",
-    "DivergenceReport",
     "divergence_test",
     "RelationReport",
     "relation_analysis",
@@ -75,9 +74,6 @@ class BoundsReport:
     ``gap`` is the radius around the nominal trace that is guaranteed to
     contain the actual error-covariance trace:
     ``max(0, tr_nominal - gap) <= tr_error <= tr_nominal + gap``.
-    ``cross_margin`` / ``state_margin`` are the denominators protecting the
-    cross-term and state-moment norm bounds; the report is refused when
-    either is numerically zero.
     """
 
     tr_nominal: float
@@ -85,10 +81,6 @@ class BoundsReport:
     gap: float
     upper: float
     lower: float
-    cross_margin: float
-    state_margin: float
-    cross_norm_bound: float
-    state_norm_bound: float
     tr_nominal_floor: float
 
     @property
@@ -101,14 +93,15 @@ def deviation_gap(
     dev: Deviations,
     plain: float,
     weighted: float,
-) -> tuple[float, float, float, float, float]:
+) -> float:
     """Trace-gap radius from the deviation norms and the two trace-gap factors.
 
     ``plain`` and ``weighted`` are the values of the two vector norms from
     the module docstring (exact via a Lyapunov solve, or approximated by
-    their asymptotic fit).  Returns
-    ``(gap, cross_margin, state_margin, cross_norm_bound, state_norm_bound)``.
-    The deviation coefficient inside the cross-term margin is
+    their asymptotic fit).  The radius divides by two margins, one for the
+    cross-term and one for the state-moment norm bound; it is refused with
+    :class:`HypothesisError` when either margin is numerically zero.  The
+    deviation coefficient inside the cross-term margin is
     sqrt(state dim * sensor count), as the bound's derivation gives.
     """
     nm = fr.nominal
@@ -137,13 +130,7 @@ def deviation_gap(
     gap = weighted * meas_dev + plain * (
         n_sensors * dev.d_q_norm + 2.0 * mismatch_norm * cross_norm_bound
     )
-    return (
-        float(gap),
-        float(cross_margin),
-        float(state_margin),
-        float(cross_norm_bound),
-        float(state_norm_bound),
-    )
+    return float(gap)
 
 
 def trace_bounds(
@@ -158,22 +145,16 @@ def trace_bounds(
     """
     _gamma_gate(fr, "trace bound")
     plain, weighted = _inverse_vec_norms(fr.closed_loop_schur, fr.gain_diag)
-    gap, cross_margin, state_margin, cross_norm_bound, state_norm_bound = deviation_gap(
-        fr, dev, plain, weighted
-    )
+    gap = deviation_gap(fr, dev, plain, weighted)
 
     tr_nominal = float(np.trace(ss.nominal_cov))
     tr_error = float(np.trace(ss.error_cov))
     return BoundsReport(
         tr_nominal=tr_nominal,
         tr_error=tr_error,
-        gap=float(gap),
-        upper=tr_nominal + float(gap),
-        lower=max(0.0, tr_nominal - float(gap)),
-        cross_margin=float(cross_margin),
-        state_margin=float(state_margin),
-        cross_norm_bound=float(cross_norm_bound),
-        state_norm_bound=float(state_norm_bound),
+        gap=gap,
+        upper=tr_nominal + gap,
+        lower=max(0.0, tr_nominal - gap),
         tr_nominal_floor=nominal_trace_floor(fr),
     )
 
@@ -212,15 +193,6 @@ class AsymptoticFit:
     c2: float
     fit_residual: float
     fit_residual_gain: float
-
-    @property
-    def plain_positive(self) -> bool:
-        """Leading and first-order coefficients of the plain factor are positive."""
-        return self.a1 > 0 and self.b1 > 0
-
-    @property
-    def gain_positive(self) -> bool:
-        return self.a2 > 0 and self.b2 > 0
 
 
 def asymptotic_fit(fr: FilterRealization, gamma_grid) -> AsymptoticFit:
@@ -297,17 +269,6 @@ class DivergenceCertificate:
     growth_rate: float
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    certificates: tuple[DivergenceCertificate, ...]
-    mismatch_zero: bool
-    gamma: float
-
-    @property
-    def any_divergence(self) -> bool:
-        return any(c.will_diverge for c in self.certificates)
-
-
 def _canonical_phase(e: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(np.abs(e)))
     pivot = e[idx]
@@ -318,15 +279,15 @@ def _canonical_phase(e: np.ndarray) -> np.ndarray:
     return e
 
 
-def divergence_test(fr: FilterRealization, ts: TrueSystem) -> DivergenceReport:
+def divergence_test(fr: FilterRealization, ts: TrueSystem) -> tuple[DivergenceCertificate, ...]:
     """Search for neutral modes that defeat the nominal noise model of a filter.
 
     Certificates pair an imaginary-axis eigenvalue of the transposed nominal
     state matrix with an eigenvector in the null space of the nominal
     process noise.  Each is verified against the filter's stacked closed
     loop at its working gain; conjugate pairs are reported once with
-    nonnegative frequency.  An empty certificate list means this criterion
-    detects no divergence.
+    nonnegative frequency.  An empty tuple means this criterion detects no
+    divergence.
     """
     nm = fr.nominal
     _check_pair(ts, nm)
@@ -365,11 +326,7 @@ def divergence_test(fr: FilterRealization, ts: TrueSystem) -> DivergenceReport:
                 growth_rate=n_sensors**2 * excitation,
             )
         )
-    return DivergenceReport(
-        certificates=tuple(certificates),
-        mismatch_zero=fr.mismatch_is_zero,
-        gamma=fr.gamma,
-    )
+    return tuple(certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +342,11 @@ class RelationReport:
     (gain-weighted measurement-noise deviation plus the replicated
     process-noise deviation); its sign classification decides whether the
     nominal index brackets the error covariance from above or below.
-    ``gap`` holds the exactly stepped gap trajectory and ``gap_norm_bound``
-    the spectral-norm bound from the reference-gain logarithmic norm (the
-    consensus gain above the reference has no effect on it).
+    ``gap`` holds the exactly stepped gap trajectory, ``gap_min_eig`` and
+    ``gap_norm`` each record's least eigenvalue and spectral norm, and
+    ``gap_norm_bound`` the spectral-norm bound from the reference-gain
+    logarithmic norm (the consensus gain above the reference has no effect
+    on it).
     """
 
     time: np.ndarray
@@ -398,7 +357,6 @@ class RelationReport:
     gap_norm: np.ndarray
     gap_norm_bound: np.ndarray
     log_norm_rate: float
-    coupling_log_norm: float
     ordering: str
 
 
@@ -406,11 +364,8 @@ _ORDERING_RTOL = 1e-8
 
 
 def _classify_sign(m: np.ndarray) -> str:
-    scale = float(np.linalg.norm(m, 2))
-    if scale == 0.0:
-        return "zero"
     w = np.linalg.eigvalsh(matkit.symmetrize(m))
-    tol = 1e-10 * scale
+    tol = 1e-10 * max(-w[0], w[-1])
     if w[0] >= -tol and w[-1] <= tol:
         return "zero"
     if w[0] >= -tol:
@@ -453,11 +408,10 @@ def relation_analysis(
         raise ValueError(f"gap_init must be {acl.shape[0]}x{acl.shape[0]}, got {gap.shape}")
     out = _covariance_flow(acl, drive, gap, grid)
 
-    min_eigs = np.array([np.linalg.eigvalsh(m)[0] for m in out])
-    norms = np.array([np.linalg.norm(m, 2) for m in out])
+    eigs = np.linalg.eigvalsh(out)
+    norms = np.linalg.norm(out, 2, axis=(1, 2))
 
     rate = matkit.log_norm(fr.closed_loop_ref) + matkit.log_norm(fr.closed_loop_ref.T)
-    coupling_log_norm = matkit.log_norm(-(fr.gamma - fr.gamma_ref) * fr.coupling)
     delta_t = grid - grid[0]
     drive_norm = float(np.linalg.norm(drive, 2))
     init_norm = float(np.linalg.norm(gap, 2))
@@ -471,10 +425,9 @@ def relation_analysis(
     init_sign = _classify_sign(gap)
     scale = max(np.max(norms), 1.0)
     if sign in ("psd", "zero") and init_sign in ("psd", "zero"):
-        ordering = "nominal_upper" if np.all(min_eigs >= -_ORDERING_RTOL * scale) else "violated"
+        ordering = "nominal_upper" if np.all(eigs[:, 0] >= -_ORDERING_RTOL * scale) else "violated"
     elif sign in ("nsd", "zero") and init_sign in ("nsd", "zero"):
-        max_eigs = np.array([np.linalg.eigvalsh(m)[-1] for m in out])
-        ordering = "nominal_lower" if np.all(max_eigs <= _ORDERING_RTOL * scale) else "violated"
+        ordering = "nominal_lower" if np.all(eigs[:, -1] <= _ORDERING_RTOL * scale) else "violated"
     else:
         ordering = "inconclusive"
 
@@ -483,10 +436,9 @@ def relation_analysis(
         mismatch_drive=drive,
         drive_sign=sign,
         gap=out,
-        gap_min_eig=min_eigs,
+        gap_min_eig=eigs[:, 0],
         gap_norm=norms,
         gap_norm_bound=bound,
         log_norm_rate=float(rate),
-        coupling_log_norm=float(coupling_log_norm),
         ordering=ordering,
     )

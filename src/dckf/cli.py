@@ -197,7 +197,7 @@ def cmd_sweep(args, scenario: Scenario) -> int:
             g = float(gamma)
             plain_fit = math.sqrt(max(fit.a1 + fit.b1 / g + fit.c1 / g**2, 0.0))
             weighted_fit = math.sqrt(max(fit.a2 + fit.b2 / g + fit.c2 / g**2, 0.0))
-            upper2 = tr_nominal + deviation_gap(fr, dev, plain_fit, weighted_fit)[0]
+            upper2 = tr_nominal + deviation_gap(fr, dev, plain_fit, weighted_fit)
         except (HypothesisError, SolverError) as exc:
             status = "below_threshold" if gamma < fr.gamma_ref else f"failed: {exc}"
         if status == "ok":
@@ -243,9 +243,9 @@ def cmd_divergence(args, scenario: Scenario) -> int:
     ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
     gamma = _first_gamma(scenario)
     fr = build_filter(nm, ts, topo, gamma)
-    report = divergence_test(fr, ts)
-    if report.certificates:
-        for cert in report.certificates:
+    certs = divergence_test(fr, ts)
+    if certs:
+        for cert in certs:
             direction = np.array2string(cert.vector.real, precision=6)
             print(
                 f"certificate: freq {cert.freq:.6g}, direction {direction}, "
@@ -260,10 +260,10 @@ def cmd_divergence(args, scenario: Scenario) -> int:
     traj = propagate(fr, ts, nm, grid, init=scenario.initial_state())
     rows = []
     proj_vec = None
-    if report.certificates:
-        e = report.certificates[0].vector
+    if certs:
+        e = certs[0].vector
         proj_vec = np.kron(np.ones(ts.sensor_count), e.real)
-        norm = np.linalg.norm(report.certificates[0].vector.imag)
+        norm = np.linalg.norm(e.imag)
         if norm > 1e-9:
             print("note: certificate is complex; projecting on its real part")
     for k, t in enumerate(grid):
@@ -287,7 +287,7 @@ def cmd_divergence(args, scenario: Scenario) -> int:
 
     extra = {
         "gamma": gamma,
-        "mismatch_zero": report.mismatch_zero,
+        "mismatch_zero": fr.mismatch_is_zero,
         "certificates": [
             {
                 "freq": c.freq,
@@ -297,7 +297,7 @@ def cmd_divergence(args, scenario: Scenario) -> int:
                 "will_diverge": c.will_diverge,
                 "growth_rate": c.growth_rate,
             }
-            for c in report.certificates
+            for c in certs
         ],
     }
     if args.simulate:

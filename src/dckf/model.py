@@ -29,7 +29,6 @@ __all__ = [
     "deviations",
     "stack",
     "validate_assumptions",
-    "observability_matrix",
     "controllability_matrix",
     "negligible",
 ]
@@ -261,15 +260,6 @@ def stack(ts: TrueSystem, nm: NominalModel) -> StackedMatrices:
     return StackedMatrices(ts.c_stack, ts.r_diag, ts.a_diag, nm.c_stack, nm.r_diag, nm.a_diag)
 
 
-def observability_matrix(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """[C; CA; ...; CA^(n-1)] stacked."""
-    n = a.shape[0]
-    blocks = [c]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ a)
-    return np.vstack(blocks)
-
-
 def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[B, AB, ..., A^(n-1)B] side by side."""
     n = a.shape[0]
@@ -329,6 +319,7 @@ def validate_assumptions(
 
     ``mismatch_diag`` is the block-diagonal mismatch feedthrough of the built
     filter (zero exactly when the state and measurement matrices are exact).
+    Observability of ``(A, C)`` is checked as controllability of ``(A', C')``.
     Rank checks use a relative singular-value cutoff of 1e-9, and the true
     state matrix is judged by :func:`~dckf.filtering.is_hurwitz`.
     """
@@ -339,7 +330,7 @@ def validate_assumptions(
         raise ValueError(
             f"topology has {topo.node_count} nodes but the system has {ts.sensor_count} sensors"
         )
-    observable = _full_rank(observability_matrix(nm.a, nm.c_stack), nm.n)
+    observable = _full_rank(controllability_matrix(nm.a.T, nm.c_stack.T), nm.n)
     controllable = _full_rank(controllability_matrix(nm.a, matkit.sqrtm_psd(nm.q)), nm.n)
     f = np.asarray(mismatch_diag, dtype=float)
     mismatch_zero = negligible(float(np.linalg.norm(f)), float(np.linalg.norm(nm.a)))

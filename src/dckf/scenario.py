@@ -95,6 +95,12 @@ def _positive(node: Any, field: str) -> float:
     return value
 
 
+def _integral(node: Any) -> int:
+    if isinstance(node, float) and not node.is_integer():
+        raise ValueError(f"{node!r} is not an integer")
+    return int(node)
+
+
 # More gains than any sweep needs; larger grids are refused before allocation.
 _MAX_GAINS = 10_000
 # More covariance records than any preset needs (at most 500), for the same reason.
@@ -192,9 +198,9 @@ class Scenario:
         return _gamma_values(self.gamma_spec, self._threshold)
 
     def _threshold(self) -> float:
-        if not is_connected(self.topology):
+        if self.topology.node_count < 2 or not is_connected(self.topology):
             raise HypothesisError(
-                "the consensus-gain threshold needs a connected network; this topology is not"
+                "the consensus-gain threshold needs a connected network of at least two nodes"
             )
         return gamma_threshold(self.nominal, self.topology)
 
@@ -303,10 +309,8 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
         if "adjacency" in topo_block:
             topology = Topology(_matrix(topo_block["adjacency"], "topology.adjacency"))
         elif "edges" in topo_block:
-            topology = Topology.from_edges(
-                int(_require(topo_block, "nodes", "topology")),
-                [tuple(int(v) for v in e) for e in topo_block["edges"]],
-            )
+            edges = [tuple(_integral(v) for v in e) for e in topo_block["edges"]]
+            topology = Topology.from_edges(_integral(_require(topo_block, "nodes", "topology")), edges)
         else:
             raise ScenarioError("topology needs either 'adjacency' or 'nodes'+'edges'")
     except (TypeError, ValueError) as exc:

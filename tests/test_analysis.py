@@ -123,7 +123,7 @@ def test_asymptotic_fit_case1(case1):
     grid = np.logspace(np.log10(2 * thr), np.log10(200 * thr), 20)
     fit = analysis.asymptotic_fit(fr, grid)
     assert fit.fit_residual <= 1e-3
-    assert fit.plain_positive
+    assert fit.a1 > 0 and fit.b1 > 0
     # Extrapolation far beyond the fitted range stays within a percent.
     g = 1e4 * thr
     plain, _ = analysis._inverse_vec_norms(fr.closed_loop_at(g), fr.gain_diag)
@@ -154,25 +154,24 @@ def test_asymptotic_fit_needs_a_threshold(case2):
 def test_divergence_case2_certificate(case2):
     ts, nm, topo = case2.true_system, case2.nominal, case2.topology
     fr = build_filter(nm, ts, topo, 10.0)
-    report = analysis.divergence_test(fr, ts)
-    assert report.gamma == fr.gamma
-    assert report.mismatch_zero
-    assert len(report.certificates) == 1
-    cert = report.certificates[0]
+    certs = analysis.divergence_test(fr, ts)
+    assert fr.mismatch_is_zero
+    assert len(certs) == 1
+    cert = certs[0]
     assert cert.freq == 0.0
     np.testing.assert_allclose(cert.vector.real, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert np.linalg.norm(cert.vector.imag) == 0.0
     assert cert.aug_residual <= 1e-10
     assert cert.will_diverge
     assert cert.growth_rate == pytest.approx(36 * 0.03, rel=1e-12)
-    assert report.any_divergence
+    assert any(c.will_diverge for c in certs)
 
 
 def test_divergence_case1_empty(case1):
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
-    report = analysis.divergence_test(build_filter(nm, ts, topo, 600.0), ts)
-    assert report.certificates == ()
-    assert not report.any_divergence
+    certs = analysis.divergence_test(build_filter(nm, ts, topo, 600.0), ts)
+    assert certs == ()
+    assert not any(c.will_diverge for c in certs)
 
 
 def test_divergence_pd_nominal_noise_never_certifies():
@@ -180,8 +179,7 @@ def test_divergence_pd_nominal_noise_never_certifies():
     for _ in range(5):
         nm, topo = random_assumption2_setup(rng)  # q is PD by construction
         ts = as_true(nm)
-        report = analysis.divergence_test(build_filter(nm, ts, topo, 2.0), ts)
-        assert report.certificates == ()
+        assert analysis.divergence_test(build_filter(nm, ts, topo, 2.0), ts) == ()
 
 
 def test_divergence_blind_true_noise_not_flagged(case2):
@@ -190,12 +188,12 @@ def test_divergence_blind_true_noise_not_flagged(case2):
     nm, topo = case2.nominal, case2.topology
     ts = case2.true_system
     blind_true = TrueSystem(a=ts.a, q=nm.q, sensors=ts.sensors, x0=ts.x0, sigma0=ts.sigma0)
-    report = analysis.divergence_test(build_filter(nm, blind_true, topo, 10.0), blind_true)
-    assert len(report.certificates) == 1
-    cert = report.certificates[0]
+    certs = analysis.divergence_test(build_filter(nm, blind_true, topo, 10.0), blind_true)
+    assert len(certs) == 1
+    cert = certs[0]
     assert not cert.will_diverge
     assert cert.growth_rate == pytest.approx(0.0, abs=1e-12)
-    assert not report.any_divergence
+    assert not any(c.will_diverge for c in certs)
 
 
 def oscillatory_blind_pair():
@@ -211,9 +209,9 @@ def oscillatory_blind_pair():
 
 def test_divergence_complex_pair_certificate():
     ts, nm, topo = oscillatory_blind_pair()
-    report = analysis.divergence_test(build_filter(nm, ts, topo, 4.0), ts)
-    assert len(report.certificates) == 1  # conjugate pair reported once
-    cert = report.certificates[0]
+    certs = analysis.divergence_test(build_filter(nm, ts, topo, 4.0), ts)
+    assert len(certs) == 1  # conjugate pair reported once
+    cert = certs[0]
     assert cert.freq == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(cert.vector.imag) > 0.1
     assert cert.aug_residual <= 1e-10
@@ -227,7 +225,7 @@ def test_divergence_complex_pair_projected_growth():
     # the certificate rate.
     ts, nm, topo = oscillatory_blind_pair()
     fr = build_filter(nm, ts, topo, 4.0)
-    cert = analysis.divergence_test(fr, ts).certificates[0]
+    cert = analysis.divergence_test(fr, ts)[0]
     grid = np.linspace(0.0, 20.0, 81)
     traj = propagate(fr, ts, nm, grid)
     v_re = np.kron(np.ones(2), cert.vector.real)
@@ -250,7 +248,26 @@ def test_relation_case3_nominal_upper_bound(case3):
     assert np.max(np.abs(rel.gap - closed_form_gap(fr, rel))) <= 1e-8
     # The spectral-norm bound dominates the measured norm.
     assert np.all(rel.gap_norm <= rel.gap_norm_bound + 1e-10)
-    assert abs(rel.coupling_log_norm) <= 1e-10
+    # The consensus gain above the reference leaves the log norm unchanged.
+    assert abs(matkit.log_norm(-(fr.gamma - fr.gamma_ref) * fr.coupling)) <= 1e-10
+
+
+def test_relation_swapped_noise_roles_nominal_lower(case3):
+    ts, nm, topo = case3.true_system, case3.nominal, case3.topology
+    # The nominal model now under-states both noise intensities.
+    low = NominalModel(a=nm.a, q=ts.q, sensors=ts.sensors)
+    high = TrueSystem(a=ts.a, q=nm.q, sensors=nm.sensors, x0=ts.x0, sigma0=ts.sigma0)
+    fr = build_filter(low, high, topo, 1.5 * gamma_threshold(low, topo))
+    grid = np.linspace(0.0, 5.0, 26)
+    rel = analysis.relation_analysis(fr, deviations(high, low), np.zeros((24, 24)), grid)
+    assert rel.drive_sign == "nsd"
+    assert rel.ordering == "nominal_lower"
+    fr3 = build_filter(nm, ts, topo, float(case3.resolve_gammas()[0]))
+    rel3 = analysis.relation_analysis(fr3, deviations(ts, nm), np.zeros((24, 24)), grid)
+    # The batched spectra give the bits of the per-record decompositions.
+    for r in (rel, rel3):
+        assert np.array_equal(r.gap_min_eig, [np.linalg.eigvalsh(m)[0] for m in r.gap])
+        assert np.array_equal(r.gap_norm, [np.linalg.norm(m, 2) for m in r.gap])
 
 
 def test_relation_analysis_forms_one_exponential_per_span(case3, monkeypatch):
@@ -313,6 +330,7 @@ def test_relation_bound_on_random_admissible_scenarios():
         rel = analysis.relation_analysis(fr, deviations(ts, nm), e0, grid)
         assert np.all(rel.gap_norm <= rel.gap_norm_bound * (1 + 1e-9) + 1e-12)
         assert np.max(np.abs(rel.gap - closed_form_gap(fr, rel))) <= 1e-8
+        assert abs(matkit.log_norm(-(fr.gamma - fr.gamma_ref) * fr.coupling)) <= 1e-10
 
 
 def test_relation_indefinite_drive_inconclusive():

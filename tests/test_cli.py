@@ -327,6 +327,8 @@ def _set(path, value):
     return mutate
 
 
+RING6 = [[i, (i + 1) % 6] for i in range(6)]
+
 # Malformed or oversized inputs that once ended in a Python traceback or an
 # unbounded allocation, with the exit code each must give on validate, sweep
 # and simulate.
@@ -352,6 +354,14 @@ MALFORMED = {
         (1, 1, 1),
     ),
     "ode_records_too_many": (_set(["ode", "horizon"], 1e7), (1, 1, 1)),
+    # Non-integral topology entries were truncated to another graph.
+    "topology_nodes_not_integral": (_set(["topology"], {"nodes": 6.9, "edges": RING6}), (1, 1, 1)),
+    "topology_nodes_infinite": (
+        _set(["topology"], {"nodes": float("inf"), "edges": RING6}), (1, 1, 1)
+    ),
+    "topology_edge_not_integral": (
+        _set(["topology"], {"nodes": 6, "edges": [[0, 1.7], *RING6[1:]]}), (1, 1, 1)
+    ),
 }
 
 
@@ -371,6 +381,27 @@ def test_malformed_scenario_exit_codes(tmp_path, capsys, name):
 def test_malformed_gamma_override_is_exit_1(tmp_path, capsys, command, gamma):
     assert main([command, "--scenario", "case1", "--out", str(tmp_path), f"--gamma={gamma}"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def one_sensor_doc():
+    doc = short_baseline()
+    sensor = {"c": np.eye(4).tolist(), "r": (0.2 * np.eye(4)).tolist()}
+    for block in ("true_system", "nominal"):
+        doc[block]["sensors"] = [sensor]
+    doc["topology"] = {"adjacency": [[0]]}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["sweep", "divergence", "relations", "simulate"])
+def test_one_sensor_threshold_relative_gain_is_exit_2(tmp_path, capsys, command):
+    # One node is connected, but it has no algebraic connectivity and so no threshold.
+    path = write_scenario(tmp_path, one_sensor_doc())
+    assert main([command, "--scenario", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hypothesis violation: ") and "Traceback" not in err
+    if command != "sweep":
+        # An absolute gain needs no threshold.
+        assert main([command, "--scenario", path, "--out", str(tmp_path), "--gamma", "2.0"]) == 0
 
 
 def test_relations_hypothesis_violation_is_exit_2(tmp_path, capsys):

@@ -191,14 +191,15 @@ def test_rank_checks_invariant_under_orthogonal_similarity():
     rng = np.random.default_rng(21)
     ts, nm = toy_pair()
     st = model.stack(ts, nm)
-    base_obs = model.observability_matrix(nm.a, st.c_stack_nom)
+    # Observability of (A, C) is controllability of (A', C').
+    base_obs = model.controllability_matrix(nm.a.T, st.c_stack_nom.T)
     assert np.linalg.matrix_rank(base_obs) == 2
     for _ in range(10):
         m = rng.standard_normal((2, 2))
         u, _ = np.linalg.qr(m)
         a_rot = u.T @ nm.a @ u
         c_rot = st.c_stack_nom @ u
-        obs = model.observability_matrix(a_rot, c_rot)
+        obs = model.controllability_matrix(a_rot.T, c_rot.T)
         assert np.linalg.matrix_rank(obs) == 2
 
 

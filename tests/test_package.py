@@ -16,7 +16,7 @@ SRC = str(Path(dckf.__file__).resolve().parents[1])
 # The names ``dckf`` exports, by the submodule each one lives in.
 PUBLIC_NAMES = {
     "analysis": [
-        "AsymptoticFit", "BoundsReport", "DivergenceCertificate", "DivergenceReport",
+        "AsymptoticFit", "BoundsReport", "DivergenceCertificate",
         "HypothesisError", "RelationReport", "asymptotic_fit", "deviation_gap",
         "divergence_test", "nominal_trace_floor", "relation_analysis", "trace_bounds",
     ],
@@ -103,6 +103,19 @@ def test_each_paper_result_has_one_formula():
         assert "margin_variant" not in inspect.signature(fn).parameters, fn.__name__
     assert "gains" not in {f.name for f in dataclasses.fields(dckf.FilterRealization)}
     assert "gap_closed" not in {f.name for f in dataclasses.fields(dckf.RelationReport)}
+
+
+def test_analysis_results_keep_only_what_callers_read(case1):
+    assert [f.name for f in dataclasses.fields(dckf.BoundsReport)] == [
+        "tr_nominal", "tr_error", "gap", "upper", "lower", "tr_nominal_floor",
+    ]
+    fr = dckf.build_filter(case1.nominal, case1.true_system, case1.topology, 600.0)
+    dev = dckf.deviations(case1.true_system, case1.nominal)
+    assert type(dckf.deviation_gap(fr, dev, 1.0, 1.0)) is float
+    assert "DivergenceReport" not in dckf.__all__ and "DivergenceReport" not in dir(dckf)
+    assert "DivergenceReport" not in dckf.analysis.__all__
+    assert "coupling_log_norm" not in {f.name for f in dataclasses.fields(dckf.RelationReport)}
+    assert "observability_matrix" not in dckf.model.__all__
 
 
 def test_star_import():
