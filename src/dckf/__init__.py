@@ -4,98 +4,38 @@ Build a consensus-coupled sensor-network filter from a true system, a
 (possibly wrong) nominal model, and an undirected topology; then compute,
 bound, and Monte-Carlo-validate its performance under the modeling errors.
 
-The package is imported lazily (PEP 562): ``import dckf`` loads no submodule
-and no numpy, so ``python -m dckf`` can choose a BLAS thread default before
-numpy starts.  Each public name below is looked up in its submodule on every
-access and never stored here, so a name always shows what the submodule holds
-right now.
+The package exports the ``__all__`` of each of its seven library submodules,
+and ``dckf.__all__`` is their union.  It is imported lazily (PEP 562):
+``import dckf`` loads no submodule and no numpy, so ``python -m dckf`` can
+choose a BLAS thread default before numpy starts.  A public name is looked up
+in the submodules, ``scenario`` first and ``sim`` last, on every access and
+never stored here, so a name always shows what its submodule holds right now.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "analysis": (
-        "AsymptoticFit",
-        "BoundsReport",
-        "DivergenceCertificate",
-        "HypothesisError",
-        "RelationReport",
-        "asymptotic_fit",
-        "deviation_gap",
-        "divergence_test",
-        "nominal_trace_floor",
-        "relation_analysis",
-        "trace_bounds",
-    ),
-    "filtering": ("FilterRealization", "build_filter", "gamma_threshold", "is_hurwitz"),
-    "graph": (
-        "Topology",
-        "algebraic_connectivity",
-        "complete",
-        "is_connected",
-        "laplacian",
-        "ring",
-    ),
-    "model": (
-        "AssumptionReport",
-        "Deviations",
-        "NominalModel",
-        "Sensor",
-        "StackedMatrices",
-        "TrueSystem",
-        "deviations",
-        "stack",
-        "validate_assumptions",
-    ),
-    "scenario": (
-        "Scenario",
-        "ScenarioError",
-        "load_scenario",
-        "parse_scenario",
-        "preset_dict",
-        "preset_names",
-    ),
-    "sim": (
-        "MseSeries",
-        "SimConfig",
-        "SimTrial",
-        "SimulationOverflowError",
-        "monte_carlo_mse",
-        "monte_carlo_sweep",
-        "simulate_trial",
-    ),
-    "solvers": (
-        "CareSolutionError",
-        "CovarianceTrajectory",
-        "NotHurwitzError",
-        "SchurForm",
-        "SingularEquationError",
-        "SolverError",
-        "SteadyStateResult",
-        "TrajectoryInit",
-        "default_initial_state",
-        "propagate",
-        "solve_care",
-        "solve_lyapunov",
-        "solve_sylvester",
-        "steady_state",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli", "matkit")
+# ``scenario`` imports every other library module but ``sim``, so no lookup
+# before ``sim`` is reached imports anything that loading a scenario does not.
+_EXPORTING = ("scenario", "analysis", "filtering", "graph", "model", "solvers", "sim")
+_SUBMODULES = (*_EXPORTING, "cli", "matkit")
 
-__all__ = sorted(_HOME)
+
+def _submodule(name):
+    return importlib.import_module(f".{name}", __name__)
 
 
 def __getattr__(name):
-    if name in _HOME:
-        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
+        return _submodule(name)
+    if name == "__all__":
+        return sorted(n for module in _EXPORTING for n in _submodule(module).__all__)
+    for module in map(_submodule, _EXPORTING):
+        if name in module.__all__:
+            return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_HOME, *_SUBMODULES})
+    return sorted({*globals(), *__getattr__("__all__"), *_SUBMODULES})

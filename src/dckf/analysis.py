@@ -182,7 +182,7 @@ class AsymptoticFit:
 
     Both squared factors follow ``a + b/gamma + c/gamma^2`` up to a cubic
     remainder, with positive ``a`` and ``b``.  ``fit_residual`` is ``1 - R^2``
-    of the plain-factor fit, ``fit_residual_gain`` of the gain-weighted one.
+    of the plain-factor fit.
     """
 
     a1: float
@@ -192,7 +192,6 @@ class AsymptoticFit:
     b2: float
     c2: float
     fit_residual: float
-    fit_residual_gain: float
 
 
 def asymptotic_fit(fr: FilterRealization, gamma_grid) -> AsymptoticFit:
@@ -223,15 +222,9 @@ def asymptotic_fit(fr: FilterRealization, gamma_grid) -> AsymptoticFit:
     g_sorted = np.sort(grid)
     design = np.column_stack([np.ones_like(g_sorted), 1.0 / g_sorted, 1.0 / g_sorted**2])
 
-    def fit(y):
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        pred = design @ coef
-        ss_res = float(np.sum((y - pred) ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        return coef, ss_res / ss_tot if ss_tot > 0 else 0.0
-
-    coef1, resid1 = fit(y_plain)
-    coef2, resid2 = fit(y_gain)
+    coef1, coef2 = (np.linalg.lstsq(design, y, rcond=None)[0] for y in (y_plain, y_gain))
+    ss_res = float(np.sum((y_plain - design @ coef1) ** 2))
+    ss_tot = float(np.sum((y_plain - y_plain.mean()) ** 2))
     return AsymptoticFit(
         a1=float(coef1[0]),
         b1=float(coef1[1]),
@@ -239,8 +232,7 @@ def asymptotic_fit(fr: FilterRealization, gamma_grid) -> AsymptoticFit:
         a2=float(coef2[0]),
         b2=float(coef2[1]),
         c2=float(coef2[2]),
-        fit_residual=resid1,
-        fit_residual_gain=resid2,
+        fit_residual=ss_res / ss_tot if ss_tot > 0 else 0.0,
     )
 
 

@@ -28,7 +28,9 @@ from .analysis import (
 )
 from .filtering import build_filter
 from .model import deviations, validate_assumptions
-from .scenario import Scenario, ScenarioError, load_scenario, preset_names
+from .scenario import (
+    Scenario, ScenarioError, _require_threshold_network, load_scenario, preset_names
+)
 from .sim import SimulationOverflowError, monte_carlo_mse, monte_carlo_sweep
 from .solvers import SolverError, propagate, steady_state
 
@@ -117,8 +119,9 @@ def cmd_validate(args, scenario: Scenario) -> int:
             # consensus gain, so any positive gain gives the same matrix.
             mismatch = build_filter(nm, ts, topo, 1.0).mismatch_diag
         except SolverError:
-            # No computable gains: the deviation feedthrough is nonzero anyway.
-            mismatch = ts.a_diag - nm.a_diag
+            # No computable gains; with a state or measurement deviation the
+            # feedthrough counts as nonzero.
+            mismatch = None
     report = validate_assumptions(ts, nm, topo, mismatch)
     checks = [
         ("network connected", report.connected),
@@ -174,6 +177,7 @@ def cmd_sweep(args, scenario: Scenario) -> int:
     gammas = np.sort(scenario.resolve_gammas())
     base = build_filter(nm, ts, topo, float(gammas[-1]))
     if base.gamma_min is None:
+        _require_threshold_network(topo)
         print("no consensus-gain threshold exists for this nominal model", file=sys.stderr)
         return 2
     threshold = base.gamma_min
@@ -257,7 +261,7 @@ def cmd_divergence(args, scenario: Scenario) -> int:
         print("no divergence certificates; the nominal noise model excites every neutral mode")
 
     grid = scenario.ode.grid()
-    traj = propagate(fr, ts, nm, grid, init=scenario.initial_state())
+    traj = propagate(fr, ts, grid, init=scenario.initial_state())
     rows = []
     proj_vec = None
     if certs:
@@ -335,7 +339,7 @@ def cmd_relations(args, scenario: Scenario) -> int:
     init = scenario.initial_state()
     grid = scenario.ode.grid()
     rel = relation_analysis(fr, dev, init.nominal_cov - init.error_cov, grid)
-    traj = propagate(fr, ts, nm, grid, init=init)
+    traj = propagate(fr, ts, grid, init=init)
     rows = [
         [
             float(t),
@@ -377,7 +381,7 @@ def cmd_simulate(args, scenario: Scenario) -> int:
     fr = build_filter(nm, ts, topo, gamma)
     cfg = scenario.sim_config(args.trials, args.seed)
     series = monte_carlo_mse(ts, fr, cfg)
-    traj = propagate(fr, ts, nm, series.time, init=scenario.initial_state())
+    traj = propagate(fr, ts, series.time, init=scenario.initial_state())
     n_sensors = ts.sensor_count
     rows = [
         [
@@ -417,8 +421,16 @@ def cmd_simulate(args, scenario: Scenario) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own code, 2, here means an assumption violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dckf",
         description=(
             "Distributed continuous-time Kalman filtering under model mismatch: "

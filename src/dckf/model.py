@@ -29,8 +29,6 @@ __all__ = [
     "deviations",
     "stack",
     "validate_assumptions",
-    "controllability_matrix",
-    "negligible",
 ]
 
 # Relative size below which a deviation or mismatch counts as zero: model
@@ -313,12 +311,13 @@ def validate_assumptions(
     ts: TrueSystem,
     nm: NominalModel,
     topo: Topology,
-    mismatch_diag: np.ndarray,
+    mismatch_diag: np.ndarray | None,
 ) -> AssumptionReport:
     """Evaluate the structural assumptions of the mismatch analysis.
 
     ``mismatch_diag`` is the block-diagonal mismatch feedthrough of the built
-    filter (zero exactly when the state and measurement matrices are exact).
+    filter (zero when the state and measurement matrices are exact), or None
+    when no filter gains are computable; None counts as nonzero.
     Observability of ``(A, C)`` is checked as controllability of ``(A', C')``.
     Rank checks use a relative singular-value cutoff of 1e-9, and the true
     state matrix is judged by :func:`~dckf.filtering.is_hurwitz`.
@@ -332,8 +331,9 @@ def validate_assumptions(
         )
     observable = _full_rank(controllability_matrix(nm.a.T, nm.c_stack.T), nm.n)
     controllable = _full_rank(controllability_matrix(nm.a, matkit.sqrtm_psd(nm.q)), nm.n)
-    f = np.asarray(mismatch_diag, dtype=float)
-    mismatch_zero = negligible(float(np.linalg.norm(f)), float(np.linalg.norm(nm.a)))
+    mismatch_zero = mismatch_diag is not None and negligible(
+        float(np.linalg.norm(mismatch_diag)), float(np.linalg.norm(nm.a))
+    )
     return AssumptionReport(
         connected=is_connected(topo),
         observable=observable,

@@ -35,7 +35,6 @@ from .solvers import TrajectoryInit, default_initial_state
 
 __all__ = [
     "ScenarioError",
-    "OdeConfig",
     "Scenario",
     "load_scenario",
     "parse_scenario",
@@ -127,7 +126,7 @@ def _gamma_values(spec: Any, threshold) -> np.ndarray:
         lo = _positive(_require(rng, "lo", "gamma.log_range"), "gamma.log_range.lo")
         hi = _positive(_require(rng, "hi", "gamma.log_range"), "gamma.log_range.hi")
         try:
-            points = int(_require(rng, "points", "gamma.log_range"))
+            points = _integral(_require(rng, "points", "gamma.log_range"))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"gamma.log_range.points is not an integer: {exc}") from exc
         if not (lo < hi) or not 1 <= points <= _MAX_GAINS:
@@ -158,6 +157,13 @@ def _parse_sensors(node: Any, where: str) -> tuple[Sensor, ...]:
         except ValueError as exc:
             raise ScenarioError(f"{where}.sensors[{k}]: {exc}") from exc
     return tuple(out)
+
+
+def _require_threshold_network(topo: Topology) -> None:
+    if topo.node_count < 2 or not is_connected(topo):
+        raise HypothesisError(
+            "the consensus-gain threshold needs a connected network of at least two nodes"
+        )
 
 
 @dataclass(frozen=True)
@@ -198,10 +204,7 @@ class Scenario:
         return _gamma_values(self.gamma_spec, self._threshold)
 
     def _threshold(self) -> float:
-        if self.topology.node_count < 2 or not is_connected(self.topology):
-            raise HypothesisError(
-                "the consensus-gain threshold needs a connected network of at least two nodes"
-            )
+        _require_threshold_network(self.topology)
         return gamma_threshold(self.nominal, self.topology)
 
     def sim_config(self, trials: int | None = None, seed: int | None = None):
@@ -218,9 +221,9 @@ class Scenario:
             return SimConfig(
                 dt=float(spec["dt"]),
                 horizon=float(spec["horizon"]),
-                trials=int(spec["trials"]),
-                seed=int(spec["seed"]),
-                record_stride=int(spec.get("record_stride", 1)),
+                trials=_integral(spec["trials"]),
+                seed=_integral(spec["seed"]),
+                record_stride=_integral(spec.get("record_stride", 1)),
             )
         except KeyError as exc:
             raise ScenarioError(f"sim block is missing field {exc.args[0]!r}") from exc

@@ -70,9 +70,7 @@ from .model import TrueSystem
 __all__ = [
     "SimulationOverflowError",
     "SimConfig",
-    "SimTrial",
     "MseSeries",
-    "simulate_trial",
     "monte_carlo_mse",
     "monte_carlo_sweep",
 ]
@@ -137,16 +135,6 @@ class SimConfig:
         if steps[-1] != self.step_count:
             steps.append(self.step_count)
         return np.asarray(steps, dtype=int)
-
-
-@dataclass(frozen=True)
-class SimTrial:
-    """One trial's recorded truth and per-sensor estimates."""
-
-    time: np.ndarray
-    states: np.ndarray  # (records, n)
-    estimates: np.ndarray  # (records, sensors, n)
-    overflow_step: int | None
 
 
 @dataclass(frozen=True)
@@ -313,26 +301,6 @@ class _Engine:
         with np.errstate(over="ignore", invalid="ignore"):
             err = z[:, n:].reshape(z.shape[0], self.gains, self.n_sensors, n) - z[:, None, None, :n]
             return np.einsum("bgsi,bgsi->bgs", err, err)
-
-
-def simulate_trial(
-    ts: TrueSystem, fr: FilterRealization, cfg: SimConfig, trial_index: int
-) -> SimTrial:
-    """Run one trial; the result is fully determined by (seed, trial_index)."""
-    engine = _Engine(ts, [fr], cfg)
-    steps = cfg.record_steps()
-    n = ts.n
-    states = np.empty((steps.size, n))
-    estimates = np.empty((steps.size, ts.sensor_count, n))
-    overflow_step = None
-    for k, z in enumerate(engine.run([trial_index])):
-        states[k] = z[0, :n]
-        estimates[k] = z[0, n:].reshape(ts.sensor_count, n)
-        if overflow_step is None and not np.isfinite(engine.squared_errors(z)).all():
-            overflow_step = int(steps[k])
-    return SimTrial(
-        time=steps * cfg.dt, states=states, estimates=estimates, overflow_step=overflow_step
-    )
 
 
 def monte_carlo_mse(ts: TrueSystem, fr: FilterRealization, cfg: SimConfig) -> MseSeries:

@@ -19,7 +19,6 @@ those factors, at every size.  The closed loop of a filter carries its own
 factorization, so the steady-state solves, the trace-gap factors and the
 stability and solvability checks share it.  A solve that misses the residual
 contract gets one refinement step on the same factors before it is judged.
-The dense Kronecker system remains as a small-size oracle (``method="kron"``).
 
 The covariance ODEs ``dX/dt = A X + X A' + W`` are stepped exactly:
 ``X(t + h) = Phi X(t) Phi' + Q_h`` with ``Phi = e^{A h}`` and ``Q_h`` from
@@ -147,13 +146,6 @@ def _sylvester_spectra_check(a: SchurForm, b: SchurForm) -> None:
         )
 
 
-def _sylvester_kron(a: SchurForm, b: SchurForm, c: np.ndarray) -> np.ndarray:
-    n, m = a.matrix.shape[0], b.matrix.shape[0]
-    coef = np.kron(np.eye(m), a.matrix) + np.kron(b.matrix.T, np.eye(n))
-    x = np.linalg.solve(coef, c.reshape(-1, order="F"))
-    return x.reshape(n, m, order="F")
-
-
 def _sylvester_trsyl(a: SchurForm, b: SchurForm, c: np.ndarray) -> np.ndarray:
     # Bartels-Stewart: rotate onto both Schur bases, solve the quasi-triangular
     # equation with LAPACK trsyl, rotate back.
@@ -170,38 +162,29 @@ def solve_sylvester(
     a: "np.ndarray | SchurForm",
     b: "np.ndarray | SchurForm",
     c: np.ndarray,
-    method: str = "schur",
 ) -> np.ndarray:
-    """Solve ``a @ x + x @ b = c``.
+    """Solve ``a @ x + x @ b = c`` with LAPACK ``trsyl`` on the real Schur forms.
 
     ``a`` and ``b`` are matrices or their :class:`SchurForm`; passing a form
     (or ``form.T``) reuses its factorization, so every equation in one matrix
-    costs one factorization in total.  ``method`` is ``schur`` (LAPACK
-    ``trsyl`` on the real Schur forms, at every size) or ``kron`` (the dense
-    Kronecker system on column-major vectorizations, a small-size oracle).
-    When the first solve misses the residual contract
+    costs one factorization in total.  When the first solve misses the
+    residual contract
     ``||a x + x b - c||_F <= 1e-9 (1 + ||x||_F)``, one refinement step
     ``x += solve(c - a x - x b)`` on the same factors is taken before it is
     judged.  Raises :class:`SingularEquationError` when some eigenvalue sum
     of ``a`` and ``b`` is numerically zero, and :class:`SolverError` when the
     refined solution still violates the contract.
     """
-    if method == "schur":
-        solve = _sylvester_trsyl
-    elif method == "kron":
-        solve = _sylvester_kron
-    else:
-        raise ValueError(f"unknown method {method!r}")
     a, b = SchurForm.of(a), SchurForm.of(b)
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if c.shape != (a.matrix.shape[0], b.matrix.shape[0]):
         raise ValueError(f"c must be {a.matrix.shape[0]}x{b.matrix.shape[0]}, got {c.shape}")
     _sylvester_spectra_check(a, b)
-    x = solve(a, b, c)
+    x = _sylvester_trsyl(a, b, c)
     defect = c - a.matrix @ x - x @ b.matrix
     # Written as "not <=" so that a NaN residual counts as a miss.
     if not np.linalg.norm(defect) <= 1e-9 * (1.0 + np.linalg.norm(x)):
-        x = x + solve(a, b, defect)
+        x = x + _sylvester_trsyl(a, b, defect)
         defect = c - a.matrix @ x - x @ b.matrix
     residual = np.linalg.norm(defect)
     if not residual <= 1e-9 * (1.0 + np.linalg.norm(x)):
@@ -209,9 +192,7 @@ def solve_sylvester(
     return x
 
 
-def solve_lyapunov(
-    m: "np.ndarray | SchurForm", w: np.ndarray, method: str = "schur"
-) -> np.ndarray:
+def solve_lyapunov(m: "np.ndarray | SchurForm", w: np.ndarray) -> np.ndarray:
     """Solve the continuous Lyapunov equation ``m @ x + x @ m.T + w = 0``.
 
     ``m`` may be a :class:`SchurForm`; one factorization serves both sides.
@@ -219,7 +200,7 @@ def solve_lyapunov(
     """
     form = SchurForm.of(m)
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    x = solve_sylvester(form, form.T, -w, method=method)
+    x = solve_sylvester(form, form.T, -w)
     if matkit.is_symmetric(w, rtol=1e-9):
         x = matkit.symmetrize(x)
     return x
@@ -299,7 +280,12 @@ def _solve_care_core(a: np.ndarray, gram: np.ndarray, q: np.ndarray) -> np.ndarr
         raise CareSolutionError(f"Schur reordering selected {sdim} stable directions, expected {n}")
     u1 = z[:n, :n]
     u2 = z[n:, :n]
-    p = matkit.symmetrize(np.linalg.solve(u1.T, u2.T).T)
+    try:
+        p = matkit.symmetrize(np.linalg.solve(u1.T, u2.T).T)
+    except np.linalg.LinAlgError as exc:
+        raise CareSolutionError(
+            f"the stable subspace has a singular upper block ({exc}); no stabilizing solution"
+        ) from None
 
     # Newton refinement: each step solves one Lyapunov equation in the
     # current closed loop, which is strictly stable here.
@@ -576,13 +562,13 @@ def _covariance_flow(
 def propagate(
     fr: "FilterRealization",
     ts: TrueSystem,
-    nm: NominalModel,
     grid: np.ndarray,
     init: TrajectoryInit | None = None,
 ) -> CovarianceTrajectory:
     """Exact covariance trajectories of the filter network on a time grid.
 
-    The nominal index follows its own Lyapunov-type flow in the closed loop.
+    The nominal index follows its own Lyapunov-type flow in the closed loop,
+    driven by the noise intensities of the filter's nominal model.
     The error, cross and state blocks are slices of the joint covariance of
     the stacked error and the replicated true state.  The joint drift
     ``[[closed_loop, mismatch_diag], [0, a_diag]]`` is upper block
@@ -598,7 +584,7 @@ def propagate(
         shape = np.shape(getattr(init, name))
         if shape != (q_dim, q_dim):
             raise ValueError(f"initial {name} must be {q_dim}x{q_dim}, got {shape}")
-    _check_pair(ts, nm)
+    _check_pair(ts, fr.nominal)
     drift = np.block([[fr.closed_loop, fr.mismatch_diag], [np.zeros((q_dim, q_dim)), ts.a_diag]])
     input_map = np.block(
         [
@@ -609,7 +595,7 @@ def propagate(
     noise = scipy.linalg.block_diag(ts.r_diag, ts.q_network)
     joint_init = np.block([[init.error_cov, init.cross_cov], [init.cross_cov.T, init.state_cov]])
     joint = _covariance_flow(drift, input_map @ noise @ input_map.T, joint_init, grid)
-    nominal = _covariance_flow(fr.closed_loop, _noise_drive(fr, nm), init.nominal_cov, grid)
+    nominal = _covariance_flow(fr.closed_loop, _noise_drive(fr, fr.nominal), init.nominal_cov, grid)
     error = joint[:, :q_dim, :q_dim]
     traces = np.einsum("kii->k", error)
     time = np.asarray(grid, dtype=float)

@@ -136,6 +136,17 @@ def rk4_propagate(fr, ts, nm, grid, dt=1e-3, init=None):
     )
 
 
+def kron_sylvester(a, b, c):
+    """Reference solve of ``a x + x b = c``: the dense Kronecker system on column-major vectors.
+
+    Independent of the Schur path in ``dckf.solvers``; its cost grows as the
+    sixth power of the size, so it serves small problems only.
+    """
+    n, m = a.shape[0], b.shape[0]
+    coef = np.kron(np.eye(m), a) + np.kron(b.T, np.eye(n))
+    return np.linalg.solve(coef, c.reshape(-1, order="F")).reshape((n, m), order="F")
+
+
 def closed_form_gap(fr, rel):
     """Reference gap trajectory of a ``RelationReport``, evaluated per grid point.
 

@@ -24,9 +24,9 @@ from dckf.filtering import build_filter, gamma_threshold
 from dckf.model import deviations
 from dckf.scenario import load_scenario
 from dckf.sim import monte_carlo_mse, monte_carlo_sweep
-from conftest import closed_form_gap, random_spd, rk4_propagate
+from conftest import closed_form_gap, kron_sylvester, random_spd, rk4_propagate
 from test_filtering import random_assumption2_setup, as_true
-from test_solvers import kron_oracle_sylvester, random_care_instance
+from test_solvers import random_care_instance
 
 _CACHE: dict = {}
 
@@ -103,21 +103,19 @@ def test_criterion_1_solver_fidelity():
             n = int(rng.integers(1, 13))
             m_mat = rng.standard_normal((n, n)) - (n + 2) * np.eye(n)
             w = random_spd(rng, n, floor=0.2)
-            for method in ("kron", "schur"):
-                x = solvers.solve_lyapunov(m_mat, w, method=method)
-                expected = kron_oracle_sylvester(m_mat, m_mat.T, -w)
-                err = np.linalg.norm(x - expected) / max(np.linalg.norm(expected), 1.0)
-                assert err <= 1e-10
+            x = solvers.solve_lyapunov(m_mat, w)
+            expected = kron_sylvester(m_mat, m_mat.T, -w)
+            err = np.linalg.norm(x - expected) / max(np.linalg.norm(expected), 1.0)
+            assert err <= 1e-10
 
             rows, cols = int(rng.integers(1, 13)), int(rng.integers(1, 13))
             sa = rng.standard_normal((rows, rows)) - (rows + 2) * np.eye(rows)
             sb = rng.standard_normal((cols, cols)) - (cols + 2) * np.eye(cols)
             sc_mat = rng.standard_normal((rows, cols))
-            for method in ("kron", "schur"):
-                x = solvers.solve_sylvester(sa, sb, sc_mat, method=method)
-                expected = kron_oracle_sylvester(sa, sb, sc_mat)
-                err = np.linalg.norm(x - expected) / max(np.linalg.norm(expected), 1.0)
-                assert err <= 1e-10
+            x = solvers.solve_sylvester(sa, sb, sc_mat)
+            expected = kron_sylvester(sa, sb, sc_mat)
+            err = np.linalg.norm(x - expected) / max(np.linalg.norm(expected), 1.0)
+            assert err <= 1e-10
 
 
 def test_criterion_2_gain_threshold_soundness():
@@ -175,7 +173,7 @@ def test_criterion_6_divergence_certificate():
         assert cert.will_diverge
 
         grid = sc.ode.grid()
-        traj = solvers.propagate(fr, ts, nm, grid, init=sc.initial_state())
+        traj = solvers.propagate(fr, ts, grid, init=sc.initial_state())
         v = np.kron(np.ones(6), cert.vector.real)
         proj_err = np.array([v @ m @ v for m in traj.error_cov])
         proj_nom = np.array([v @ m @ v for m in traj.nominal_cov])
@@ -224,7 +222,7 @@ def test_criterion_9_joint_system_cross_check():
         fr = build_filter(nm, ts, topo, float(sc.resolve_gammas()[0]))
         grid = sc.ode.grid()
         traj = rk4_propagate(fr, ts, nm, grid, dt=sc.ode.dt)
-        joint = solvers.propagate(fr, ts, nm, grid)
+        joint = solvers.propagate(fr, ts, grid)
         assert np.max(np.abs(joint.error_cov - traj.error_cov)) <= 1e-8
         assert np.max(np.abs(joint.cross_cov - traj.cross_cov)) <= 1e-8
         scale = 1.0 + np.max(np.abs(traj.state_cov))

@@ -227,7 +227,7 @@ def test_divergence_complex_pair_projected_growth():
     fr = build_filter(nm, ts, topo, 4.0)
     cert = analysis.divergence_test(fr, ts)[0]
     grid = np.linspace(0.0, 20.0, 81)
-    traj = propagate(fr, ts, nm, grid)
+    traj = propagate(fr, ts, grid)
     v_re = np.kron(np.ones(2), cert.vector.real)
     v_im = np.kron(np.ones(2), cert.vector.imag)
     combined = np.array([v_re @ m @ v_re + v_im @ m @ v_im for m in traj.error_cov])
@@ -290,7 +290,7 @@ def test_relation_matches_propagate_difference(case3):
     grid = np.linspace(0.0, 3.0, 13)
     init = case3.initial_state()
     rel = analysis.relation_analysis(fr, dev, init.nominal_cov - init.error_cov, grid)
-    traj = propagate(fr, ts, nm, grid, init=init)
+    traj = propagate(fr, ts, grid, init=init)
     diff = traj.nominal_cov - traj.error_cov
     assert np.max(np.abs(rel.gap - diff)) <= 1e-9
 

@@ -80,6 +80,36 @@ def test_validate_case2_fails_controllability(tmp_path, capsys):
     assert meta["controllable"] is False
 
 
+def blind_nominal_doc():
+    """Two scalar sensors of an unstable truth (a = 1) that the nominal model thinks are blind."""
+    true_sensor = {"c": [[1.0]], "r": [[1.0]]}
+    nominal_sensor = {"c": [[0.0]], "r": [[1.0]]}
+    return {
+        "name": "scalar",
+        "true_system": {
+            "a": [[1.0]], "q": [[1.0]], "sensors": [true_sensor] * 2, "x0": [0.0], "sigma0": [[1.0]],
+        },
+        "nominal": {"a": [[1.0]], "q": [[1.0]], "sensors": [nominal_sensor] * 2},
+        "topology": {"adjacency": [[0, 1], [1, 0]]},
+        "gamma": {"value": 1},
+    }
+
+
+def test_validate_reports_verdicts_without_a_riccati_solution(tmp_path, capsys):
+    # A blind nominal sensor (c = 0) leaves the unstable mode unobservable, so the
+    # nominal Riccati equation has no solution and the filter gains do not exist.
+    path = write_scenario(tmp_path, blind_nominal_doc())
+    assert main(["validate", "--scenario", path, "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  nominal pair observable" in out
+    # C deviates and the true A is not Hurwitz: the unknown feedthrough counts as nonzero.
+    assert "FAIL  mismatch feedthrough zero or true state matrix Hurwitz" in out
+    meta = json.loads((tmp_path / "scalar_validate_meta.json").read_text())
+    assert meta["mismatch_zero"] is False and meta["observable"] is False
+    assert main(["sweep", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("solver failure: ")
+
+
 def test_validate_truncated_file(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"true_system": {"a": [[1.0')
@@ -362,7 +392,26 @@ MALFORMED = {
     "topology_edge_not_integral": (
         _set(["topology"], {"nodes": 6, "edges": [[0, 1.7], *RING6[1:]]}), (1, 1, 1)
     ),
+    # Non-integral counts were truncated to other counts.
+    "gamma_log_range_points_not_integral": (
+        _set(["gamma"], {"log_range": {"lo": 1.05, "hi": 100.0, "points": 5.7, "scale": "threshold"}}),
+        (1, 1, 1),
+    ),
+    "sim_trials_not_integral": (_set(["sim", "trials"], 3.9), (1, 1, 1)),
+    "sim_seed_not_integral": (_set(["sim", "seed"], 7.2), (1, 1, 1)),
+    "sim_record_stride_not_integral": (_set(["sim", "record_stride"], 100.5), (1, 1, 1)),
 }
+
+
+def test_integral_floats_are_accepted_as_counts():
+    doc = short_baseline()
+    doc["sim"].update(trials=200.0, seed=7.0, record_stride=100.0)
+    doc["gamma"] = {"log_range": {"lo": 1.0, "hi": 2.0, "points": 5.0}}
+    sc = parse_scenario(doc)
+    assert sc.sim_config() == sim.SimConfig(
+        dt=1e-3, horizon=1.0, trials=200, seed=7, record_stride=100
+    )
+    assert sc.resolve_gammas().size == 5
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -399,9 +448,34 @@ def test_one_sensor_threshold_relative_gain_is_exit_2(tmp_path, capsys, command)
     assert main([command, "--scenario", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("hypothesis violation: ") and "Traceback" not in err
-    if command != "sweep":
-        # An absolute gain needs no threshold.
-        assert main([command, "--scenario", path, "--out", str(tmp_path), "--gamma", "2.0"]) == 0
+    # An absolute gain needs no threshold, except in the sweep, whose fit reads it.
+    code = main([command, "--scenario", path, "--out", str(tmp_path), "--gamma", "2.0"])
+    err = capsys.readouterr().err
+    if command == "sweep":
+        assert code == 2
+        assert err == (
+            "hypothesis violation: the consensus-gain threshold needs a connected network "
+            "of at least two nodes\n"
+        )
+    else:
+        assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sweep", "--scenario", "case1", "--trials", "abc"], 1),
+        (["no-such-command"], 1),
+        (["--help"], 0),
+        (["--version"], 0),
+    ],
+    ids=["bad-value", "unknown-command", "help", "version"],
+)
+def test_usage_error_is_exit_1_and_help_is_exit_0(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_relations_hypothesis_violation_is_exit_2(tmp_path, capsys):

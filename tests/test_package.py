@@ -33,8 +33,7 @@ PUBLIC_NAMES = {
         "preset_names",
     ],
     "sim": [
-        "MseSeries", "SimConfig", "SimTrial", "SimulationOverflowError", "monte_carlo_mse",
-        "monte_carlo_sweep", "simulate_trial",
+        "MseSeries", "SimConfig", "SimulationOverflowError", "monte_carlo_mse", "monte_carlo_sweep",
     ],
     "solvers": [
         "CareSolutionError", "CovarianceTrajectory", "NotHurwitzError", "SchurForm",
@@ -57,6 +56,27 @@ def fresh_python(*args):
 
 def test_import_loads_no_numpy():
     assert fresh_python("-c", "import sys, dckf; print('numpy' in sys.modules)") == "False"
+
+
+def test_reading_the_setup_names_loads_no_simulator():
+    # Loading a scenario and building a filter (every run's set-up) must not pay for ``sim``.
+    code = (
+        "import sys, dckf; dckf.load_scenario; dckf.build_filter; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('dckf'))))"
+    )
+    assert fresh_python("-c", code).split() == [
+        "dckf", "dckf.analysis", "dckf.filtering", "dckf.graph", "dckf.matkit", "dckf.model",
+        "dckf.scenario", "dckf.solvers",
+    ]
+
+
+def test_submodule_lists_are_the_only_list_of_names():
+    assert "__all__" not in vars(dckf)
+    seen = {}
+    for module in PUBLIC_NAMES:
+        for name in importlib.import_module(f"dckf.{module}").__all__:
+            assert name not in seen, (name, seen.get(name), module)
+            seen[name] = module
 
 
 def test_cli_main_after_a_bare_import():
@@ -102,6 +122,10 @@ def test_each_paper_result_has_one_formula():
     for fn in (dckf.trace_bounds, dckf.deviation_gap):
         assert "margin_variant" not in inspect.signature(fn).parameters, fn.__name__
     assert "gains" not in {f.name for f in dataclasses.fields(dckf.FilterRealization)}
+    for fn in (dckf.solve_sylvester, dckf.solve_lyapunov):
+        assert "method" not in inspect.signature(fn).parameters, fn.__name__
+    # The nominal model comes from the filter, so it cannot disagree with it.
+    assert list(inspect.signature(dckf.propagate).parameters) == ["fr", "ts", "grid", "init"]
     assert "gap_closed" not in {f.name for f in dataclasses.fields(dckf.RelationReport)}
 
 
@@ -116,6 +140,12 @@ def test_analysis_results_keep_only_what_callers_read(case1):
     assert "DivergenceReport" not in dckf.analysis.__all__
     assert "coupling_log_norm" not in {f.name for f in dataclasses.fields(dckf.RelationReport)}
     assert "observability_matrix" not in dckf.model.__all__
+    assert "fit_residual_gain" not in {f.name for f in dataclasses.fields(dckf.AsymptoticFit)}
+
+
+def test_test_only_simulator_is_gone():
+    for name in ("SimTrial", "simulate_trial"):
+        assert name not in dckf.__all__ and not hasattr(dckf.sim, name), name
 
 
 def test_star_import():

@@ -52,16 +52,22 @@ def test_record_steps_include_endpoints():
     assert np.all(np.diff(steps) > 0)
 
 
+def one_trial(ts, fr, cfg, trial):
+    """The engine's records of one trial: truth (records, n) and estimates (records, sensors, n)."""
+    z = np.stack([z[0] for z in sim._Engine(ts, [fr], cfg).run([trial])])
+    return z[:, : ts.n], z[:, ts.n :].reshape(-1, ts.sensor_count, ts.n)
+
+
 def test_trial_determinism_and_stream_separation():
     ts, nm, topo = quick_pair()
     fr = build_filter(nm, ts, topo, gamma=2.0)
     cfg = sim.SimConfig(dt=1e-3, horizon=0.5, trials=4, seed=99, record_stride=50)
-    first = sim.simulate_trial(ts, fr, cfg, trial_index=3)
-    second = sim.simulate_trial(ts, fr, cfg, trial_index=3)
-    assert np.array_equal(first.states, second.states)
-    assert np.array_equal(first.estimates, second.estimates)
-    other = sim.simulate_trial(ts, fr, cfg, trial_index=4)
-    assert not np.array_equal(first.states, other.states)
+    first = one_trial(ts, fr, cfg, 3)
+    second = one_trial(ts, fr, cfg, 3)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
+    other = one_trial(ts, fr, cfg, 4)
+    assert not np.array_equal(first[0], other[0])
 
 
 def test_monte_carlo_deterministic():
@@ -85,9 +91,9 @@ def test_noise_free_truth_follows_exponential():
     nm = NominalModel(a=ts.a, q=np.eye(2), sensors=ts.sensors)
     fr = build_filter(nm, ts, Topology(np.zeros((1, 1))), gamma=1.0)
     cfg = sim.SimConfig(dt=1e-4, horizon=1.0, trials=1, seed=0, record_stride=10000)
-    trial = sim.simulate_trial(ts, fr, cfg, trial_index=0)
+    states, _ = one_trial(ts, fr, cfg, 0)
     expected = matkit.expm(ts.a * 1.0) @ ts.x0
-    np.testing.assert_allclose(trial.states[-1], expected, atol=2e-4)
+    np.testing.assert_allclose(states[-1], expected, atol=2e-4)
 
 
 def test_mse_definition_single_trial():
@@ -95,8 +101,8 @@ def test_mse_definition_single_trial():
     fr = build_filter(nm, ts, topo, gamma=2.0)
     cfg = sim.SimConfig(dt=1e-3, horizon=0.2, trials=1, seed=5, record_stride=100)
     series = sim.monte_carlo_mse(ts, fr, cfg)
-    trial = sim.simulate_trial(ts, fr, cfg, trial_index=0)
-    err = trial.estimates - trial.states[:, None, :]
+    states, estimates = one_trial(ts, fr, cfg, 0)
+    err = estimates - states[:, None, :]
     per_sensor = np.sum(err**2, axis=2)
     np.testing.assert_allclose(series.per_sensor_mse, per_sensor, atol=1e-14)
     np.testing.assert_allclose(series.mse, per_sensor.mean(axis=1), atol=1e-14)
@@ -126,7 +132,7 @@ def test_ensemble_second_moment_matches_state_covariance(baseline):
         states.append(traj_x)
     states = np.concatenate(states, axis=0)
     times = cfg.record_steps() * cfg.dt
-    traj = propagate(fr, ts, nm, times)
+    traj = propagate(fr, ts, times)
     for k in (1, 2):  # skip t=0 (exact by construction)
         moment = np.einsum("bi,bj->ij", states[:, k], states[:, k]) / states.shape[0]
         analytic = traj.state_cov[k][:4, :4]
@@ -186,8 +192,8 @@ def test_overflow_detection_and_reporting():
     nm = NominalModel(a=[[-1.0]], q=[[1.0]], sensors=ts.sensors)
     fr = build_filter(nm, ts, Topology(np.zeros((1, 1))), gamma=1.0)
     cfg = sim.SimConfig(dt=1e-2, horizon=160.0, trials=2, seed=13, record_stride=100)
-    trial = sim.simulate_trial(ts, fr, cfg, trial_index=0)
-    assert trial.overflow_step is not None
+    engine = sim._Engine(ts, [fr], cfg)
+    assert not all(np.isfinite(engine.squared_errors(z)).all() for z in engine.run([0]))
     with pytest.raises(RuntimeError):
         sim.monte_carlo_mse(ts, fr, cfg)  # every trial blows up
 
@@ -244,14 +250,14 @@ def test_simulate_trial_matches_stepwise_trajectory():
     ts, nm, topo = quick_pair()
     fr = build_filter(nm, ts, topo, gamma=2.0)
     cfg = sim.SimConfig(dt=1e-3, horizon=3.1, trials=1, seed=17, record_stride=300)
-    trial = sim.simulate_trial(ts, fr, cfg, trial_index=3)
+    got_states, got_estimates = one_trial(ts, fr, cfg, 3)
     _, states, estimates, _ = stepwise_monte_carlo(ts, fr, cfg, [3], keep_trajectories=True)
     scale = np.max(np.abs(states))
-    np.testing.assert_allclose(trial.states, states[0], rtol=EQUIVALENCE_RTOL, atol=1e-14 * scale)
+    np.testing.assert_allclose(got_states, states[0], rtol=EQUIVALENCE_RTOL, atol=1e-14 * scale)
     np.testing.assert_allclose(
-        trial.estimates, estimates[0], rtol=EQUIVALENCE_RTOL, atol=1e-14 * scale
+        got_estimates, estimates[0], rtol=EQUIVALENCE_RTOL, atol=1e-14 * scale
     )
-    assert trial.overflow_step is None
+    assert np.isfinite(got_estimates).all()
 
 
 def unstable_scalar_pair():

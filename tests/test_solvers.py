@@ -9,14 +9,7 @@ from dckf.analysis import trace_bounds
 from dckf.filtering import build_filter, gamma_threshold
 from dckf.graph import complete
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations, stack
-from conftest import random_spd, ring_chord_network, rk4_propagate
-
-
-def kron_oracle_sylvester(a, b, c):
-    """Brute-force reference: vectorize the equation and solve the dense system."""
-    n, m = a.shape[0], b.shape[0]
-    coef = np.kron(np.eye(m), a) + np.kron(b.T, np.eye(n))
-    return np.linalg.solve(coef, c.flatten(order="F")).reshape((n, m), order="F")
+from conftest import kron_sylvester, random_spd, ring_chord_network, rk4_propagate
 
 
 def random_care_instance(rng):
@@ -136,15 +129,14 @@ def test_lyapunov_diagonal_closed_form():
     np.testing.assert_allclose(x, np.diag([0.5, 0.25]), atol=1e-13)
 
 
-@pytest.mark.parametrize("method", ["kron", "schur"])
-def test_lyapunov_matches_kron_oracle(method):
+def test_lyapunov_matches_kron_oracle():
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(1, 5))
         m = rng.standard_normal((n, n)) - (n + 1) * np.eye(n)
         w = random_spd(rng, n, floor=0.1)
-        x = solvers.solve_lyapunov(m, w, method=method)
-        expected = kron_oracle_sylvester(m, m.T, -w)
+        x = solvers.solve_lyapunov(m, w)
+        expected = kron_sylvester(m, m.T, -w)
         assert np.linalg.norm(x - expected) <= 1e-10 * max(1.0, np.linalg.norm(expected))
         assert np.array_equal(x, x.T)
 
@@ -161,16 +153,15 @@ def test_sylvester_identity_pair():
     np.testing.assert_allclose(x, m, atol=1e-12)
 
 
-@pytest.mark.parametrize("method", ["kron", "schur"])
-def test_sylvester_matches_kron_oracle(method):
+def test_sylvester_matches_kron_oracle():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n, m_dim = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         a = rng.standard_normal((n, n)) - (n + 2) * np.eye(n)
         b = rng.standard_normal((m_dim, m_dim)) - (m_dim + 2) * np.eye(m_dim)
         c = rng.standard_normal((n, m_dim))
-        x = solvers.solve_sylvester(a, b, c, method=method)
-        expected = kron_oracle_sylvester(a, b, c)
+        x = solvers.solve_sylvester(a, b, c)
+        expected = kron_sylvester(a, b, c)
         assert np.linalg.norm(x - expected) <= 1e-10 * max(1.0, np.linalg.norm(expected))
 
 
@@ -205,16 +196,10 @@ def test_shared_schur_form_solves_match_kron(case1):
     w = random_spd(rng, q)
     c = rng.standard_normal((q, q))
     pairs = [
-        (solvers.solve_lyapunov(form, w), solvers.solve_lyapunov(acl, w, method="kron")),
-        (solvers.solve_lyapunov(form.T, w), solvers.solve_lyapunov(acl.T, w, method="kron")),
-        (
-            solvers.solve_sylvester(form, a_d_form.T, c),
-            solvers.solve_sylvester(acl, a_d.T, c, method="kron"),
-        ),
-        (
-            solvers.solve_sylvester(form.T, form, c),
-            solvers.solve_sylvester(acl.T, acl, c, method="kron"),
-        ),
+        (solvers.solve_lyapunov(form, w), kron_sylvester(acl, acl.T, -w)),
+        (solvers.solve_lyapunov(form.T, w), kron_sylvester(acl.T, acl, -w)),
+        (solvers.solve_sylvester(form, a_d_form.T, c), kron_sylvester(acl, a_d.T, c)),
+        (solvers.solve_sylvester(form.T, form, c), kron_sylvester(acl.T, acl, c)),
     ]
     for x, expected in pairs:
         assert np.linalg.norm(x - expected) <= 1e-10 * max(1.0, np.linalg.norm(expected))
@@ -307,7 +292,7 @@ def test_steady_state_matches_long_horizon_ode():
     fr = build_filter(nm, ts, topo, 2.0)
     ss = solvers.steady_state(fr, ts, nm)
     grid = np.linspace(0.0, 30.0, 16)
-    traj = solvers.propagate(fr, ts, nm, grid)
+    traj = solvers.propagate(fr, ts, grid)
     assert abs(np.trace(traj.error_cov[-1]) - np.trace(ss.error_cov)) <= 1e-6
     np.testing.assert_allclose(traj.error_cov[-1], ss.error_cov, atol=1e-7)
     np.testing.assert_allclose(traj.cross_cov[-1], ss.cross_cov, atol=1e-7)
@@ -323,7 +308,7 @@ def test_steady_state_matches_long_horizon_ode_case1(case1):
     ss = solvers.steady_state(fr, ts, nm)
     assert tuple(ss.residuals) == ("state_cov", "cross_cov", "error_cov", "nominal_cov")
     grid = np.linspace(0.0, 90.0, 10)
-    traj = solvers.propagate(fr, ts, nm, grid)
+    traj = solvers.propagate(fr, ts, grid)
     assert abs(np.trace(traj.error_cov[-1]) - np.trace(ss.error_cov)) <= 1e-6
 
 
@@ -336,7 +321,7 @@ def test_propagate_zero_deviation_trajectories_coincide(baseline):
     ts, nm, topo = baseline.true_system, baseline.nominal, baseline.topology
     fr = build_filter(nm, ts, topo, float(baseline.resolve_gammas()[0]))
     grid = np.linspace(0.0, 2.0, 11)
-    traj = solvers.propagate(fr, ts, nm, grid)
+    traj = solvers.propagate(fr, ts, grid)
     np.testing.assert_allclose(traj.nominal_cov, traj.error_cov, atol=1e-10)
 
 
@@ -344,7 +329,7 @@ def test_propagate_preserves_symmetry(case1):
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
     grid = np.linspace(0.0, 1.0, 6)
-    traj = solvers.propagate(fr, ts, nm, grid)
+    traj = solvers.propagate(fr, ts, grid)
     for field in (traj.nominal_cov, traj.error_cov, traj.state_cov):
         for m in field:
             assert np.linalg.norm(m - m.T) <= 1e-9
@@ -355,7 +340,7 @@ def test_propagate_agrees_with_augmented_system(baseline):
     fr = build_filter(nm, ts, topo, float(baseline.resolve_gammas()[0]))
     grid = np.linspace(0.0, 5.0, 26)
     traj = rk4_propagate(fr, ts, nm, grid, dt=1e-3)
-    joint = solvers.propagate(fr, ts, nm, grid)
+    joint = solvers.propagate(fr, ts, grid)
     assert np.max(np.abs(joint.error_cov - traj.error_cov)) <= 1e-8
     assert np.max(np.abs(joint.cross_cov - traj.cross_cov)) <= 1e-8
     assert np.max(np.abs(joint.state_cov - traj.state_cov)) <= 1e-8 * (
@@ -369,7 +354,7 @@ def test_propagate_case2_projection_growth(case2):
     ts, nm, topo = case2.true_system, case2.nominal, case2.topology
     fr = build_filter(nm, ts, topo, 10.0)
     grid = np.linspace(0.0, 15.0, 31)
-    traj = solvers.propagate(fr, ts, nm, grid, init=case2.initial_state())
+    traj = solvers.propagate(fr, ts, grid, init=case2.initial_state())
     v = np.kron(np.ones(6), [1.0, 0.0, 0.0, 0.0])
     proj_err = np.array([v @ m @ v for m in traj.error_cov])
     proj_nom = np.array([v @ m @ v for m in traj.nominal_cov])
@@ -385,7 +370,7 @@ def test_propagate_case2_full_horizon_growth(case2):
     fr = build_filter(nm, ts, topo, float(case2.resolve_gammas()[0]))
     grid = case2.ode.grid()
     assert grid[-1] == 50.0
-    traj = solvers.propagate(fr, ts, nm, grid, init=case2.initial_state())
+    traj = solvers.propagate(fr, ts, grid, init=case2.initial_state())
     v = np.kron(np.ones(6), [1.0, 0.0, 0.0, 0.0])
     proj_err = np.array([v @ m @ v for m in traj.error_cov])
     proj_nom = np.array([v @ m @ v for m in traj.nominal_cov])
@@ -404,7 +389,7 @@ def test_propagate_case1_stiff_top_gain_matches_oracle(case1):
     assert fr.gamma == pytest.approx(100.0 * fr.gamma_min, rel=1e-9)
     grid = np.linspace(0.0, 2.0, 21)
     start = time.perf_counter()
-    traj = solvers.propagate(fr, ts, nm, grid, init=case1.initial_state())
+    traj = solvers.propagate(fr, ts, grid, init=case1.initial_state())
     assert time.perf_counter() - start < 1.0
     oracle = rk4_propagate(fr, ts, nm, grid, dt=case1.ode.dt, init=case1.initial_state())
     for field in ("nominal_cov", "error_cov", "cross_cov", "state_cov"):
@@ -417,7 +402,7 @@ def test_propagate_reports_growth_rate(case2):
     ts, nm, topo = case2.true_system, case2.nominal, case2.topology
     fr = build_filter(nm, ts, topo, 10.0)
     grid = np.linspace(0.0, 6.0, 13)
-    traj = solvers.propagate(fr, ts, nm, grid, init=case2.initial_state())
+    traj = solvers.propagate(fr, ts, grid, init=case2.initial_state())
     assert np.all(traj.error_trace_rate[-4:] > 0)
 
 
@@ -425,9 +410,9 @@ def test_propagate_grid_validation(baseline):
     ts, nm, topo = baseline.true_system, baseline.nominal, baseline.topology
     fr = build_filter(nm, ts, topo, float(baseline.resolve_gammas()[0]))
     with pytest.raises(ValueError):
-        solvers.propagate(fr, ts, nm, np.array([0.0, 0.0, 1.0]))
+        solvers.propagate(fr, ts, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
-        solvers.propagate(fr, ts, nm, np.array([0.0]))
+        solvers.propagate(fr, ts, np.array([0.0]))
 
 
 def test_default_initial_state_structure(baseline):
