@@ -2,8 +2,9 @@
 
 Every command reads one scenario (a shipped preset name or a JSON path),
 prints a human-readable summary, and writes schema-stable CSV tables plus a
-JSON metadata document to the output directory.  Exit codes: 0 on success,
-1 on parse/IO errors, 2 on assumption or hypothesis violations.
+JSON metadata document to the output directory.  A command that fails writes
+nothing, except ``validate``, which records its verdicts.  Exit codes: 0 on
+success, 1 on parse/IO errors, 2 on assumption or hypothesis violations.
 """
 
 from __future__ import annotations
@@ -54,24 +55,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_meta(path: Path, scenario: Scenario, command: str, extra: dict) -> None:
-    payload = {
-        "tool": "dckf",
-        "version": __version__,
-        "command": command,
-        "scenario": scenario.name,
-        "scenario_hash": scenario.semantic_hash(),
-    }
-    payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _parse_gamma_override(text: str) -> dict:
     try:
         if text.startswith("log:"):
@@ -92,23 +75,20 @@ def _parse_gamma_override(text: str) -> dict:
         raise ScenarioError(f"bad gamma override {text!r}: {exc}") from exc
 
 
-def _scenario_from_args(args) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    if getattr(args, "gamma", None):
-        scenario = replace(scenario, gamma_spec=_parse_gamma_override(args.gamma))
-    return scenario
-
-
 def _first_gamma(scenario: Scenario) -> float:
     return float(scenario.resolve_gammas()[0])
 
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# Each command prints its summary and returns (exit code, meta fields or
+# None, tables), where tables maps a file suffix to (header, rows) in write
+# order; ``main`` writes them.
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(args, scenario: Scenario) -> int:
+def cmd_validate(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
     ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
     dev = deviations(ts, nm)
     if dev.state_matrix_exact:
@@ -134,27 +114,21 @@ def cmd_validate(args, scenario: Scenario) -> int:
     ]
     for label, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
-    out = _out_dir(args)
-    _write_meta(
-        out / f"{scenario.name}_validate_meta.json",
-        scenario,
-        "validate",
-        {
-            "connected": report.connected,
-            "observable": report.observable,
-            "controllable": report.controllable,
-            "mismatch_zero": report.mismatch_zero,
-            "true_a_hurwitz": report.true_a_hurwitz,
-            "all_ok": report.all_ok,
-            "failures": report.failures(),
-        },
-    )
+    meta = {
+        "connected": report.connected,
+        "observable": report.observable,
+        "controllable": report.controllable,
+        "mismatch_zero": report.mismatch_zero,
+        "true_a_hurwitz": report.true_a_hurwitz,
+        "all_ok": report.all_ok,
+        "failures": report.failures(),
+    }
     if report.all_ok:
         print("all assumptions hold")
-        return 0
+        return 0, meta, {}
     for line in report.failures():
         print(f"violation: {line}", file=sys.stderr)
-    return 2
+    return 2, meta, {}
 
 
 SWEEP_HEADER = [
@@ -171,7 +145,7 @@ SWEEP_HEADER = [
 ]
 
 
-def cmd_sweep(args, scenario: Scenario) -> int:
+def cmd_sweep(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
     ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
     dev = deviations(ts, nm)
     gammas = np.sort(scenario.resolve_gammas())
@@ -179,7 +153,7 @@ def cmd_sweep(args, scenario: Scenario) -> int:
     if base.gamma_min is None:
         _require_threshold_network(topo)
         print("no consensus-gain threshold exists for this nominal model", file=sys.stderr)
-        return 2
+        return 2, None, {}
     threshold = base.gamma_min
     fit = asymptotic_fit(
         base, np.logspace(np.log10(2.0 * threshold), np.log10(200.0 * threshold), 20)
@@ -215,35 +189,27 @@ def cmd_sweep(args, scenario: Scenario) -> int:
         for k, mc in zip(simulated, series):
             rows[k][SWEEP_HEADER.index("mse")] = mc.steady_mse
 
-    out = _out_dir(args)
-    _write_csv(out / f"{scenario.name}_sweep.csv", SWEEP_HEADER, rows)
-    _write_meta(
-        out / f"{scenario.name}_sweep_meta.json",
-        scenario,
-        "sweep",
-        {
-            "gamma_threshold": threshold,
-            "gamma_count": int(gammas.size),
-            "simulated": bool(args.simulate),
-            "trials": cfg.trials if cfg else None,
-            "seed": cfg.seed if cfg else None,
-            "fit": {
-                "a1": fit.a1, "b1": fit.b1, "c1": fit.c1,
-                "a2": fit.a2, "b2": fit.b2, "c2": fit.c2,
-                "residual": fit.fit_residual,
-            },
+    meta = {
+        "gamma_threshold": threshold,
+        "gamma_count": int(gammas.size),
+        "simulated": bool(args.simulate),
+        "trials": cfg.trials if cfg else None,
+        "seed": cfg.seed if cfg else None,
+        "fit": {
+            "a1": fit.a1, "b1": fit.b1, "c1": fit.c1,
+            "a2": fit.a2, "b2": fit.b2, "c2": fit.c2,
+            "residual": fit.fit_residual,
         },
-    )
+    }
     ok_rows = sum(1 for r in rows if r[-1] == "ok")
     print(f"sweep: {ok_rows}/{len(rows)} gains analyzed, threshold {threshold:.6g}")
-    print(f"wrote {out / f'{scenario.name}_sweep.csv'}")
-    return 0
+    return 0, meta, {"sweep": (SWEEP_HEADER, rows)}
 
 
 DIVERGENCE_HEADER = ["time", "error_proj", "nominal_proj", "tr_error", "tr_nominal", "tr_error_rate"]
 
 
-def cmd_divergence(args, scenario: Scenario) -> int:
+def cmd_divergence(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
     ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
     gamma = _first_gamma(scenario)
     fr = build_filter(nm, ts, topo, gamma)
@@ -286,10 +252,8 @@ def cmd_divergence(args, scenario: Scenario) -> int:
                 float(traj.error_trace_rate[k]),
             ]
         )
-    out = _out_dir(args)
-    _write_csv(out / f"{scenario.name}_divergence.csv", DIVERGENCE_HEADER, rows)
-
-    extra = {
+    tables = {"divergence": (DIVERGENCE_HEADER, rows)}
+    meta = {
         "gamma": gamma,
         "mismatch_zero": fr.mismatch_is_zero,
         "certificates": [
@@ -307,23 +271,20 @@ def cmd_divergence(args, scenario: Scenario) -> int:
     if args.simulate:
         cfg = scenario.sim_config(args.trials, args.seed)
         series = monte_carlo_mse(ts, fr, cfg)
-        _write_csv(
-            out / f"{scenario.name}_divergence_mse.csv",
+        tables["divergence_mse"] = (
             ["time", "mse"],
             [[float(t), float(v)] for t, v in zip(series.time, series.mse)],
         )
-        extra["trials"] = cfg.trials
-        extra["seed"] = cfg.seed
-        extra["overflow_trials"] = list(series.overflow_trials)
-    _write_meta(out / f"{scenario.name}_divergence_meta.json", scenario, "divergence", extra)
-    print(f"wrote {out / f'{scenario.name}_divergence.csv'}")
-    return 0
+        meta["trials"] = cfg.trials
+        meta["seed"] = cfg.seed
+        meta["overflow_trials"] = list(series.overflow_trials)
+    return 0, meta, tables
 
 
 RELATIONS_HEADER = ["time", "tr_nominal", "tr_error", "gap_min_eig", "gap_norm", "gap_norm_bound"]
 
 
-def cmd_relations(args, scenario: Scenario) -> int:
+def cmd_relations(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
     ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
     dev = deviations(ts, nm)
     if not dev.state_matrix_exact:
@@ -333,7 +294,7 @@ def cmd_relations(args, scenario: Scenario) -> int:
             f"{max(dev.d_c_norms):.3g} (measurement)",
             file=sys.stderr,
         )
-        return 2
+        return 2, None, {}
     gamma = _first_gamma(scenario)
     fr = build_filter(nm, ts, topo, gamma)
     init = scenario.initial_state()
@@ -351,19 +312,6 @@ def cmd_relations(args, scenario: Scenario) -> int:
         ]
         for k, t in enumerate(grid)
     ]
-    out = _out_dir(args)
-    _write_csv(out / f"{scenario.name}_relations.csv", RELATIONS_HEADER, rows)
-    _write_meta(
-        out / f"{scenario.name}_relations_meta.json",
-        scenario,
-        "relations",
-        {
-            "gamma": gamma,
-            "drive_sign": rel.drive_sign,
-            "ordering": rel.ordering,
-            "log_norm_rate": rel.log_norm_rate,
-        },
-    )
     verdict = {
         "nominal_upper": "nominal index upper-bounds the error covariance",
         "nominal_lower": "nominal index lower-bounds the error covariance",
@@ -371,11 +319,16 @@ def cmd_relations(args, scenario: Scenario) -> int:
         "inconclusive": "mismatch drive is indefinite; no ordering claimed",
     }[rel.ordering]
     print(f"mismatch drive sign: {rel.drive_sign}; {verdict}")
-    print(f"wrote {out / f'{scenario.name}_relations.csv'}")
-    return 0
+    meta = {
+        "gamma": gamma,
+        "drive_sign": rel.drive_sign,
+        "ordering": rel.ordering,
+        "log_norm_rate": rel.log_norm_rate,
+    }
+    return 0, meta, {"relations": (RELATIONS_HEADER, rows)}
 
 
-def cmd_simulate(args, scenario: Scenario) -> int:
+def cmd_simulate(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
     ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
     gamma = _first_gamma(scenario)
     fr = build_filter(nm, ts, topo, gamma)
@@ -391,29 +344,21 @@ def cmd_simulate(args, scenario: Scenario) -> int:
         ]
         for k, t in enumerate(series.time)
     ]
-    out = _out_dir(args)
-    _write_csv(out / f"{scenario.name}_simulate.csv", ["time", "mse", "tr_error_over_sensors"], rows)
-    _write_meta(
-        out / f"{scenario.name}_simulate_meta.json",
-        scenario,
-        "simulate",
-        {
-            "gamma": gamma,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "dt": cfg.dt,
-            "horizon": cfg.horizon,
-            "steady_mse": series.steady_mse,
-            "steady_se": series.steady_se,
-            "overflow_trials": list(series.overflow_trials),
-        },
-    )
+    meta = {
+        "gamma": gamma,
+        "trials": cfg.trials,
+        "seed": cfg.seed,
+        "dt": cfg.dt,
+        "horizon": cfg.horizon,
+        "steady_mse": series.steady_mse,
+        "steady_se": series.steady_se,
+        "overflow_trials": list(series.overflow_trials),
+    }
     print(
         f"steady MSE {series.steady_mse:.6g} (se {series.steady_se:.2g}) over "
         f"{series.trials_used} trials"
     )
-    print(f"wrote {out / f'{scenario.name}_simulate.csv'}")
-    return 0
+    return 0, meta, {"simulate": (["time", "mse", "tr_error_over_sensors"], rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +374,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_OPTIONS = {
+    "--scenario": dict(
+        required=True, help=f"scenario JSON path or preset name ({', '.join(preset_names())})"
+    ),
+    "--out": dict(default=".", help="output directory (default: current)"),
+    "--seed": dict(type=int, default=None, help="override the scenario seed"),
+    "--trials": dict(type=int, default=None, help="override the trial count"),
+    "--gamma": dict(
+        default=None,
+        help="override the gain spec: VALUE | v1,v2,... | log:lo:hi:n[:threshold|absolute]",
+    ),
+    "--simulate": dict(action="store_true", help="add Monte Carlo columns"),
+}
+# Only the commands that run a Monte Carlo take its seed and trial count.
+_PLAIN = ("--scenario", "--out", "--gamma")
+_MONTE_CARLO = ("--scenario", "--out", "--seed", "--trials", "--gamma")
+_SIMULATING = (*_MONTE_CARLO, "--simulate")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dckf",
@@ -440,52 +404,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"dckf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, sim_flag: bool = False):
-        p.add_argument(
-            "--scenario",
-            required=True,
-            help=f"scenario JSON path or preset name ({', '.join(preset_names())})",
-        )
-        p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--trials", type=int, default=None, help="override the trial count")
-        p.add_argument("--gamma", default=None, help="override the gain spec: VALUE | v1,v2,... | log:lo:hi:n[:threshold|absolute]")
-        if sim_flag:
-            p.add_argument("--simulate", action="store_true", help="add Monte Carlo columns")
-
-    p = sub.add_parser("validate", help="check the structural assumptions")
-    common(p)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("sweep", help="steady-state bounds over the gain grid")
-    common(p, sim_flag=True)
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("divergence", help="divergence certificates and projected variances")
-    common(p, sim_flag=True)
-    p.set_defaults(handler=cmd_divergence)
-
-    p = sub.add_parser("relations", help="ordering of the nominal index vs the error covariance")
-    common(p)
-    p.set_defaults(handler=cmd_relations)
-
-    p = sub.add_parser("simulate", help="Monte Carlo MSE next to the analytic curve")
-    common(p)
-    p.set_defaults(handler=cmd_simulate)
+    # Handlers are read from the module globals at each call, so a patched
+    # command runs in place of the original.
+    commands = (
+        ("validate", "check the structural assumptions", cmd_validate, _PLAIN),
+        ("sweep", "steady-state bounds over the gain grid", cmd_sweep, _SIMULATING),
+        ("divergence", "divergence certificates and projected variances", cmd_divergence, _SIMULATING),
+        ("relations", "ordering of the nominal index vs the error covariance", cmd_relations, _PLAIN),
+        ("simulate", "Monte Carlo MSE next to the analytic curve", cmd_simulate, _MONTE_CARLO),
+    )
+    for name, text, handler, options in commands:
+        p = sub.add_parser(name, help=text)
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        scenario = _scenario_from_args(args)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.handler(args, scenario)
+        scenario = load_scenario(args.scenario)
+        if args.gamma:
+            scenario = replace(scenario, gamma_spec=_parse_gamma_override(args.gamma))
+        code, meta, tables = args.handler(args, scenario)
+        if meta is None:  # a command that writes tables always has meta
+            return code
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        paths = [out / f"{scenario.name}_{suffix}.csv" for suffix in tables]
+        for path, (header, rows) in zip(paths, tables.values()):
+            _write_csv(path, header, rows)
+        envelope = {
+            "tool": "dckf",
+            "version": __version__,
+            "command": args.command,
+            "scenario": scenario.name,
+            "scenario_hash": scenario.semantic_hash(),
+            **meta,
+        }
+        meta_path = out / f"{scenario.name}_{args.command}_meta.json"
+        meta_path.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+        if paths:
+            print(f"wrote {paths[0]}")
+        return code
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -51,9 +51,12 @@ class ScenarioError(ValueError):
 
 def _numeric(node: Any, field: str) -> np.ndarray:
     try:
-        a = np.asarray(node, dtype=float)
+        a = np.asarray(node)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"field {field!r} is not numeric: {exc}") from exc
+    if a.dtype.kind not in "iuf":  # strings, booleans, objects
+        raise ScenarioError(f"field {field!r} is not numeric: its entries must be JSON numbers")
+    a = a.astype(float)
     if not np.all(np.isfinite(a)):
         raise ScenarioError(f"field {field!r} has a non-finite entry")
     return a
@@ -84,18 +87,24 @@ def _require(block: Any, field: str, where: str) -> Any:
     return block[field]
 
 
+def _number(node: Any, field: str) -> float:
+    if not isinstance(node, (bool, str)):  # float() would read both
+        try:
+            return float(node)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ScenarioError(f"{field} is not a number: {node!r}")
+
+
 def _positive(node: Any, field: str) -> float:
-    try:
-        value = float(node)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{field} is not a number: {node!r}") from exc
+    value = _number(node, field)
     if not (math.isfinite(value) and value > 0.0):
         raise ScenarioError(f"{field} must be positive and finite, got {node!r}")
     return value
 
 
 def _integral(node: Any) -> int:
-    if isinstance(node, float) and not node.is_integer():
+    if isinstance(node, (bool, str)) or (isinstance(node, float) and not node.is_integer()):
         raise ValueError(f"{node!r} is not an integer")
     return int(node)
 
@@ -219,8 +228,8 @@ class Scenario:
             spec["seed"] = seed
         try:
             return SimConfig(
-                dt=float(spec["dt"]),
-                horizon=float(spec["horizon"]),
+                dt=_number(spec["dt"], "dt"),
+                horizon=_number(spec["horizon"], "horizon"),
                 trials=_integral(spec["trials"]),
                 seed=_integral(spec["seed"]),
                 record_stride=_integral(spec.get("record_stride", 1)),
@@ -356,6 +365,8 @@ def parse_scenario(doc: dict, name_hint: str = "<inline>") -> Scenario:
     )
     if scenario.sim_spec is not None:
         scenario.sim_config()  # fail early on a malformed sim block
+    if scenario.init_spec:
+        scenario.initial_state()  # and on a malformed init block
     return scenario
 
 

@@ -4,8 +4,8 @@ The algebraic Riccati solver works on the filter-form equation
 
     A P + P A' + Q - P C' R^{-1} C P = 0
 
-via the stable invariant subspace of the Hamiltonian matrix, refined by
-Newton iterations (each Newton step is one Lyapunov solve).  Nominal models
+via the stable invariant subspace of the Hamiltonian matrix, taken from one
+ordered real Schur factorization.  Nominal models
 whose process noise is blind to a neutral mode of the state matrix (an
 imaginary-axis eigenvalue of A' whose eigenvector lies in the null space of
 Q) make the Hamiltonian marginal; those modes are deflated exactly, which
@@ -248,62 +248,32 @@ def _neutral_modes(a: np.ndarray, q: np.ndarray) -> np.ndarray | None:
     return u[:, :rank]
 
 
-def _care_hamiltonian(a: np.ndarray, gram: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n] = a.T
-    h[:n, n:] = -gram
-    h[n:, :n] = -q
-    h[n:, n:] = -a
-    return h
-
-
 def _solve_care_core(a: np.ndarray, gram: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Stable-invariant-subspace solution of A P + P A' + Q - P Gram P = 0."""
     n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    h = _care_hamiltonian(a, gram, q)
-    eig = np.linalg.eigvals(h)
+    h = np.block([[a.T, -gram], [-q, -a]])
     # Axis classification scales with the dynamics, not with ||H||: strong
     # measurements inflate the Hamiltonian without moving slow eigenvalues.
+    # The spectrum is symmetric about the imaginary axis, so n eigenvalues
+    # left of -tol leave none within tol of it.
     tol = 1e-9 * max(np.linalg.norm(a, 2), 1.0)
-    n_stable = int(np.sum(eig.real < -tol))
-    n_marginal = int(np.sum(np.abs(eig.real) <= tol))
-    if n_marginal > 0 or n_stable != n:
-        raise CareSolutionError(
-            f"Hamiltonian has {n_marginal} imaginary-axis eigenvalues and "
-            f"{n_stable} stable ones (need {n}); no stabilizing solution"
-        )
-    _, z, sdim = scipy.linalg.schur(h, output="real", sort="lhp")
-    if sdim != n:
-        raise CareSolutionError(f"Schur reordering selected {sdim} stable directions, expected {n}")
-    u1 = z[:n, :n]
-    u2 = z[n:, :n]
     try:
-        p = matkit.symmetrize(np.linalg.solve(u1.T, u2.T).T)
+        _, z, sdim = scipy.linalg.schur(h, output="real", sort=lambda re, im: re < -tol)
+    except (ValueError, np.linalg.LinAlgError) as exc:  # non-finite or unreorderable
+        raise CareSolutionError(f"no ordered Schur form of the Hamiltonian ({exc})") from None
+    if sdim != n:
+        raise CareSolutionError(
+            f"Hamiltonian has {sdim} eigenvalues left of -{tol:.1e} (need {n}); "
+            "no stabilizing solution"
+        )
+    try:
+        return matkit.symmetrize(np.linalg.solve(z[:n, :n].T, z[n:, :n].T).T)
     except np.linalg.LinAlgError as exc:
         raise CareSolutionError(
             f"the stable subspace has a singular upper block ({exc}); no stabilizing solution"
         ) from None
-
-    # Newton refinement: each step solves one Lyapunov equation in the
-    # current closed loop, which is strictly stable here.
-    for _ in range(5):
-        res = a @ p + p @ a.T + q - p @ gram @ p
-        if np.linalg.norm(res) <= 1e-13 * (1.0 + np.linalg.norm(p) ** 2):
-            break
-        g_cl = a - p @ gram
-        try:
-            delta = solve_lyapunov(g_cl, res)
-        except SolverError:
-            break
-        p_new = matkit.symmetrize(p + delta)
-        new_res = a @ p_new + p_new @ a.T + q - p_new @ gram @ p_new
-        if np.linalg.norm(new_res) >= np.linalg.norm(res):
-            break
-        p = p_new
-    return p
 
 
 def solve_care(

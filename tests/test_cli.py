@@ -265,6 +265,19 @@ def test_outputs_without_monte_carlo_match_the_benchmark_references(tmp_path):
             doc, ref_doc = (json.loads(f.read_text()) for f in (got, ref))
             problems += checks.compare_json(doc, ref_doc, ref.name)
     assert problems + checks.paper_checks(tmp_path) == []
+    # Both benchmark ops in full, Monte Carlo included, for one recorded seed.
+    ops = {
+        "sweep-mc": [["sweep", "--scenario", "case1", "--simulate", "--seed", "5", "--trials", "20"]],
+        "flow": [
+            ["divergence", "--scenario", "case2", "--simulate", "--seed", "5"],
+            ["relations", "--scenario", "case3"],
+        ],
+    }
+    for workload, commands in ops.items():
+        out = tmp_path / workload
+        for argv in commands:
+            assert main([*argv, "--out", str(out)]) == 0
+        assert checks.check_cli_outputs(workload, 5, out) == []
 
 
 def test_relations_accepts_rounded_nominal_state_matrix(tmp_path):
@@ -400,6 +413,21 @@ MALFORMED = {
     "sim_trials_not_integral": (_set(["sim", "trials"], 3.9), (1, 1, 1)),
     "sim_seed_not_integral": (_set(["sim", "seed"], 7.2), (1, 1, 1)),
     "sim_record_stride_not_integral": (_set(["sim", "record_stride"], 100.5), (1, 1, 1)),
+    # JSON strings and booleans were read as numbers.
+    "sim_trials_a_string": (_set(["sim", "trials"], "3"), (1, 1, 1)),
+    "sim_seed_a_boolean": (_set(["sim", "seed"], True), (1, 1, 1)),
+    "sim_dt_a_string": (_set(["sim", "dt"], "0.001"), (1, 1, 1)),
+    "topology_nodes_a_string": (_set(["topology"], {"nodes": "6", "edges": RING6}), (1, 1, 1)),
+    "gamma_log_range_points_a_string": (
+        _set(["gamma"], {"log_range": {"lo": 1.05, "hi": 100.0, "points": "7", "scale": "threshold"}}),
+        (1, 1, 1),
+    ),
+    "gamma_value_a_string": (_set(["gamma"], {"value": "2"}), (1, 1, 1)),
+    "ode_horizon_a_boolean": (_set(["ode", "horizon"], True), (1, 1, 1)),
+    "matrix_entry_a_string": (_set(["true_system", "q", 0, 0], "0.03"), (1, 1, 1)),
+    # The init block was read only by the commands that propagate.
+    "init_matrix_not_numeric": (_set(["init"], {"error_cov": "bogus"}), (1, 1, 1)),
+    "init_field_unknown": (_set(["init"], {"bogus": "identity"}), (1, 1, 1)),
 }
 
 
@@ -466,10 +494,12 @@ def test_one_sensor_threshold_relative_gain_is_exit_2(tmp_path, capsys, command)
     [
         (["sweep", "--scenario", "case1", "--trials", "abc"], 1),
         (["no-such-command"], 1),
+        (["validate", "--scenario", "case1", "--seed", "3"], 1),
+        (["relations", "--scenario", "case3", "--trials", "2"], 1),
         (["--help"], 0),
         (["--version"], 0),
     ],
-    ids=["bad-value", "unknown-command", "help", "version"],
+    ids=["bad-value", "unknown-command", "validate-seed", "relations-trials", "help", "version"],
 )
 def test_usage_error_is_exit_1_and_help_is_exit_0(capsys, argv, code):
     with pytest.raises(SystemExit) as exc:
@@ -538,6 +568,8 @@ def test_every_trial_overflowing_is_exit_2(tmp_path, capsys, command):
     assert main([*command, "--scenario", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "simulation failure: every trial overflowed; nothing to average\n"
+    # A failed command writes nothing next to its scenario file.
+    assert [f.name for f in tmp_path.iterdir()] == ["scenario.json"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -622,10 +654,16 @@ def test_validate_never_raises_on_mutated_presets(doc):
 )
 @given(doc=mutated_presets())
 def test_commands_never_raise_on_mutated_presets(doc):
-    commands = (["sweep", "--simulate"], ["divergence", "--simulate"], ["relations"], ["simulate"])
+    # relations runs no Monte Carlo, so it takes no trial count.
+    commands = (
+        ["sweep", "--simulate", "--trials", "2"],
+        ["divergence", "--simulate", "--trials", "2"],
+        ["relations"],
+        ["simulate", "--trials", "2"],
+    )
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "fuzz.json"
         path.write_text(json.dumps(doc))
         for command in commands:
-            argv = [*command, "--scenario", str(path), "--out", out, "--trials", "2"]
+            argv = [*command, "--scenario", str(path), "--out", out]
             assert main(argv) in (0, 1, 2), command

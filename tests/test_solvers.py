@@ -62,8 +62,10 @@ def test_care_scalar_stable_state():
 
 def test_care_random_residual_and_stability():
     rng = np.random.default_rng(42)
-    for _ in range(25):
-        a, c, r, q = random_care_instance(rng)
+    # After 25 random instances, a stiff rotation: an undamped oscillator measured
+    # almost noise-free (r = 1e-10), so the Hamiltonian has entries of 1e10.
+    stiff = (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[1.0, 0.0]]), np.array([[1e-10]]), np.eye(2))
+    for a, c, r, q in [*(random_care_instance(rng) for _ in range(25)), stiff]:
         p = solvers.solve_care(a, c, r, q)
         gram = c.T @ np.linalg.solve(r, c)
         residual = np.linalg.norm(a @ p + p @ a.T + q - p @ gram @ p)
@@ -95,6 +97,13 @@ def test_care_rejects_undetectable_neutral_mode():
     c = np.array([[0.0]])
     with pytest.raises(solvers.CareSolutionError):
         solvers.solve_care(a, c, np.eye(1), np.eye(1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_care_refuses_an_overflowing_measurement_gram():
+    # c' r^-1 c overflows to inf, so the Hamiltonian has no Schur form.
+    with pytest.raises(solvers.CareSolutionError, match="no ordered Schur form"):
+        solvers.solve_care(np.array([[-1.0]]), np.array([[1e200]]), np.eye(1), np.eye(1))
 
 
 def test_care_deflates_noise_blind_neutral_mode(case2):
