@@ -19,7 +19,17 @@ filter, no filter feeds back), so the operators are built per gain from its
 own ``(n + q)``-square block, the truth columns are shared, and a filter that
 overflows cannot spill into another gain.  A stride whose powers of ``M``
 would leave the safe floating-point range is split into shorter pieces;
-overflow is still detected per record and per (trial, gain).
+overflow is still detected per record and per (trial, gain).  The noise term
+``[xi_0 ... xi_{S-1}] stack(...)`` of a piece does not depend on ``z``, so
+consecutive pieces that share their operators form blocks: a block's noise
+rows are drawn in one call per trial and multiplied by the noise map in one
+product of ``trials * k`` rows, and ``z`` then steps through the block with
+only the products that depend on it.  ``k`` is the most pieces whose noise
+rows and products, for the chunk's trials, fit in ``_BLOCK_BYTES`` (1 MiB),
+and at least one, so it depends only on the config and the chunk's trial
+count.  A product over more rows can round differently, so blocks moved the
+Monte Carlo outputs in the last bits (about 2e-16 relative on case1's sweep)
+from what one product per piece gave.
 
 Reproducibility contract: every random draw of trial ``l`` comes from a
 generator seeded with the pair ``(seed, l)``, so per-trial streams are
@@ -29,8 +39,8 @@ vector for the initial state, then one row per step holding the process
 noise followed by the measurement noise.  A generator's normal stream
 depends only on the order of the draws, not on how they are grouped into
 calls (drawing ``a`` rows and then ``b`` rows gives the same numbers as
-drawing ``a + b``), so the engine draws each piece's rows when it needs them
-and the grouping does not change any trial's noise.  Every gain of a sweep
+drawing ``a + b``), so the engine draws a whole block's rows at once and the
+grouping does not change any trial's noise.  Every gain of a sweep
 sees the same rows (common random numbers).
 
 Parallel chunks: trials run in fixed chunks whose size depends only on the
@@ -48,12 +58,19 @@ whatever the worker count or the number of cores.  ``workers`` is the usable
 core count divided by the BLAS thread count (``OPENBLAS_NUM_THREADS``, then
 ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1
 when none is set, because then BLAS already keeps every core busy.  Chunks
-whose noise per piece is under ``_POOL_BYTES`` run on the caller's thread:
-that work is mostly Python and holds the GIL.
+whose noise per piece is under ``_POOL_BYTES`` run on the caller's thread,
+since stepping them is mostly Python and holds the GIL.  When chunks run on
+the caller's thread and the same rule leaves a core spare (``workers`` would
+be 2 for two chunks), one helper thread draws and multiplies the next block
+while the caller steps the current one, so the two hold a block each.
+Chunks on the pool get no helper.  Either way each chunk's blocks are drawn
+and multiplied one at a time, in order, in the same shapes, so every output
+is bitwise the same with or without the helper.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from collections import deque
@@ -75,10 +92,12 @@ __all__ = [
     "monte_carlo_sweep",
 ]
 
-# Memory caps: a piece's noise operator, and a trial chunk's noise rows for one
-# piece (two chunks in flight hold 4 MiB of noise).
+# Memory caps: a piece's noise operator, a trial chunk's noise rows for one
+# piece (two chunks in flight hold 4 MiB of noise), and a block's noise rows
+# plus their products (unless one piece alone holds more).
 _OPERATOR_BYTES = 4 * 2**20
 _NOISE_BYTES = 2 * 2**20
+_BLOCK_BYTES = _NOISE_BYTES // 2
 # Chunks with less noise per piece than this run on the caller's thread.
 _POOL_BYTES = 256 * 2**10
 # BLAS thread variables in the order OpenBLAS reads them.
@@ -216,6 +235,8 @@ class _Engine:
         strides = dict.fromkeys(int(s) for s in np.diff(cfg.record_steps()))
         self.plan = {stride: self.pieces(stride) for stride in strides}
         self.longest_piece = max(ops.length for pieces in self.plan.values() for ops in pieces)
+        # Whether ``run`` draws and multiplies the next block on a helper thread.
+        self.helper = False
 
     def pieces(self, stride: int) -> list[_Operators]:
         """Operators that advance ``z`` by ``stride`` steps, applied in order."""
@@ -257,7 +278,9 @@ class _Engine:
         state_map[:, :n] = power[0, :n, :n]
         state_map[:, n:] = power[:, :n, n:].transpose(1, 0, 2).reshape(n, gains * q)
         ops = _Operators(used, state_map, power[:, n:, n:].copy(), noise_map)
-        self._operators[length] = ops
+        # A capped piece is also the piece of its own length, so the pieces
+        # that follow it share its operators and its blocks.
+        self._operators[length] = self._operators[used] = ops
         return ops
 
     def noise_bytes(self, trials: int) -> int:
@@ -268,6 +291,27 @@ class _Engine:
         """Trials run together: bounded by the noise rows they hold."""
         return max(1, min(self.cfg.trials, _NOISE_BYTES // self.noise_bytes(1)))
 
+    def block_size(self, ops: _Operators, batch: int) -> int:
+        """Pieces of ``ops`` whose noise rows and products for ``batch`` trials fit in a block."""
+        return max(1, _BLOCK_BYTES // (batch * (ops.length * self.cols + self.width) * 8))
+
+    def schedule(self, batch: int):
+        """Yield ``(ops, ends)`` for each block of consecutive pieces that share ``ops``.
+
+        A block holds at most ``block_size(ops, batch)`` pieces; ``ends[j]`` says
+        whether its piece ``j`` ends a record stride.
+        """
+        ops, ends, size = None, [], 0
+        for stride in np.diff(self.cfg.record_steps()):
+            for piece in self.plan[int(stride)]:
+                if piece is not ops or len(ends) == size:
+                    if ends:
+                        yield ops, ends
+                    ops, ends, size = piece, [], self.block_size(piece, batch)
+                ends.append(False)
+            ends[-1] = True
+        yield ops, ends
+
     def run(self, trials):
         """Yield ``z`` of shape (trials, n + G q) at every record step, in order."""
         cfg = self.cfg
@@ -277,22 +321,37 @@ class _Engine:
         z[:, :n] = self.ts.x0 + np.stack([r.standard_normal(n) for r in rngs]) @ self.sigma0_half_t
         z[:, n:] = np.tile(self.ts.x0, self.gains * self.n_sensors)
         yield z
-        for stride in np.diff(cfg.record_steps()):
-            for ops in self.plan[int(stride)]:
-                noise = np.empty((len(rngs), ops.length * self.cols))
-                for rng, row in zip(rngs, noise):
-                    rng.standard_normal(out=row)
-                z = self._advance(z, noise, ops)
-            yield z
 
-    def _advance(self, z: np.ndarray, noise: np.ndarray, ops: _Operators) -> np.ndarray:
+        def products(block):
+            """The block's noise rows, drawn in one call per trial, times its noise map."""
+            ops, ends = block
+            noise = np.empty((len(rngs), len(ends), ops.length * self.cols))
+            for rng, rows in zip(rngs, noise):
+                rng.standard_normal(out=rows)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = noise.reshape(-1, noise.shape[2]) @ ops.noise_map
+            return ops, ends, out.reshape(len(rngs), len(ends), self.width)
+
+        with contextlib.closing(_ahead(products, self.schedule(len(rngs)), self.helper)) as blocks:
+            for ops, ends, noise_products in blocks:
+                for j, end in enumerate(ends):
+                    z = self._advance(z, noise_products[:, j], ops)
+                    if end:
+                        yield z
+
+    def _advance(self, z: np.ndarray, out: np.ndarray, ops: _Operators) -> np.ndarray:
+        """Add the products of ``z`` to its noise product ``out`` in place; return ``out``."""
         batch, n = z.shape[0], self.n
         # Overflow is a monitored outcome (divergent scenarios), not an error.
         with np.errstate(over="ignore", invalid="ignore"):
-            out = noise @ ops.noise_map
             out += z[:, :n] @ ops.state_map
             est = z[:, n:].reshape(batch, self.gains, self.q).transpose(1, 0, 2)
-            out[:, n:] += np.matmul(est, ops.filter_maps).transpose(1, 0, 2).reshape(batch, -1)
+            filters = out[:, n:].reshape(batch, self.gains, self.q).transpose(1, 0, 2)
+            # Summed into the fresh product and copied back: numpy would copy
+            # the strided view first to add into it in place.
+            product = np.matmul(est, ops.filter_maps)
+            product += filters
+            filters[...] = product
         return out
 
     def squared_errors(self, z: np.ndarray) -> np.ndarray:
@@ -361,6 +420,8 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
         return chunk_sums, window_sums, flags
 
     workers = _worker_count(len(chunks)) if engine.noise_bytes(chunk) >= _POOL_BYTES else 1
+    # Chunks on the caller's thread leave a core idle when BLAS leaves one spare.
+    engine.helper = workers == 1 and _worker_count(2) >= 2
     for (chunk_sums, window_sums, flags), trials in zip(_in_order(work, chunks, workers), chunks):
         overflow[trials.start : trials.stop] = flags
         sums += chunk_sums
@@ -447,3 +508,26 @@ def _in_order(work, items: list, workers: int):
         finally:
             for future in pending:
                 future.cancel()
+
+
+def _ahead(work, items, helper: bool):
+    """Yield ``work(item)`` for every item in order.
+
+    With ``helper``, one thread computes each item's work while the caller
+    uses the one before it; the calls still run one at a time and in order.
+    """
+    if not helper:
+        yield from map(work, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = None
+        for item in items:
+            future = pool.submit(work, item)
+            if pending is not None:
+                yield pending.result()
+            pending = future
+        if pending is not None:
+            yield pending.result()
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -334,6 +335,7 @@ def test_case1_sweep_runs_as_one_batch(case1, run_calls):
             tracemalloc.stop()
         assert run_calls == [range(trials)]
     assert peaks[1] <= 1.5 * peaks[0]
+    assert peaks[1] <= peaks[0] + 2**20
 
 
 def test_only_chunks_with_an_overflow_run_twice(run_calls, monkeypatch):
@@ -350,10 +352,8 @@ def test_only_chunks_with_an_overflow_run_twice(run_calls, monkeypatch):
     assert_series_match(single, whole)
 
 
-def test_long_stride_with_unexcited_unstable_mode_stays_finite():
-    # The first state grows by 1.05 per step but starts at zero and gets no
-    # noise.  One 16000-step stride would need 1.05**16000, which is not a
-    # double; the engine splits it, so no trial is reported as overflowed.
+def unexcited_unstable_pair():
+    """A state that grows by 1.05 per step at dt = 1e-2 but starts at zero and gets no noise."""
     ts = TrueSystem(
         a=np.diag([5.0, -1.0]),
         q=np.diag([0.0, 1.0]),
@@ -363,11 +363,70 @@ def test_long_stride_with_unexcited_unstable_mode_stays_finite():
     )
     nm = NominalModel(a=-np.eye(2), q=np.eye(2), sensors=ts.sensors)
     fr = build_filter(nm, ts, Topology(np.zeros((1, 1))), gamma=1.0)
+    return ts, fr
+
+
+def test_long_stride_with_unexcited_unstable_mode_stays_finite():
+    # One 16000-step stride would need 1.05**16000, which is not a double; the
+    # engine splits it, so no trial is reported as overflowed.
+    ts, fr = unexcited_unstable_pair()
     cfg = sim.SimConfig(dt=1e-2, horizon=160.0, trials=3, seed=13, record_stride=16000)
     got = sim.monte_carlo_mse(ts, fr, cfg)
     assert got.overflow_trials == ()
     assert np.all(np.isfinite(got.mse))
     assert_series_match(got, stepwise_monte_carlo(ts, fr, cfg))
+
+
+# ---------------------------------------------------------------------------
+# Blocks: consecutive pieces that share operators have their noise rows drawn
+# and multiplied together, within a memory budget.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("edge", ["ragged", "split", "tail"])
+def test_block_edges_match_stepwise(edge):
+    if edge == "split":
+        # Each 9438-step stride is two 4719-step pieces (the powers of M cap
+        # them), and the 6562-step tail is one of them and a shorter piece.
+        ts, fr = unexcited_unstable_pair()
+        cfg = sim.SimConfig(dt=1e-2, horizon=160.0, trials=3, seed=13, record_stride=9438)
+    else:
+        ts, nm, topo = quick_pair()
+        fr = build_filter(nm, ts, topo, gamma=2.0)
+        horizon, stride = (10.0, 100) if edge == "ragged" else (3.1, 300)
+        cfg = sim.SimConfig(dt=1e-3, horizon=horizon, trials=5, seed=17, record_stride=stride)
+    engine = sim._Engine(ts, [fr], cfg)
+    blocks = [(ops.length, ends) for ops, ends in engine.schedule(cfg.trials)]
+    k = engine.block_size(engine.plan[cfg.record_stride][0], cfg.trials)
+    if edge == "ragged":
+        # 100 one-piece records in blocks of k, which does not divide 100.
+        assert 100 % k != 0
+        assert blocks == [(100, [True] * k)] * (100 // k) + [(100, [True] * (100 % k))]
+    elif edge == "split":
+        assert k == 3
+        assert blocks == [(4719, [False, True, False]), (1843, [True])]
+    else:
+        # Ten 300-step records, then a 100-step tail with operators of its own.
+        assert blocks == [(300, [True] * 10), (100, [True])]
+    assert_series_match(sim.monte_carlo_mse(ts, fr, cfg), stepwise_monte_carlo(ts, fr, cfg))
+
+
+@pytest.mark.parametrize("preset, trials", [("case1", 20), ("case1", 200), ("case2", None)])
+def test_blocks_stay_within_the_memory_budget(preset, trials, request):
+    scenario = request.getfixturevalue(preset)
+    ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
+    frs = [build_filter(nm, ts, topo, float(g)) for g in scenario.resolve_gammas()]
+    cfg = scenario.sim_config(trials=trials)
+    engine = sim._Engine(ts, frs, cfg)
+    batch = engine.chunk_size()
+    blocks = list(engine.schedule(batch))
+    for (ops, ends), (after, _) in zip(blocks, blocks[1:] + [(None, None)]):
+        piece_bytes = batch * (ops.length * engine.cols + engine.width) * 8
+        assert len(ends) * piece_bytes <= sim._BLOCK_BYTES or len(ends) == 1
+        # A block ends at the budget, at a change of operators, or at the last record.
+        assert after is not ops or len(ends) == engine.block_size(ops, batch)
+    assert sum(ops.length * len(ends) for ops, ends in blocks) == cfg.step_count
+    assert sum(sum(ends) for _, ends in blocks) == cfg.record_steps().size - 1
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +561,7 @@ def test_pool_stress_more_workers_than_cores(blas_env, pool_calls, monkeypatch):
 
 
 def test_pool_is_bitwise_independent_of_workers_split_stride(blas_env, pool_calls, monkeypatch):
-    ts = TrueSystem(
-        a=np.diag([5.0, -1.0]),
-        q=np.diag([0.0, 1.0]),
-        sensors=[Sensor(c=[[0.0, 1.0]], r=[[0.1]])],
-        x0=[0.0, 1.0],
-        sigma0=np.diag([0.0, 0.1]),
-    )
-    nm = NominalModel(a=-np.eye(2), q=np.eye(2), sensors=ts.sensors)
-    fr = build_filter(nm, ts, Topology(np.zeros((1, 1))), gamma=1.0)
+    ts, fr = unexcited_unstable_pair()
     cfg = sim.SimConfig(dt=1e-2, horizon=160.0, trials=3, seed=13, record_stride=16000)
     small_chunks(monkeypatch, 1)
     (one,), (two,) = sweep_with_workers(blas_env, pool_calls, ts, [fr], cfg)
@@ -533,6 +584,128 @@ def test_small_pieces_stay_on_the_callers_thread(case1, blas_env, pool_calls):
     blas_env("1")
     sim.monte_carlo_sweep(ts, frs, case1.sim_config(trials=8, seed=3))
     assert pool_calls == [(1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# The helper thread: chunks on the caller's thread have the next block drawn
+# and multiplied on the spare core.  The outputs must not depend on it.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def block_threads(monkeypatch):
+    """``(helper, threads that computed its blocks)`` of every ``_ahead`` call.
+
+    Blocks share their trials' generators, so the spy also fails the run if
+    two blocks of one call are ever computed at once.
+    """
+    calls = []
+    real = sim._ahead
+
+    def spy(work, items, helper):
+        threads = set()
+        calls.append((helper, threads))
+        active = []
+
+        def traced(item):
+            threads.add(threading.get_ident())
+            active.append(item)
+            try:
+                assert len(active) == 1, "two blocks computed at once"
+                time.sleep(1e-4)  # widen the window in which a second block could start
+                return work(item)
+            finally:
+                active.pop()
+
+        return real(traced, items, helper)
+
+    monkeypatch.setattr(sim, "_ahead", spy)
+    return calls
+
+
+def helper_ran(block_threads) -> bool:
+    """Whether blocks were computed off the caller's thread, and only there."""
+    used = set().union(*(threads for _, threads in block_threads))
+    assert used and (threading.get_ident() not in used or used == {threading.get_ident()})
+    return threading.get_ident() not in used
+
+
+def sweep_with_and_without_helper(blas_env, block_threads, ts, frs, cfg):
+    """``monte_carlo_sweep`` with one BLAS thread on two cores, then on one core.
+
+    The first run switches threads as often as the interpreter can, so a block
+    drawn out of order or stepped before it is complete would change the bits.
+    """
+    runs = []
+    for cores in (2, 1):
+        blas_env("1", cores=cores)
+        block_threads.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6 if cores == 2 else interval)
+        try:
+            runs.append(sim.monte_carlo_sweep(ts, frs, cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert helper_ran(block_threads) == (cores == 2)
+    return runs
+
+
+def test_helper_is_bitwise_neutral_case1(case1, blas_env, block_threads):
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    frs = [build_filter(nm, ts, topo, float(g)) for g in np.sort(case1.resolve_gammas())]
+    cfg = case1.sim_config(trials=20, seed=3)
+    short = dataclasses.replace(cfg, horizon=cfg.horizon / 10)
+    on, off = sweep_with_and_without_helper(blas_env, block_threads, ts, frs, short)
+    for a, b in zip(on, off):
+        assert_series_identical(a, b)
+
+
+def test_helper_is_bitwise_neutral_mixed_overflow(blas_env, block_threads):
+    ts, fr = unstable_scalar_pair()
+    cfg = sim.SimConfig(dt=1e-2, horizon=73.0, trials=24, seed=14, record_stride=10)
+    (on,), (off,) = sweep_with_and_without_helper(blas_env, block_threads, ts, [fr], cfg)
+    assert 0 < len(on.overflow_trials) < cfg.trials
+    assert_series_identical(on, off)
+
+
+def test_pooled_chunks_get_no_helper(case2, blas_env, block_threads, pool_calls):
+    ts = case2.true_system
+    fr = build_filter(case2.nominal, ts, case2.topology, float(case2.resolve_gammas()[0]))
+    blas_env("1")
+    sim.monte_carlo_sweep(ts, [fr], dataclasses.replace(case2.sim_config(), horizon=5.0))
+    (chunks, workers), = pool_calls
+    assert chunks > 1 and workers == 2
+    assert len(block_threads) == chunks and not any(helper for helper, _ in block_threads)
+
+
+def test_no_helper_thread_outlives_its_run(blas_env, block_threads):
+    blas_env("1")
+    before = set(threading.enumerate())
+    ts, nm, topo = quick_pair()
+    fr = build_filter(nm, ts, topo, gamma=2.0)
+    cfg = sim.SimConfig(dt=1e-3, horizon=1.0, trials=8, seed=7, record_stride=10)
+    sim.monte_carlo_sweep(ts, [fr], cfg)
+    assert helper_ran(block_threads)
+    assert set(threading.enumerate()) == before
+
+    block_threads.clear()
+    unstable_ts, unstable_fr = unstable_scalar_pair()
+    doomed = sim.SimConfig(dt=1e-2, horizon=160.0, trials=2, seed=13, record_stride=100)
+    with pytest.raises(sim.SimulationOverflowError):
+        sim.monte_carlo_sweep(unstable_ts, [unstable_fr], doomed)
+    assert helper_ran(block_threads)
+    assert set(threading.enumerate()) == before
+
+    engine = sim._Engine(ts, [fr], cfg)
+    engine.helper = True
+    for records in (1, 2):
+        block_threads.clear()
+        run = engine.run(range(4))
+        for _ in range(records):
+            next(run)
+        run.close()
+        assert set(threading.enumerate()) == before
+    assert helper_ran(block_threads)
 
 
 def test_standard_error_of_huge_trial_mses():
