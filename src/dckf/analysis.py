@@ -379,7 +379,8 @@ def relation_analysis(
     intensities may deviate).  The gap obeys a Lyapunov-type ODE driven by
     the constant mismatch-drive matrix.  ``gap`` steps it exactly with the
     shared covariance flow of :mod:`dckf.solvers`, which forms one matrix
-    exponential per distinct span of the grid.
+    exponential per distinct span of the grid.  ``gap_norm_bound`` grows as
+    ``exp(log_norm_rate * t)``; where that overflows, the bound is +inf.
     """
     if not dev.state_matrix_exact:
         raise HypothesisError(
@@ -407,11 +408,14 @@ def relation_analysis(
     delta_t = grid - grid[0]
     drive_norm = float(np.linalg.norm(drive, 2))
     init_norm = float(np.linalg.norm(gap, 2))
-    if abs(rate) > 1e-14:
-        integral = (np.exp(rate * delta_t) - 1.0) / rate
-    else:
-        integral = delta_t.copy()
-    bound = init_norm * np.exp(rate * delta_t) + drive_norm * integral
+    # A large rate overflows the bound to +inf, which is its value.
+    with np.errstate(over="ignore"):
+        growth = np.exp(rate * delta_t)
+        integral = (growth - 1.0) / rate if abs(rate) > 1e-14 else delta_t
+        bound = np.zeros_like(delta_t)
+        for norm, factor in ((init_norm, growth), (drive_norm, integral)):
+            if norm:  # a zero norm adds nothing, where 0 * inf would be NaN
+                bound = bound + norm * factor
 
     sign = _classify_sign(drive)
     init_sign = _classify_sign(gap)

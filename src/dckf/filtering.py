@@ -35,10 +35,12 @@ def is_hurwitz(m: "np.ndarray | SchurForm") -> bool:
     """True when every eigenvalue has real part below ``-1e-9 * ||m||_2``.
 
     A marginal matrix therefore reports as not Hurwitz.  ``m`` may be a
-    :class:`~dckf.solvers.SchurForm`, whose eigenvalues and norm are then reused.
+    :class:`~dckf.solvers.SchurForm`, whose eigenvalues are then reused.  The
+    2-norm is taken only when the verdict depends on it
+    (:meth:`~dckf.solvers.SchurForm.band_norm`).
     """
     form = SchurForm.of(m)
-    return form.spectral_abscissa < -_HURWITZ_RTOL * max(form.norm2, 1e-300)
+    return form.spectral_abscissa < -_HURWITZ_RTOL * max(form.band_norm(_HURWITZ_RTOL), 1e-300)
 
 
 def gamma_threshold(nm: NominalModel, topo: Topology) -> float:

@@ -93,9 +93,11 @@ class SchurForm:
     ``t`` is quasi-upper-triangular and ``z`` orthogonal; ``op`` transposes
     ``t`` when ``transposed`` is set, so ``form.T`` factors ``matrix.T`` with
     the same arrays.  Every Sylvester/Lyapunov equation in the matrix or its
-    transpose is solved on these factors, and the eigenvalues, spectral
-    abscissa and spectral norm that the solvability and stability checks
-    need are read from the same object.  Build one with :meth:`of`.
+    transpose is solved on these factors, and the eigenvalues and spectral
+    abscissa that the solvability and stability checks need are read from
+    the same object.  The spectral norm ``norm2`` costs an SVD, so the
+    stability checks read :meth:`band_norm`, which takes it only when their
+    verdict depends on it.  Build one with :meth:`of`.
     """
 
     matrix: np.ndarray
@@ -133,6 +135,20 @@ class SchurForm:
     def norm2(self) -> float:
         """Spectral norm of ``matrix``, computed once per factorization."""
         return float(np.linalg.norm(self.matrix, 2))
+
+    def band_norm(self, rtol: float) -> float:
+        """The norm to weigh the spectral abscissa against in a Hurwitz check at ``rtol``.
+
+        The checks compare ``alpha`` with ``-rtol ||m||_2`` or ``rtol ||m||_2``.
+        Since ``||m||_2 <= ||m||_F``, once ``|alpha| > 2 rtol ||m||_F`` both
+        norms give the same verdict (the factor 2 covers the rounding of
+        either norm), and the Frobenius norm is returned.  Only inside that
+        band is the SVD behind ``norm2`` taken.
+        """
+        fro = float(np.linalg.norm(self.matrix))
+        if abs(self.spectral_abscissa) > 2.0 * rtol * max(fro, 1e-300):
+            return fro
+        return self.norm2
 
 
 def _sylvester_spectra_check(a: SchurForm, b: SchurForm) -> None:
@@ -356,7 +372,7 @@ class SteadyStateResult:
 
 def _hurwitz_guard(form: SchurForm, what: str) -> None:
     alpha = form.spectral_abscissa
-    if alpha > 1e-9 * max(form.norm2, 1e-300):
+    if alpha > 1e-9 * max(form.band_norm(1e-9), 1e-300):
         raise NotHurwitzError(f"{what} is unstable (spectral abscissa {alpha:.3e})")
 
 
@@ -379,7 +395,10 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
     with zero feedthrough they are skipped and left ``None``.  A closed-loop
     matrix with an imaginary-axis eigenvalue makes the equations singular and
     raises :class:`SingularEquationError`.  Every closed-loop solve, and the
-    Hurwitz guard, reads the one factorization ``fr.closed_loop_schur``.
+    Hurwitz guard, reads the one factorization ``fr.closed_loop_schur``.  The
+    state moment, its residual and the factorization of ``ts.a_diag`` depend
+    on no gain and come from ``ts.stacked_moment``, solved once per system
+    (``state_cov`` is that read-only array).
     """
     _check_pair(ts, nm)
     acl = fr.closed_loop
@@ -402,8 +421,7 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
         f = fr.mismatch_diag
         u_q = ts.q_network
         a_d = ts.a_diag
-        a_d_form = SchurForm.of(a_d)
-        state_cov = recorded("state_cov", solve_lyapunov(a_d_form, u_q), a_d, a_d.T, u_q)
+        a_d_form, state_cov, residuals["state_cov"] = ts.stacked_moment
         rhs_cross = f @ state_cov + u_q
         cross_cov = recorded(
             "cross_cov", solve_sylvester(form, a_d_form.T, -rhs_cross), acl, a_d.T, rhs_cross

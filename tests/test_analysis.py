@@ -283,6 +283,19 @@ def test_relation_analysis_forms_one_exponential_per_span(case3, monkeypatch):
     assert calls == [(48, 48)]
 
 
+@pytest.mark.parametrize("gap_init", [np.eye(24), np.zeros((24, 24))])
+def test_relation_bound_overflows_quietly_to_inf(case3, gap_init):
+    # The reference log-norm rate is positive, so exp(rate * t) overflows long
+    # before t = 2000: the bound is +inf there, with no warning and no NaN
+    # (a zero initial gap drops its term rather than forming 0 * inf).
+    ts, nm, topo = case3.true_system, case3.nominal, case3.topology
+    fr = build_filter(nm, ts, topo, float(case3.resolve_gammas()[0]))
+    rel = analysis.relation_analysis(fr, deviations(ts, nm), gap_init, np.linspace(0, 2000, 5))
+    assert rel.log_norm_rate > 0
+    assert np.all(np.isfinite(rel.gap_norm_bound[:-1])) and rel.gap_norm_bound[-1] == np.inf
+    assert np.all(rel.gap_norm <= rel.gap_norm_bound)
+
+
 def test_relation_matches_propagate_difference(case3):
     ts, nm, topo = case3.true_system, case3.nominal, case3.topology
     dev = deviations(ts, nm)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dckf import filtering
+from dckf import filtering, solvers
+from dckf.analysis import trace_bounds
 from dckf.graph import Topology, complete, laplacian, ring
-from dckf.model import NominalModel, Sensor, TrueSystem
+from dckf.model import NominalModel, Sensor, TrueSystem, deviations
+from dckf.solvers import SchurForm
 from conftest import random_connected_topology, random_spd
 
 
@@ -121,6 +123,41 @@ def test_threshold_singular_covariance_raises(case2):
 def test_is_hurwitz():
     assert filtering.is_hurwitz(-np.eye(3))
     assert not filtering.is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def with_abscissa(alpha, size=16):
+    """A rotated ``diag(alpha, -1, ..., -1)``: ``||m||_2 = 1`` and ``||m||_F`` about ``sqrt(size - 1)``."""
+    q, _ = np.linalg.qr(np.random.default_rng(size).standard_normal((size, size)))
+    return q @ np.diag([alpha] + [-1.0] * (size - 1)) @ q.T
+
+
+@pytest.mark.parametrize("factor", [-10.0, -3.0, -2.0, -0.5, 0.5, 2.0, 3.0, 10.0])
+def test_hurwitz_verdicts_match_the_exact_two_norm(factor):
+    # The spectral abscissa is factor * 1e-9 ||m||_2.  ||m||_F is about 3.9, so
+    # +-3 lies between 1e-9 ||m||_2 and 1e-9 ||m||_F, and only +-10 lies
+    # outside the band 2e-9 ||m||_F where the SVD is skipped.
+    m = with_abscissa(factor * 1e-9)
+    form = SchurForm.of(m)
+    alpha, norm2 = form.spectral_abscissa, np.linalg.norm(m, 2)
+    assert abs(alpha - factor * 1e-9) <= 1e-12
+    assert filtering.is_hurwitz(form) is bool(alpha < -1e-9 * norm2) is (factor < -1)
+    unstable = bool(alpha > 1e-9 * norm2)
+    assert unstable is (factor > 1)
+    if unstable:
+        with pytest.raises(solvers.NotHurwitzError):
+            solvers._hurwitz_guard(form, "m")
+    else:
+        solvers._hurwitz_guard(form, "m")
+    assert ("norm2" in form.__dict__) is bool(abs(factor) < 2.0 * np.linalg.norm(m))
+
+
+def test_clearly_stable_closed_loop_takes_no_svd(case1):
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    fr = filtering.build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
+    ss = solvers.steady_state(fr, ts, nm)
+    trace_bounds(fr, ss, deviations(ts, nm))
+    assert filtering.is_hurwitz(fr.closed_loop_schur)
+    assert "norm2" not in fr.closed_loop_schur.__dict__
 
 
 def test_case2_closed_loop_not_hurwitz(case2):

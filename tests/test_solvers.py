@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -319,6 +320,58 @@ def test_steady_state_matches_long_horizon_ode_case1(case1):
     grid = np.linspace(0.0, 90.0, 10)
     traj = solvers.propagate(fr, ts, grid)
     assert abs(np.trace(traj.error_cov[-1]) - np.trace(ss.error_cov)) <= 1e-6
+
+
+@pytest.mark.parametrize("network", ["case1", "ring_chord_25"])
+def test_steady_state_sweep_solves_the_stacked_moment_once(network, monkeypatch, request):
+    # The stacked state's moment does not depend on the gain: a 20-gain sweep
+    # factors a_diag and solves its Lyapunov equation once, and every result
+    # is bitwise what a freshly built true system gives.
+    sc = request.getfixturevalue("case1") if network == "case1" else ring_chord_network(25)
+    ts = dataclasses.replace(sc.true_system)  # the fixture's system may already hold its moment
+    nm, topo = sc.nominal, sc.topology
+    gammas = np.sort(sc.resolve_gammas())
+    assert gammas.size == 20
+    base = build_filter(nm, ts, topo, float(gammas[-1]))
+    filters = [base.with_gamma(float(g)) for g in gammas]
+    counts = {"factor": 0, "solve": 0}
+    real_of, real_lyapunov = solvers.SchurForm.of.__func__, solvers.solve_lyapunov
+
+    def spy_of(cls, m):
+        counts["factor"] += m is ts.a_diag
+        return real_of(cls, m)
+
+    def spy_lyapunov(m, w):
+        counts["solve"] += w is ts.q_network
+        return real_lyapunov(m, w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers.SchurForm, "of", classmethod(spy_of))
+        patch.setattr(solvers, "solve_lyapunov", spy_lyapunov)
+        results = [solvers.steady_state(fr, ts, nm) for fr in filters]
+    assert counts == {"factor": 1, "solve": 1}
+    _, moment, residual = ts.stacked_moment
+    assert not moment.flags.writeable
+    np.testing.assert_array_equal(
+        moment, solvers.solve_lyapunov(solvers.SchurForm.of(ts.a_diag), ts.q_network)
+    )
+    for fr, ss in zip(filters, results):
+        fresh = solvers.steady_state(fr, dataclasses.replace(ts), nm)
+        assert ss.state_cov is moment and ss.residuals["state_cov"] == residual
+        for field in ("nominal_cov", "error_cov", "cross_cov", "state_cov"):
+            assert np.array_equal(getattr(ss, field), getattr(fresh, field)), field
+        assert ss.residuals == fresh.residuals
+
+
+def test_unstable_truth_raises_on_every_call_and_caches_nothing():
+    ts, nm, topo = two_sensor_pair()
+    ts = dataclasses.replace(ts, a=[[0.5]])
+    fr = build_filter(nm, ts, topo, 2.0)
+    assert not fr.mismatch_is_zero
+    for _ in range(3):
+        with pytest.raises(solvers.NotHurwitzError, match=r"^true state matrix \(required"):
+            solvers.steady_state(fr, ts, nm)
+    assert "stacked_moment" not in ts.__dict__
 
 
 # ---------------------------------------------------------------------------
