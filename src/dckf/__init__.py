@@ -6,13 +6,25 @@ bound, and Monte-Carlo-validate its performance under the modeling errors.
 
 The package exports the ``__all__`` of each of its seven library submodules,
 and ``dckf.__all__`` is their union.  It is imported lazily (PEP 562):
-``import dckf`` loads no submodule and no numpy, so ``python -m dckf`` can
-choose a BLAS thread default before numpy starts.  A public name is looked up
+``import dckf`` loads no submodule and no numpy.  A public name is looked up
 in the submodules, ``scenario`` first and ``sim`` last, on every access and
 never stored here, so a name always shows what its submodule holds right now.
+
+``import dckf`` defaults the process to one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``), as the command line does; a value already set
+wins.  OpenBLAS reads its thread count once, when it loads, and its idle
+workers spin between calls.  numpy and scipy each load their own OpenBLAS, so
+two multi-threaded pools spin against each other whenever a caller switches
+between numpy products and scipy factorizations.  Every BLAS that loads after
+this import starts with one thread; one loaded before it (numpy, if the
+caller imported it first) keeps the count it started with.  The Monte Carlo
+spends the free cores on trial chunks instead (see ``dckf.sim``).
 """
 
 import importlib
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -319,7 +319,7 @@ class AssumptionReport:
     def failures(self) -> list[str]:
         out = []
         if not self.connected:
-            out.append("network is not connected")
+            out.append("network is not connected or has fewer than two nodes")
         if not self.observable:
             out.append("nominal pair (A, stacked C) is not observable")
         if not self.controllable:
@@ -340,6 +340,7 @@ def validate_assumptions(
     ``mismatch_diag`` is the block-diagonal mismatch feedthrough of the built
     filter (zero when the state and measurement matrices are exact), or None
     when no filter gains are computable; None counts as nonzero.
+    The network check needs at least two nodes, as the gain threshold does.
     Observability of ``(A, C)`` is checked as controllability of ``(A', C')``.
     Rank checks use a relative singular-value cutoff of 1e-9, and the true
     state matrix is judged by :func:`~dckf.filtering.is_hurwitz`.
@@ -357,7 +358,7 @@ def validate_assumptions(
         float(np.linalg.norm(mismatch_diag)), float(np.linalg.norm(nm.a))
     )
     return AssumptionReport(
-        connected=is_connected(topo),
+        connected=topo.node_count >= 2 and is_connected(topo),
         observable=observable,
         controllable=controllable,
         mismatch_zero=mismatch_zero,

@@ -57,15 +57,18 @@ by one in trial order, so the sums see the same operands in the same order
 whatever the worker count or the number of cores.  ``workers`` is the usable
 core count divided by the BLAS thread count (``OPENBLAS_NUM_THREADS``, then
 ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1
-when none is set, because then BLAS already keeps every core busy.  Chunks
-whose noise per piece is under ``_POOL_BYTES`` run on the caller's thread,
-since stepping them is mostly Python and holds the GIL.  When chunks run on
-the caller's thread and the same rule leaves a core spare (``workers`` would
-be 2 for two chunks), one helper thread draws and multiplies the next block
-while the caller steps the current one, so the two hold a block each.
-Chunks on the pool get no helper.  Either way each chunk's blocks are drawn
-and multiplied one at a time, in order, in the same shapes, so every output
-is bitwise the same with or without the helper.
+when none is set, because then BLAS already keeps every core busy.  ``import
+dckf`` sets ``OPENBLAS_NUM_THREADS=1`` when it is unset, so that happens only
+if the caller deletes it.  The variable is read here, not the pools: numpy
+imported before ``dckf`` keeps its own thread count, and the chunks then run
+on top of its pool.  Chunks whose noise per piece is under ``_POOL_BYTES``
+run on the caller's thread, since stepping them is mostly Python and holds
+the GIL.  When chunks run on the caller's thread and the same rule leaves a
+core spare (``workers`` would be 2 for two chunks), one helper thread draws
+and multiplies the next block while the caller steps the current one, so the
+two hold a block each.  Chunks on the pool get no helper.  Either way each
+chunk's blocks are drawn and multiplied one at a time, in order, in the same
+shapes, so every output is bitwise the same with or without the helper.
 """
 
 from __future__ import annotations

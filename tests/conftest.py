@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import strategies as st
 
 from dckf.scenario import load_scenario
 
@@ -44,6 +45,69 @@ def random_connected_topology(rng, n):
     topo = Topology(adj)
     assert is_connected(topo)
     return topo
+
+
+def random_assumption2_setup(rng):
+    """Random nominal model + connected graph with the structural conditions."""
+    from dckf.model import NominalModel, Sensor
+
+    n = int(rng.integers(2, 5))
+    n_sensors = int(rng.integers(2, 6))
+    while True:
+        a = rng.standard_normal((n, n))
+        sensors = [
+            Sensor(c=rng.standard_normal((1, n)), r=random_spd(rng, 1, floor=0.3))
+            for _ in range(n_sensors)
+        ]
+        c_stack = np.vstack([s.c for s in sensors])
+        obs = np.vstack([c_stack @ np.linalg.matrix_power(a, k) for k in range(n)])
+        if np.linalg.matrix_rank(obs, tol=1e-9) == n:
+            break
+    nm = NominalModel(a=a, q=random_spd(rng, n, floor=0.2), sensors=sensors)
+    topo = random_connected_topology(rng, n_sensors)
+    return nm, topo
+
+
+@st.composite
+def mismatched_networks(draw, noise_only=False):
+    """A valid mismatched network and a consensus gain: ``(ts, nm, topo, gamma)``.
+
+    The nominal model and topology come from ``random_assumption2_setup``
+    (n from 2 to 4, N from 2 to 5 connected sensors, an observable nominal
+    pair).  The truth deviates at a drawn scale ``eps``: its A and each C by
+    ``eps`` times a standard normal, each R and Q by ``eps`` times a random
+    PSD matrix.  With ``noise_only`` only R and Q deviate.  Both state
+    matrices are then shifted by ``-(max(0, alpha) + 0.2) I``, with ``alpha``
+    the true A's spectral abscissa, so the true A is Hurwitz; a shift keeps
+    observability and controllability.  ``gamma`` is 1.05 to 300 times the
+    Hurwitz threshold, log-uniform.
+    """
+    from dckf.filtering import gamma_threshold
+    from dckf.model import NominalModel, Sensor, TrueSystem
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.sampled_from([0.0, 1e-3, 1e-2, 1e-1, 0.3]))
+    nm, topo = random_assumption2_setup(rng)
+    n = nm.n
+    a_true = nm.a if noise_only else nm.a + eps * rng.standard_normal((n, n))
+    shift = (max(0.0, float(np.linalg.eigvals(a_true).real.max())) + 0.2) * np.eye(n)
+    nm = NominalModel(a=nm.a - shift, q=nm.q, sensors=nm.sensors)
+    sensors = [
+        Sensor(
+            c=s.c if noise_only else s.c + eps * rng.standard_normal(s.c.shape),
+            r=s.r + eps * random_spd(rng, s.m, floor=0.0),
+        )
+        for s in nm.sensors
+    ]
+    ts = TrueSystem(
+        a=a_true - shift,
+        q=nm.q + eps * random_spd(rng, n, floor=0.0),
+        sensors=sensors,
+        x0=np.zeros(n),
+        sigma0=np.eye(n),
+    )
+    gamma = np.exp(draw(st.floats(np.log(1.05), np.log(300.0)))) * gamma_threshold(nm, topo)
+    return ts, nm, topo, float(gamma)
 
 
 def ring_chord_network(nodes, seed=0):

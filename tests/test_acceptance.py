@@ -24,8 +24,10 @@ from dckf.filtering import build_filter, gamma_threshold
 from dckf.model import deviations
 from dckf.scenario import load_scenario
 from dckf.sim import monte_carlo_mse, monte_carlo_sweep
-from conftest import closed_form_gap, kron_sylvester, random_spd, rk4_propagate
-from test_filtering import random_assumption2_setup, as_true
+from conftest import (
+    closed_form_gap, kron_sylvester, random_assumption2_setup, random_spd, rk4_propagate,
+)
+from test_filtering import as_true
 from test_solvers import random_care_instance
 
 _CACHE: dict = {}

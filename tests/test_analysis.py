@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from dckf import analysis, matkit
 from dckf.filtering import build_filter, gamma_threshold
 from dckf.graph import complete
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations
-from dckf.solvers import steady_state, propagate
-from conftest import closed_form_gap, random_spd
-from test_filtering import random_assumption2_setup, as_true
+from dckf.solvers import SolverError, steady_state, propagate
+from conftest import closed_form_gap, mismatched_networks, random_assumption2_setup, random_spd
+from test_filtering import as_true
 
 
 def tiny_pair():
@@ -384,3 +386,39 @@ def test_relation_rejects_state_deviation(case1):
         analysis.relation_analysis(
             fr, deviations(ts, nm), np.zeros((24, 24)), np.linspace(0, 1, 6)
         )
+
+
+# Claims that hold on every valid mismatched network (``conftest.mismatched_networks``).
+PROPERTY = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(network=mismatched_networks())
+def test_property_nominal_trace_floor_is_below_the_nominal_trace(network):
+    """Claim: above the threshold, ``tr_nominal_floor`` bounds the steady nominal trace from below."""
+    ts, nm, topo, gamma = network
+    fr = build_filter(nm, ts, topo, gamma)
+    try:
+        ss = steady_state(fr, ts, nm)
+    except SolverError:
+        # About 1 in 200 draws, all at 13 to 300 times the threshold: the
+        # absolute residual contract or the spectra check refuses a solve,
+        # which leaves no trace to test the claim on.
+        reject()
+    assert analysis.nominal_trace_floor(fr) <= np.trace(ss.nominal_cov)
+
+
+@PROPERTY
+@given(
+    network=mismatched_networks(noise_only=True),
+    gap_seed=st.integers(0, 2**32 - 1),
+    horizon=st.floats(0.1, 20.0),
+)
+def test_property_relation_gap_norm_is_within_its_bound(network, gap_seed, horizon):
+    """Claim: under noise-only mismatch, ``gap_norm <= gap_norm_bound`` at every time."""
+    ts, nm, topo, gamma = network
+    fr = build_filter(nm, ts, topo, gamma)
+    m = np.random.default_rng(gap_seed).standard_normal(fr.closed_loop.shape)
+    grid = np.linspace(0.0, horizon, 21)
+    rel = analysis.relation_analysis(fr, deviations(ts, nm), m + m.T, grid)
+    assert np.all(rel.gap_norm <= rel.gap_norm_bound * (1 + 1e-9) + 1e-12)

@@ -489,6 +489,15 @@ def test_one_sensor_threshold_relative_gain_is_exit_2(tmp_path, capsys, command)
         assert code == 0
 
 
+def test_one_sensor_validate_fails_the_network_check(tmp_path, capsys):
+    # The network check asks for what the gain threshold needs: two or more connected nodes.
+    path = write_scenario(tmp_path, one_sensor_doc())
+    assert main(["validate", "--scenario", path, "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "FAIL  network connected\n" in out.splitlines(keepends=True)
+    assert err == "violation: network is not connected or has fewer than two nodes\n"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

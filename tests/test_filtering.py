@@ -7,26 +7,7 @@ from dckf.analysis import trace_bounds
 from dckf.graph import Topology, complete, laplacian, ring
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations
 from dckf.solvers import SchurForm
-from conftest import random_connected_topology, random_spd
-
-
-def random_assumption2_setup(rng):
-    """Random nominal model + connected graph with the structural conditions."""
-    n = int(rng.integers(2, 5))
-    n_sensors = int(rng.integers(2, 6))
-    while True:
-        a = rng.standard_normal((n, n))
-        sensors = [
-            Sensor(c=rng.standard_normal((1, n)), r=random_spd(rng, 1, floor=0.3))
-            for _ in range(n_sensors)
-        ]
-        c_stack = np.vstack([s.c for s in sensors])
-        obs = np.vstack([c_stack @ np.linalg.matrix_power(a, k) for k in range(n)])
-        if np.linalg.matrix_rank(obs, tol=1e-9) == n:
-            break
-    nm = NominalModel(a=a, q=random_spd(rng, n, floor=0.2), sensors=sensors)
-    topo = random_connected_topology(rng, n_sensors)
-    return nm, topo
+from conftest import random_assumption2_setup, random_spd
 
 
 def as_true(nm, rng=None):

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import dckf
-import dckf.__main__
 
 SRC = str(Path(dckf.__file__).resolve().parents[1])
 
@@ -45,9 +44,14 @@ PUBLIC_NAMES = {
 SUBMODULES = [*PUBLIC_NAMES, "cli", "matkit"]
 
 
-def fresh_python(*args):
-    """Run a fresh interpreter on ``args`` with ``dckf`` importable; its stdout."""
+def fresh_python(*args, **env_vars):
+    """Run a fresh interpreter on ``args`` with ``dckf`` importable; its stdout.
+
+    Keyword arguments set the child's environment variables; None unsets one.
+    """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    env.update(env_vars)
+    env = {name: value for name, value in env.items() if value is not None}
     done = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=True
     )
@@ -165,29 +169,25 @@ def test_names_are_looked_up_on_every_access(monkeypatch):
     assert dckf.build_filter is original
 
 
-@pytest.fixture
-def blas_var(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # recorded, so the teardown restores it
-    seen = []
-
-    def fake_cli(argv=None):
-        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-        return 0
-
-    monkeypatch.setattr(dckf.cli, "main", fake_cli)
-    return seen
+@pytest.mark.parametrize("exported, threads", [(None, "1"), ("2", "2")], ids=["unset", "exported"])
+def test_import_defaults_to_one_blas_thread(exported, threads):
+    # numpy and scipy each load their own OpenBLAS, and the pools' idle workers
+    # spin against each other; the default must be set before either loads.
+    code = (
+        "import os, sys, dckf; "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
+    )
+    assert fresh_python("-c", code, OPENBLAS_NUM_THREADS=exported) == f"{threads} False"
 
 
-def test_main_defaults_to_one_blas_thread(monkeypatch, blas_var):
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert dckf.__main__.main([]) == 0
-    assert blas_var == ["1"]
-
-
-def test_main_keeps_the_users_blas_threads(monkeypatch, blas_var):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert dckf.__main__.main([]) == 0
-    assert blas_var == ["2"]
+def test_python_dash_m_runs_with_one_blas_thread():
+    # Runs ``dckf/__main__.py`` as ``python -m dckf --version`` does, then reports the variable.
+    code = (
+        "import atexit, os, runpy, sys; "
+        "atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'))); "
+        "sys.argv = ['dckf', '--version']; runpy.run_module('dckf', run_name='__main__')"
+    )
+    assert fresh_python("-c", code, OPENBLAS_NUM_THREADS=None).splitlines() == ["dckf 0.1.0", "1"]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
