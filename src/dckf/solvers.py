@@ -14,8 +14,14 @@ that situation.
 
 Lyapunov/Sylvester equations are solved by the Bartels-Stewart method on
 real Schur forms: each coefficient matrix is factored once (:class:`SchurForm`)
-and every equation in it or its transpose is one LAPACK ``trsyl`` solve on
-those factors, at every size.  The closed loop of a filter carries its own
+and every equation in it or its transpose is solved on those factors.  The
+quasi-triangular equation is solved recursively (Jonsson and Kagstrom's
+blocked form): split the larger side, solve the independent half, remove its
+contribution from the other half with one matmul, recurse, and hand blocks of
+at most 32 rows and columns to LAPACK ``trsyl``.  A Lyapunov equation with a
+symmetric right-hand side solves one off-diagonal block per level.  Equations
+of at most 32 rows and columns, every preset's among them, are one ``trsyl``
+call on the whole factors.  The closed loop of a filter carries its own
 factorization, so the steady-state solves, the trace-gap factors and the
 stability and solvability checks share it.  A solve that misses the residual
 contract gets one refinement step on the same factors before it is judged.
@@ -162,16 +168,110 @@ def _sylvester_spectra_check(a: SchurForm, b: SchurForm) -> None:
         )
 
 
+# Largest side of a block that the recursive solve hands to one unblocked
+# ``trsyl`` call.  Smaller blocks pay more Python and call overhead than the
+# matmuls save; larger ones leave more of the work in level-2 LAPACK.
+_TRSYL_BLOCK = 32
+
+# A right-hand side whose antisymmetric part is below this share of its norm
+# is treated as symmetric by the Lyapunov recursion.  The products that build
+# a symmetric drive leave about 1e-16; the part the recursion ignores stays
+# under a tenth of the 1e-12 (||a|| + ||b||) ||x|| backward error a solve is
+# held to, and a refinement step solves its unsymmetric defect in full.
+_SYMMETRIC_RTOL = 1e-13
+
+
+def _halves(t: np.ndarray, upper_first: bool) -> tuple[slice, slice]:
+    """The index halves of quasi-triangular ``t``: (solved first, solved second).
+
+    The split is the midpoint, moved one index on when it would cut a 2x2
+    diagonal bump.
+    """
+    k = t.shape[0] // 2
+    if t[k, k - 1] != 0.0:
+        k += 1
+    upper, lower = slice(None, k), slice(k, None)
+    return (upper, lower) if upper_first else (lower, upper)
+
+
+def _solve_blocks(
+    ta: np.ndarray, tb: np.ndarray, y: np.ndarray, trana: str, tranb: str, whole: np.ndarray
+) -> float:
+    """Overwrite ``y`` with ``x`` solving ``op(ta) x + x op(tb) = scale y``; return ``scale``.
+
+    Recursive blocked Bartels-Stewart (Jonsson and Kagstrom, 2002): the larger
+    side is split, the half that does not depend on the other is solved, its
+    contribution leaves the other half's right-hand side in one matmul, and
+    the other half is solved.  Blocks of at most ``_TRSYL_BLOCK`` rows and
+    columns go to LAPACK ``trsyl``.  ``y`` is a block of ``whole``, the array
+    the solve works in; a block's ``scale < 1`` rescales all of ``whole``,
+    solved and unsolved parts alike, so the scales multiply into one.
+    """
+    m, n = y.shape
+    if max(m, n) <= _TRSYL_BLOCK:
+        x, scale, info = scipy.linalg.lapack.dtrsyl(ta, tb, y, trana=trana, tranb=tranb)
+        if info < 0:
+            raise SolverError(f"LAPACK trsyl rejected argument {-info}")
+        if scale != 1.0:
+            whole *= scale
+        y[...] = x
+        return scale
+    if m >= n:
+        # op(ta)[second, first] couples the rows; op(ta)[first, second] is zero.
+        first, second = _halves(ta, trana == "T")
+        op_a = ta.T if trana == "T" else ta
+        scale = _solve_blocks(ta[first, first], tb, y[first], trana, tranb, whole)
+        y[second] -= op_a[second, first] @ y[first]
+        return scale * _solve_blocks(ta[second, second], tb, y[second], trana, tranb, whole)
+    # op(tb)[first, second] couples the columns; op(tb)[second, first] is zero.
+    first, second = _halves(tb, tranb == "N")
+    op_b = tb.T if tranb == "T" else tb
+    scale = _solve_blocks(ta, tb[first, first], y[:, first], trana, tranb, whole)
+    y[:, second] -= y[:, first] @ op_b[first, second]
+    return scale * _solve_blocks(ta, tb[second, second], y[:, second], trana, tranb, whole)
+
+
+def _solve_symmetric(t: np.ndarray, y: np.ndarray, trana: str, whole: np.ndarray) -> float:
+    """:func:`_solve_blocks` for ``op(t) x + x op(t)' = scale y`` with a symmetric ``y``.
+
+    With ``u = op(t)`` split so that ``u[first, second]`` is zero, the
+    solution is symmetric and its blocks follow in order: ``x[first, first]``
+    from the same equation on the first half, the off-diagonal block from
+    the Sylvester equation ``u_ss x_sf + x_sf u_ff' = y_sf - u_sf x_ff``, and
+    ``x[second, second]`` from the same equation on the second half with
+    ``y_ss - g - g'``, ``g = u_sf x_sf'``.  One off-diagonal block is solved
+    per level; ``y[first, second]`` is never read and ends as its mirror.
+    """
+    tranb = "N" if trana == "T" else "T"
+    if t.shape[0] <= _TRSYL_BLOCK:
+        return _solve_blocks(t, t, y, trana, tranb, whole)
+    first, second = _halves(t, trana == "T")
+    coupling = (t.T if trana == "T" else t)[second, first]
+    t_ff, t_ss = t[first, first], t[second, second]
+    scale = _solve_symmetric(t_ff, y[first, first], trana, whole)
+    y[second, first] -= coupling @ y[first, first]
+    scale *= _solve_blocks(t_ss, t_ff, y[second, first], trana, tranb, whole)
+    g = coupling @ y[second, first].T
+    y[second, second] -= g + g.T
+    scale *= _solve_symmetric(t_ss, y[second, second], trana, whole)
+    y[first, second] = y[second, first].T
+    return scale
+
+
 def _sylvester_trsyl(a: SchurForm, b: SchurForm, c: np.ndarray) -> np.ndarray:
     # Bartels-Stewart: rotate onto both Schur bases, solve the quasi-triangular
-    # equation with LAPACK trsyl, rotate back.
+    # equation, rotate back.  A Lyapunov equation (one form in both
+    # orientations) with a symmetric right-hand side takes the symmetric
+    # recursion.
     f = a.z.T @ c @ b.z
-    y, scale, info = scipy.linalg.lapack.dtrsyl(
-        a.t, b.t, f, trana="T" if a.transposed else "N", tranb="T" if b.transposed else "N"
-    )
-    if info < 0:
-        raise SolverError(f"LAPACK trsyl rejected argument {-info}")
-    return a.z @ (y / scale) @ b.z.T
+    trana, tranb = ("T" if form.transposed else "N" for form in (a, b))
+    if a.t is b.t and trana != tranb and (
+        np.linalg.norm(c - c.T) <= _SYMMETRIC_RTOL * np.linalg.norm(c)
+    ):
+        scale = _solve_symmetric(a.t, f, trana, f)
+    else:
+        scale = _solve_blocks(a.t, b.t, f, trana, tranb, f)
+    return a.z @ (f / scale) @ b.z.T
 
 
 def solve_sylvester(
@@ -179,12 +279,17 @@ def solve_sylvester(
     b: "np.ndarray | SchurForm",
     c: np.ndarray,
 ) -> np.ndarray:
-    """Solve ``a @ x + x @ b = c`` with LAPACK ``trsyl`` on the real Schur forms.
+    """Solve ``a @ x + x @ b = c`` by Bartels-Stewart on the real Schur forms.
 
-    ``a`` and ``b`` are matrices or their :class:`SchurForm`; passing a form
-    (or ``form.T``) reuses its factorization, so every equation in one matrix
-    costs one factorization in total.  When the first solve misses the
-    residual contract
+    The quasi-triangular equation is solved by the recursive blocked
+    algorithm, with blocks of at most 32 rows and columns going to LAPACK
+    ``trsyl``; an equation of at most 32 rows and columns is one ``trsyl``
+    call.  When ``b`` is ``a``'s form transposed and ``c`` is symmetric (a
+    Lyapunov equation), the recursion solves only one off-diagonal block
+    per level.  ``a`` and ``b`` are matrices or their :class:`SchurForm`;
+    passing a form (or ``form.T``) reuses its factorization, so every
+    equation in one matrix costs one factorization in total.  When the first
+    solve misses the residual contract
     ``||a x + x b - c||_F <= 1e-9 (1 + ||x||_F)``, one refinement step
     ``x += solve(c - a x - x b)`` on the same factors is taken before it is
     judged.  Raises :class:`SingularEquationError` when some eigenvalue sum
@@ -318,7 +423,9 @@ def solve_care(
     r_eigs = np.linalg.eigvalsh(matkit.symmetrize(r_diag))
     if r_eigs[0] <= 0.0:
         raise CareSolutionError(f"measurement noise intensity is not PD (min eig {r_eigs[0]:.3e})")
-    gram = matkit.symmetrize(c_stack.T @ np.linalg.solve(r_diag, c_stack))
+    # A gram that overflows is refused below, as a Hamiltonian with no Schur form.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = matkit.symmetrize(c_stack.T @ np.linalg.solve(r_diag, c_stack))
 
     # Deflate neutral modes repeatedly (a reduction can expose new ones) and
     # solve on the orthonormal complement.

@@ -193,3 +193,17 @@ def test_python_dash_m_runs_with_one_blas_thread():
 def test_python_dash_m_runs_the_cli(tmp_path):
     fresh_python("-m", "dckf", "relations", "--scenario", "case3", "--out", str(tmp_path))
     assert (tmp_path / "case3_relations.csv").is_file()
+
+
+def test_python_dash_m_freezes_the_import_heap():
+    # The CLI process skips collecting numpy's and scipy's import heap at exit.
+    code = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled())); "
+        "sys.argv = ['dckf', '--version']; runpy.run_module('dckf', run_name='__main__')"
+    )
+    assert fresh_python("-c", code).splitlines() == ["dckf 0.1.0", "True True"]
+
+
+def test_library_import_leaves_the_heap_unfrozen():
+    assert fresh_python("-c", "import gc, dckf.cli; print(gc.get_freeze_count())") == "0"

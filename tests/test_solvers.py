@@ -1,8 +1,12 @@
 import dataclasses
+import functools
 import time
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dckf
 from dckf import solvers
@@ -100,7 +104,6 @@ def test_care_rejects_undetectable_neutral_mode():
         solvers.solve_care(a, c, np.eye(1), np.eye(1))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_care_refuses_an_overflowing_measurement_gram():
     # c' r^-1 c overflows to inf, so the Hamiltonian has no Schur form.
     with pytest.raises(solvers.CareSolutionError, match="no ordered Schur form"):
@@ -215,6 +218,139 @@ def test_shared_schur_form_solves_match_kron(case1):
         assert np.linalg.norm(x - expected) <= 1e-10 * max(1.0, np.linalg.norm(expected))
 
 
+# ---------------------------------------------------------------------------
+# Recursive blocked Bartels-Stewart kernel
+# ---------------------------------------------------------------------------
+
+
+def schur_factor(n, seed=0, scale=1.0):
+    """The real Schur form (``gees``, unsorted) of a random ``n x n`` matrix.
+
+    Its eigenvalues have real parts in about ``scale * [-3 sqrt(n), -sqrt(n)]``.
+    """
+    g = np.random.default_rng((n, seed)).standard_normal((n, n))
+    return solvers.SchurForm.of(scale * (g - 2.0 * np.sqrt(n) * np.eye(n)))
+
+
+def unblocked(a, b, f):
+    """``y / scale`` from one LAPACK ``trsyl`` call on the whole quasi-triangular equation."""
+    trana, tranb = ("T" if form.transposed else "N" for form in (a, b))
+    y, scale, info = scipy.linalg.lapack.dtrsyl(a.t, b.t, f, trana=trana, tranb=tranb)
+    assert info >= 0
+    return y / scale
+
+
+def blocked(a, b, f, symmetric=False):
+    """``y / scale`` from the recursive kernel, run on a copy of ``f``."""
+    y = f.copy()
+    trana, tranb = ("T" if form.transposed else "N" for form in (a, b))
+    if symmetric:
+        scale = solvers._solve_symmetric(a.t, y, trana, y)
+    else:
+        scale = solvers._solve_blocks(a.t, b.t, y, trana, tranb, y)
+    return y / scale
+
+
+def assert_close(x, expected, rtol):
+    assert np.linalg.norm(x - expected) <= rtol * np.linalg.norm(expected)
+
+
+ORIENTATIONS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS, ids=["NN", "TN", "NT", "TT"])
+@pytest.mark.parametrize("n, m", [(33, 12), (64, 65), (100, 33), (130, 64)])
+def test_blocked_sylvester_matches_one_trsyl_call(n, m, orientation):
+    a, b = schur_factor(n), schur_factor(m, seed=1)
+    a, b = (form.T if flip else form for form, flip in zip((a, b), orientation))
+    f = np.random.default_rng((n, m)).standard_normal((n, m))
+    x = blocked(a, b, f)
+    assert_close(x, unblocked(a, b, f), 1e-12)
+    if max(n, m) <= 48:
+        op_a, op_b = (form.t.T if form.transposed else form.t for form in (a, b))
+        assert_close(x, kron_sylvester(op_a, op_b, f), 1e-12)
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["T Y + Y T'", "T' Y + Y T"])
+@pytest.mark.parametrize("n", [33, 64, 65, 100, 130])
+def test_blocked_lyapunov_matches_one_trsyl_call(n, transposed):
+    form = schur_factor(n, seed=4)
+    a = form.T if transposed else form
+    g = np.random.default_rng(n).standard_normal((n, n))
+    f = g + g.T
+    x = blocked(a, a.T, f, symmetric=True)
+    assert_close(x, unblocked(a, a.T, f), 1e-12)
+    if n <= 48:
+        op_t = form.t.T if transposed else form.t
+        assert_close(x, kron_sylvester(op_t, op_t.T, f), 1e-12)
+
+
+def test_split_moves_past_a_bump_on_the_midpoint():
+    # Seed 4 puts a 2x2 bump (a complex pair) on rows 31-32 of the 65 x 65 factor.
+    t = schur_factor(65, seed=4).t
+    assert t[32, 31] != 0.0
+    assert solvers._halves(t, True) == (slice(None, 33), slice(33, None))
+    assert solvers._halves(t, False) == (slice(33, None), slice(None, 33))
+    assert solvers._halves(t[:32, :32], True)[0] == slice(None, 16)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["sylvester", "lyapunov"])
+def test_blocked_solve_folds_a_leaf_scale_into_one(symmetric, monkeypatch):
+    # Eigenvalue sums below 1 in modulus and a right-hand side of 1e295: trsyl
+    # scales its blocks down to avoid overflow, and the folded result is still
+    # the unscaled solution.
+    a = schur_factor(70, scale=0.02)
+    b = a.T if symmetric else schur_factor(40, seed=1, scale=0.02)
+    g = np.random.default_rng(3).standard_normal((70, b.t.shape[0]))
+    f = 1e295 * (g + g.T if symmetric else g)
+    scales = []
+    real = scipy.linalg.lapack.dtrsyl
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        scales.append(out[1])
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", spy)
+    x = blocked(a, b, f, symmetric)
+    assert len(scales) > 1 and min(scales) < 1.0
+    monkeypatch.undo()
+    expected = unblocked(a, b, f)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(expected))
+    assert_close(x / 1e295, expected / 1e295, 1e-12)
+
+
+def test_preset_solves_make_one_trsyl_call_on_the_whole_factors(case1, monkeypatch):
+    # case1's closed loop is 24 x 24, inside one block: every solve is exactly
+    # today's single trsyl call on the full factors.
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
+    form = fr.closed_loop_schur
+    a_d_form = solvers.SchurForm.of(stack(ts, nm).a_diag)
+    assert form.t.shape == (24, 24)
+    calls = []
+    real = scipy.linalg.lapack.dtrsyl
+
+    def spy(a, b, c, **kwargs):
+        calls.append((a, b, c.shape, kwargs))
+        return real(a, b, c, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", spy)
+    rng = np.random.default_rng(19)
+    for a, b, rhs in [
+        (form, form.T, -random_spd(rng, 24)),
+        (form.T, form, -np.eye(24)),
+        (form, a_d_form.T, rng.standard_normal((24, 24))),
+    ]:
+        calls.clear()
+        solvers._sylvester_trsyl(a, b, rhs)
+        assert len(calls) == 1
+        t_a, t_b, shape, kwargs = calls[0]
+        assert t_a is a.t and t_b is b.t and shape == (24, 24)
+        assert kwargs == {"trana": "T" if a.transposed else "N",
+                          "tranb": "T" if b.transposed else "N"}
+
+
 def ring_chord_filter(nodes, scale):
     sc = ring_chord_network(nodes)
     ts, nm, topo = sc.true_system, sc.nominal, sc.topology
@@ -241,6 +377,41 @@ def test_steady_state_contract_out_of_reach_at_50_nodes_stiff():
     fr, ts, nm = ring_chord_filter(50, 100.0)
     with pytest.raises(solvers.SolverError, match="violates the solver contract"):
         solvers.steady_state(fr, ts, nm)
+
+
+@functools.lru_cache(maxsize=None)
+def ring_chord_base(nodes, seed):
+    sc = ring_chord_network(nodes, seed)
+    ts, nm, topo = sc.true_system, sc.nominal, sc.topology
+    threshold = gamma_threshold(nm, topo)
+    return build_filter(nm, ts, topo, threshold), ts, nm, threshold, stack(ts, nm).a_diag
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    nodes=st.integers(9, 30),
+    seed=st.integers(0, 1),
+    scale=st.floats(np.log(1.05), np.log(100.0)).map(np.exp),
+)
+def test_property_steady_state_meets_its_residual_contracts(nodes, seed, scale):
+    """Claim: a returned steady state meets the 1e-9 contract and a 1e-12 backward error.
+
+    Stacked dimensions 36-120 run the recursive kernel.  The backward error
+    ``||residual||_F / ((||a||_F + ||b||_F) ||x||_F)`` is the benchmark's
+    output check on generated networks.
+    """
+    base, ts, nm, threshold, a_d = ring_chord_base(nodes, seed)
+    fr = base.with_gamma(scale * threshold)
+    try:
+        ss = solvers.steady_state(fr, ts, nm)
+    except solvers.SolverError:
+        return
+    acl, a_d = np.linalg.norm(fr.closed_loop), np.linalg.norm(a_d)
+    coefficients = {"state_cov": 2.0 * a_d, "cross_cov": acl + a_d}
+    for key, residual in ss.residuals.items():
+        x = np.linalg.norm(getattr(ss, key))
+        assert residual <= 1e-9 * (1.0 + x), key
+        assert residual <= 1e-12 * coefficients.get(key, 2.0 * acl) * x, key
 
 
 def test_library_call_shapes_of_a_network_benchmark_op():
