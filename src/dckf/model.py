@@ -173,16 +173,14 @@ class TrueSystem(_SensorNetwork):
 
         ``form`` is the real Schur form of ``a_diag``, ``x`` (read-only) solves
         ``a_diag x + x a_diag' + q_network = 0`` on it, and ``residual`` is that
-        equation's residual norm.  None of them depends on a filter gain, so a
-        gain sweep solves them once per system.  A failed solve raises and
-        caches nothing.
+        equation's residual norm, as the solve's contract check measured it.
+        None of them depends on a filter gain, so a gain sweep solves them once
+        per system.  A failed solve raises and caches nothing.
         """
         from .solvers import SchurForm, solve_lyapunov  # solvers imports this module
 
-        a_d, u_q = self.a_diag, self.q_network
-        form = SchurForm.of(a_d)
-        x = solve_lyapunov(form, u_q)
-        residual = float(np.linalg.norm(a_d @ x + x @ a_d.T + u_q))
+        form = SchurForm.of(self.a_diag)
+        x, residual = solve_lyapunov(form, self.q_network, residual=True)
         return form, _read_only(x), residual
 
 

@@ -43,37 +43,32 @@ drawing ``a + b``), so the engine draws a whole block's rows at once and the
 grouping does not change any trial's noise.  Every gain of a sweep
 sees the same rows (common random numbers).
 
-Parallel chunks: trials run in fixed chunks whose size depends only on the
-config and on the noise rows a chunk holds for one piece.  A chunk reduces
-its records as it steps them, so it keeps no per-record history: it returns
-its per-record sums over its trials and each trial's sum over the steady
-window.  A chunk in which some (trial, gain) overflows runs a second time,
-with that pair masked out of the sums at every record.  Each chunk's sums are
-a pure function of its trial range, computed while the engine's operators
-are only read (they are all built on the caller's thread first), so up to
-``workers`` chunks are in flight on a thread pool at once; numpy releases the
-GIL in the noise fills and the products.  The caller adds the chunks up one
-by one in trial order, so the sums see the same operands in the same order
-whatever the worker count or the number of cores.  ``workers`` is the usable
-core count divided by the BLAS thread count (``OPENBLAS_NUM_THREADS``, then
-``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1
-when none is set, because then BLAS already keeps every core busy.  ``import
-dckf`` sets ``OPENBLAS_NUM_THREADS=1`` when it is unset, so that happens only
-if the caller deletes it.  The variable is read here, not the pools: numpy
-imported before ``dckf`` keeps its own thread count, and the chunks then run
-on top of its pool.  Chunks whose noise per piece is under ``_POOL_BYTES``
-run on the caller's thread, since stepping them is mostly Python and holds
-the GIL.  When chunks run on the caller's thread and the same rule leaves a
-core spare (``workers`` would be 2 for two chunks), one helper thread draws
-and multiplies the next block while the caller steps the current one, so the
-two hold a block each.  Chunks on the pool get no helper.  Either way each
-chunk's blocks are drawn and multiplied one at a time, in order, in the same
-shapes, so every output is bitwise the same with or without the helper.
+Parallel chunks: trials run in fixed chunks of at most half the trials
+(rounded up), and of fewer when the chunk's noise rows for one piece would
+pass ``_NOISE_BYTES``, so a run of two or more trials has at least two chunks
+and the split depends only on the config.  A chunk reduces its records as it
+steps them, so it keeps no per-record history: it returns its per-record sums
+over its trials and each trial's sum over the steady window.  A chunk in
+which some (trial, gain) overflows runs a second time, with that pair masked
+out of the sums at every record.  Each chunk's sums are a pure function of
+its trial range, computed while the engine's operators are only read (they
+are all built on the caller's thread first), so up to ``workers`` chunks are
+in flight on a thread pool at once; numpy releases the GIL in the noise fills
+and the products.  With one worker the chunks run in order on the caller's
+thread.  The caller adds the chunks up one by one in trial order, so the sums
+see the same operands in the same order whatever the worker count or the
+number of cores.  ``workers`` is the usable core count divided by the BLAS
+thread count (``OPENBLAS_NUM_THREADS``, then ``GOTO_NUM_THREADS``, then
+``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1 when none is set, because
+then BLAS already keeps every core busy.  ``import dckf`` sets
+``OPENBLAS_NUM_THREADS=1`` when it is unset, so that happens only if the
+caller deletes it.  The variable is read here, not the pools: numpy imported
+before ``dckf`` keeps its own thread count, and the chunks then run on top of
+its pool.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from collections import deque
@@ -101,8 +96,6 @@ __all__ = [
 _OPERATOR_BYTES = 4 * 2**20
 _NOISE_BYTES = 2 * 2**20
 _BLOCK_BYTES = _NOISE_BYTES // 2
-# Chunks with less noise per piece than this run on the caller's thread.
-_POOL_BYTES = 256 * 2**10
 # BLAS thread variables in the order OpenBLAS reads them.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Largest entry a piece's operators may hold; longer strides are split.
@@ -238,8 +231,6 @@ class _Engine:
         strides = dict.fromkeys(int(s) for s in np.diff(cfg.record_steps()))
         self.plan = {stride: self.pieces(stride) for stride in strides}
         self.longest_piece = max(ops.length for pieces in self.plan.values() for ops in pieces)
-        # Whether ``run`` draws and multiplies the next block on a helper thread.
-        self.helper = False
 
     def pieces(self, stride: int) -> list[_Operators]:
         """Operators that advance ``z`` by ``stride`` steps, applied in order."""
@@ -291,8 +282,8 @@ class _Engine:
         return trials * self.longest_piece * self.cols * 8
 
     def chunk_size(self) -> int:
-        """Trials run together: bounded by the noise rows they hold."""
-        return max(1, min(self.cfg.trials, _NOISE_BYTES // self.noise_bytes(1)))
+        """Trials run together: at most half of them, and bounded by the noise rows they hold."""
+        return max(1, min((self.cfg.trials + 1) // 2, _NOISE_BYTES // self.noise_bytes(1)))
 
     def block_size(self, ops: _Operators, batch: int) -> int:
         """Pieces of ``ops`` whose noise rows and products for ``batch`` trials fit in a block."""
@@ -335,12 +326,11 @@ class _Engine:
                 out = noise.reshape(-1, noise.shape[2]) @ ops.noise_map
             return ops, ends, out.reshape(len(rngs), len(ends), self.width)
 
-        with contextlib.closing(_ahead(products, self.schedule(len(rngs)), self.helper)) as blocks:
-            for ops, ends, noise_products in blocks:
-                for j, end in enumerate(ends):
-                    z = self._advance(z, noise_products[:, j], ops)
-                    if end:
-                        yield z
+        for ops, ends, noise_products in map(products, self.schedule(len(rngs))):
+            for j, end in enumerate(ends):
+                z = self._advance(z, noise_products[:, j], ops)
+                if end:
+                    yield z
 
     def _advance(self, z: np.ndarray, out: np.ndarray, ops: _Operators) -> np.ndarray:
         """Add the products of ``z`` to its noise product ``out`` in place; return ``out``."""
@@ -376,9 +366,11 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     Each trial's noise is drawn once and drives the truth and every filter,
     so the series of a gain sweep differ only by the gain (common random
     numbers), and each equals what ``monte_carlo_mse`` gives for that gain
-    alone.  Trials run in fixed chunks, up to ``workers`` of them at once,
-    and each chunk reduces its records as it steps them (see the module
-    notes); a chunk in which some trial overflows runs a second time to
+    alone.  Trials run in fixed chunks of at most half the trials, so a run
+    of two or more trials has two chunks or more, and up to ``workers`` of
+    them run at once on a thread pool (in order on the calling thread with
+    one worker).  Each chunk reduces its records as it steps them (see the
+    module notes); a chunk in which some trial overflows runs a second time to
     leave that trial out of every record.  The chunks are added up one by
     one in increasing trial order, so the aggregate is a deterministic
     function of the config, whatever the worker count.  Raises
@@ -422,9 +414,7 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
             return work(trials, flags < 0)
         return chunk_sums, window_sums, flags
 
-    workers = _worker_count(len(chunks)) if engine.noise_bytes(chunk) >= _POOL_BYTES else 1
-    # Chunks on the caller's thread leave a core idle when BLAS leaves one spare.
-    engine.helper = workers == 1 and _worker_count(2) >= 2
+    workers = _worker_count(len(chunks))
     for (chunk_sums, window_sums, flags), trials in zip(_in_order(work, chunks, workers), chunks):
         overflow[trials.start : trials.stop] = flags
         sums += chunk_sums
@@ -512,25 +502,3 @@ def _in_order(work, items: list, workers: int):
             for future in pending:
                 future.cancel()
 
-
-def _ahead(work, items, helper: bool):
-    """Yield ``work(item)`` for every item in order.
-
-    With ``helper``, one thread computes each item's work while the caller
-    uses the one before it; the calls still run one at a time and in order.
-    """
-    if not helper:
-        yield from map(work, items)
-        return
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        pending = None
-        for item in items:
-            future = pool.submit(work, item)
-            if pending is not None:
-                yield pending.result()
-            pending = future
-        if pending is not None:
-            yield pending.result()
-    finally:
-        pool.shutdown(cancel_futures=True)

@@ -35,7 +35,7 @@ multiplies the step count, and marginal closed loops need no special case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -111,6 +111,8 @@ class SchurForm:
     z: np.ndarray
     eigvals: np.ndarray
     transposed: bool = False
+    # Values of the eigenvalues alone, computed once and shared with ``T``.
+    _spectral: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def of(cls, m: "np.ndarray | SchurForm") -> "SchurForm":
@@ -131,11 +133,25 @@ class SchurForm:
 
     @property
     def T(self) -> "SchurForm":
-        return SchurForm(self.matrix.T, self.t, self.z, self.eigvals, not self.transposed)
+        return SchurForm(
+            self.matrix.T, self.t, self.z, self.eigvals, not self.transposed, self._spectral
+        )
 
     @property
     def spectral_abscissa(self) -> float:
         return float(np.max(self.eigvals.real))
+
+    @property
+    def self_gap(self) -> float:
+        """``min |w_i + w_j|`` over every pair of eigenvalues, formed once per factorization.
+
+        It is the solvability gap of every equation in the matrix and its
+        transpose, the Lyapunov equations among them.
+        """
+        if "self_gap" not in self._spectral:
+            w = self.eigvals
+            self._spectral["self_gap"] = np.min(np.abs(w[:, None] + w[None, :]))
+        return self._spectral["self_gap"]
 
     @cached_property
     def norm2(self) -> float:
@@ -160,7 +176,8 @@ class SchurForm:
 def _sylvester_spectra_check(a: SchurForm, b: SchurForm) -> None:
     wa, wb = a.eigvals, b.eigvals
     scale = max(np.max(np.abs(wa), initial=0.0) + np.max(np.abs(wb), initial=0.0), 1e-300)
-    gap = np.min(np.abs(wa[:, None] + wb[None, :]))
+    # A form against itself or its transpose shares the eigenvalue array.
+    gap = a.self_gap if wa is wb else np.min(np.abs(wa[:, None] + wb[None, :]))
     if gap <= 1e-10 * scale:
         raise SingularEquationError(
             f"eigenvalue sums come within {gap:.3e} of zero (scale {scale:.3e}); "
@@ -278,7 +295,9 @@ def solve_sylvester(
     a: "np.ndarray | SchurForm",
     b: "np.ndarray | SchurForm",
     c: np.ndarray,
-) -> np.ndarray:
+    *,
+    residual: bool = False,
+) -> "np.ndarray | tuple[np.ndarray, float]":
     """Solve ``a @ x + x @ b = c`` by Bartels-Stewart on the real Schur forms.
 
     The quasi-triangular equation is solved by the recursive blocked
@@ -286,45 +305,58 @@ def solve_sylvester(
     ``trsyl``; an equation of at most 32 rows and columns is one ``trsyl``
     call.  When ``b`` is ``a``'s form transposed and ``c`` is symmetric (a
     Lyapunov equation), the recursion solves only one off-diagonal block
-    per level.  ``a`` and ``b`` are matrices or their :class:`SchurForm`;
-    passing a form (or ``form.T``) reuses its factorization, so every
-    equation in one matrix costs one factorization in total.  When the first
-    solve misses the residual contract
-    ``||a x + x b - c||_F <= 1e-9 (1 + ||x||_F)``, one refinement step
-    ``x += solve(c - a x - x b)`` on the same factors is taken before it is
-    judged.  Raises :class:`SingularEquationError` when some eigenvalue sum
-    of ``a`` and ``b`` is numerically zero, and :class:`SolverError` when the
-    refined solution still violates the contract.
+    per level, and each solution is symmetrized before it is checked, so
+    ``x b`` is ``(a x)'`` and one product serves both terms.  ``a`` and
+    ``b`` are matrices or their :class:`SchurForm`; passing a form (or
+    ``form.T``) reuses its factorization, so every equation in one matrix
+    costs one factorization in total.  When the first solve misses the
+    residual contract ``||a x + x b - c||_F <= 1e-9 (1 + ||x||_F)``, one
+    refinement step ``x += solve(c - a x - x b)`` on the same factors is
+    taken before it is judged.  With ``residual``, ``(x, ||a x + x b - c||_F)``
+    is returned, the residual being the one the contract check measured.
+    Raises :class:`SingularEquationError` when some eigenvalue sum of ``a``
+    and ``b`` is numerically zero, and :class:`SolverError` when the refined
+    solution still violates the contract.
     """
     a, b = SchurForm.of(a), SchurForm.of(b)
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if c.shape != (a.matrix.shape[0], b.matrix.shape[0]):
         raise ValueError(f"c must be {a.matrix.shape[0]}x{b.matrix.shape[0]}, got {c.shape}")
     _sylvester_spectra_check(a, b)
-    x = _sylvester_trsyl(a, b, c)
-    defect = c - a.matrix @ x - x @ b.matrix
+    lyapunov = a.t is b.t and a.transposed != b.transposed and matkit.is_symmetric(c, rtol=1e-9)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = _sylvester_trsyl(a, b, rhs)
+        return matkit.symmetrize(x) if lyapunov else x
+
+    def defect(x: np.ndarray) -> np.ndarray:
+        ax = a.matrix @ x
+        return c - ax - (ax.T if lyapunov else x @ b.matrix)
+
+    x = solve(c)
+    d = defect(x)
     # Written as "not <=" so that a NaN residual counts as a miss.
-    if not np.linalg.norm(defect) <= 1e-9 * (1.0 + np.linalg.norm(x)):
-        x = x + _sylvester_trsyl(a, b, defect)
-        defect = c - a.matrix @ x - x @ b.matrix
-    residual = np.linalg.norm(defect)
-    if not residual <= 1e-9 * (1.0 + np.linalg.norm(x)):
-        raise SolverError(f"Sylvester residual {residual:.3e} violates the solver contract")
-    return x
+    if not np.linalg.norm(d) <= 1e-9 * (1.0 + np.linalg.norm(x)):
+        x = x + solve(d)
+        d = defect(x)
+    norm = float(np.linalg.norm(d))
+    if not norm <= 1e-9 * (1.0 + np.linalg.norm(x)):
+        raise SolverError(f"Sylvester residual {norm:.3e} violates the solver contract")
+    return (x, norm) if residual else x
 
 
-def solve_lyapunov(m: "np.ndarray | SchurForm", w: np.ndarray) -> np.ndarray:
+def solve_lyapunov(
+    m: "np.ndarray | SchurForm", w: np.ndarray, *, residual: bool = False
+) -> "np.ndarray | tuple[np.ndarray, float]":
     """Solve the continuous Lyapunov equation ``m @ x + x @ m.T + w = 0``.
 
     ``m`` may be a :class:`SchurForm`; one factorization serves both sides.
-    The result is symmetrized when ``w`` is symmetric.
+    The result is symmetrized when ``w`` is symmetric, before the residual
+    contract of :func:`solve_sylvester` is checked.  With ``residual``,
+    ``(x, ||m x + x m' + w||_F)`` is returned.
     """
     form = SchurForm.of(m)
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    x = solve_sylvester(form, form.T, -w)
-    if matkit.is_symmetric(w, rtol=1e-9):
-        x = matkit.symmetrize(x)
-    return x
+    return solve_sylvester(form, form.T, -np.asarray(w, dtype=float), residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +499,8 @@ class SteadyStateResult:
                        feedthrough is zero and it is not needed)
     ``state_cov``    : steady second moment of the stacked true state (None
                        in the same situation)
-    ``residuals``    : equation residual norms, keyed by block name
+    ``residuals``    : equation residual norms, keyed by block name, as
+                       each solve's contract check measured them
     """
 
     nominal_cov: np.ndarray
@@ -508,34 +541,25 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
     (``state_cov`` is that read-only array).
     """
     _check_pair(ts, nm)
-    acl = fr.closed_loop
     form = fr.closed_loop_schur
     _hurwitz_guard(form, "closed-loop matrix")
     w_nom = _noise_drive(fr, nm)
     w_err = _noise_drive(fr, ts)
     residuals: dict[str, float] = {}
-
-    def recorded(key: str, x: np.ndarray, a: np.ndarray, b: np.ndarray, rhs: np.ndarray):
-        """Record the residual norm of ``a x + x b + rhs = 0`` for ``x`` and return ``x``."""
-        residuals[key] = float(np.linalg.norm(a @ x + x @ b + rhs))
-        return x
-
     state_cov = cross_cov = None
     if not fr.mismatch_is_zero:
         _hurwitz_guard(
             SchurForm.of(ts.a), "true state matrix (required for nonzero mismatch feedthrough)"
         )
         f = fr.mismatch_diag
-        u_q = ts.q_network
-        a_d = ts.a_diag
         a_d_form, state_cov, residuals["state_cov"] = ts.stacked_moment
-        rhs_cross = f @ state_cov + u_q
-        cross_cov = recorded(
-            "cross_cov", solve_sylvester(form, a_d_form.T, -rhs_cross), acl, a_d.T, rhs_cross
+        rhs_cross = f @ state_cov + ts.q_network
+        cross_cov, residuals["cross_cov"] = solve_sylvester(
+            form, a_d_form.T, -rhs_cross, residual=True
         )
         w_err = w_err + f @ cross_cov.T + cross_cov @ f.T
-    error_cov = recorded("error_cov", solve_lyapunov(form, w_err), acl, acl.T, w_err)
-    nominal_cov = recorded("nominal_cov", solve_lyapunov(form, w_nom), acl, acl.T, w_nom)
+    error_cov, residuals["error_cov"] = solve_lyapunov(form, w_err, residual=True)
+    nominal_cov, residuals["nominal_cov"] = solve_lyapunov(form, w_nom, residual=True)
     return SteadyStateResult(nominal_cov, error_cov, cross_cov, state_cov, residuals)
 
 

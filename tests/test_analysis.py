@@ -422,3 +422,27 @@ def test_property_relation_gap_norm_is_within_its_bound(network, gap_seed, horiz
     grid = np.linspace(0.0, horizon, 21)
     rel = analysis.relation_analysis(fr, deviations(ts, nm), m + m.T, grid)
     assert np.all(rel.gap_norm <= rel.gap_norm_bound * (1 + 1e-9) + 1e-12)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+@PROPERTY
+@given(network=mismatched_networks(noise_only=True), horizon=st.floats(0.1, 20.0))
+def test_property_relation_ordering_is_never_violated(swapped, network, horizon):
+    """Claim: from a zero gap, a semidefinite drive keeps the gap's sign at every time.
+
+    Under noise-only mismatch the true noise exceeds the nominal noise, so
+    the drive is negative semidefinite; with the two swapped it is positive
+    semidefinite.
+    """
+    ts, nm, topo, gamma = network
+    if swapped:
+        low = NominalModel(a=nm.a, q=ts.q, sensors=ts.sensors)
+        ts = TrueSystem(a=ts.a, q=nm.q, sensors=nm.sensors, x0=ts.x0, sigma0=ts.sigma0)
+        gamma *= gamma_threshold(low, topo) / gamma_threshold(nm, topo)
+        nm = low
+    fr = build_filter(nm, ts, topo, gamma)
+    n = fr.closed_loop.shape[0]
+    grid = np.linspace(0.0, horizon, 21)
+    rel = analysis.relation_analysis(fr, deviations(ts, nm), np.zeros((n, n)), grid)
+    assert rel.drive_sign in (("psd", "zero") if swapped else ("nsd", "zero"))
+    assert rel.ordering != "violated"

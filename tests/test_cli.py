@@ -584,10 +584,9 @@ def test_every_trial_overflowing_is_exit_2(tmp_path, capsys, command):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", [["simulate"], ["divergence", "--simulate"]])
 def test_every_trial_overflowing_on_two_workers_is_exit_2(tmp_path, capsys, monkeypatch, command):
-    # One trial per chunk, every chunk on the pool, two chunks in flight.
+    # One trial per chunk, two chunks in flight.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(sim, "_POOL_BYTES", 0)
     monkeypatch.setattr(sim._Engine, "chunk_size", lambda self: 1)
     workers = []
     real = sim._worker_count

@@ -317,13 +317,15 @@ def run_calls(monkeypatch):
 
 def test_case1_sweep_runs_as_one_batch(case1, run_calls):
     # A chunk reduces its records as it steps them, so case1's trials run as
-    # one chunk, once, and the memory does not grow with the trial count.
+    # two chunks of half the trials, each once, and the memory does not grow
+    # with the trial count.
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     frs = [build_filter(nm, ts, topo, float(g)) for g in np.sort(case1.resolve_gammas())]
     peaks = []
     for trials in (20, 200):
         cfg = case1.sim_config(trials=trials, seed=3)
-        assert sim._Engine(ts, frs, cfg).chunk_size() == trials
+        half = trials // 2
+        assert sim._Engine(ts, frs, cfg).chunk_size() == half
         # A tenth of the horizon keeps the pieces and cuts the records to 51.
         short = dataclasses.replace(cfg, horizon=cfg.horizon / 10)
         run_calls.clear()
@@ -333,7 +335,8 @@ def test_case1_sweep_runs_as_one_batch(case1, run_calls):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert run_calls == [range(trials)]
+        # Chunks on two workers may start in either order.
+        assert sorted(run_calls, key=lambda r: r.start) == [range(half), range(half, trials)]
     assert peaks[1] <= 1.5 * peaks[0]
     assert peaks[1] <= peaks[0] + 2**20
 
@@ -342,13 +345,17 @@ def test_only_chunks_with_an_overflow_run_twice(run_calls, monkeypatch):
     ts, fr = unstable_scalar_pair()
     cfg = sim.SimConfig(dt=1e-2, horizon=73.0, trials=24, seed=14, record_stride=10)
     (whole,) = sim.monte_carlo_sweep(ts, [fr], cfg)
-    assert run_calls == [range(24)] * 2
+    overflowed = {l for l, _ in whole.overflow_trials}
+    assert 0 < len(overflowed) < cfg.trials
+    halves = [range(12), range(12, 24)]
+    expected = [half for half in halves for _ in range(1 + bool(overflowed & set(half)))]
+    assert sorted(run_calls, key=lambda r: r.start) == expected
     run_calls.clear()
     monkeypatch.setattr(sim._Engine, "chunk_size", lambda self: 1)
     (single,) = sim.monte_carlo_sweep(ts, [fr], cfg)
-    overflowed = {l for l, _ in whole.overflow_trials}
-    assert 0 < len(overflowed) < cfg.trials
-    assert run_calls == [range(l, l + 1) for l in range(24) for _ in range(1 + (l in overflowed))]
+    assert sorted(run_calls, key=lambda r: r.start) == [
+        range(l, l + 1) for l in range(24) for _ in range(1 + (l in overflowed))
+    ]
     assert_series_match(single, whole)
 
 
@@ -515,8 +522,7 @@ def sweep_with_workers(blas_env, pool_calls, ts, frs, cfg):
 
 
 def small_chunks(monkeypatch, size):
-    """Pool every chunk, however small, and cut the trials into chunks of ``size``."""
-    monkeypatch.setattr(sim, "_POOL_BYTES", 0)
+    """Cut the trials into chunks of ``size``."""
     monkeypatch.setattr(sim._Engine, "chunk_size", lambda self: size)
 
 
@@ -569,143 +575,44 @@ def test_pool_is_bitwise_independent_of_workers_split_stride(blas_env, pool_call
 
 
 def test_pool_is_bitwise_independent_of_workers_case2(case2, blas_env, pool_calls):
-    # No knob turned: case2's chunks hold about 2 MB of noise per piece, so the
-    # pool runs on its own.
+    # No knob turned: case2's trials split into chunks on their own.
     ts = case2.true_system
     fr = build_filter(case2.nominal, ts, case2.topology, float(case2.resolve_gammas()[0]))
     (one,), (two,) = sweep_with_workers(blas_env, pool_calls, ts, [fr], case2.sim_config())
     assert_series_identical(two, one)
 
 
-def test_small_pieces_stay_on_the_callers_thread(case1, blas_env, pool_calls):
-    # case1's sweep pieces hold 32 KB of noise for 8 trials: too little for a pool.
-    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
-    frs = [build_filter(nm, ts, topo, float(g)) for g in np.sort(case1.resolve_gammas())]
-    blas_env("1")
-    sim.monte_carlo_sweep(ts, frs, case1.sim_config(trials=8, seed=3))
-    assert pool_calls == [(1, 1)]
-
-
-# ---------------------------------------------------------------------------
-# The helper thread: chunks on the caller's thread have the next block drawn
-# and multiplied on the spare core.  The outputs must not depend on it.
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def block_threads(monkeypatch):
-    """``(helper, threads that computed its blocks)`` of every ``_ahead`` call.
-
-    Blocks share their trials' generators, so the spy also fails the run if
-    two blocks of one call are ever computed at once.
-    """
-    calls = []
-    real = sim._ahead
-
-    def spy(work, items, helper):
-        threads = set()
-        calls.append((helper, threads))
-        active = []
-
-        def traced(item):
-            threads.add(threading.get_ident())
-            active.append(item)
-            try:
-                assert len(active) == 1, "two blocks computed at once"
-                time.sleep(1e-4)  # widen the window in which a second block could start
-                return work(item)
-            finally:
-                active.pop()
-
-        return real(traced, items, helper)
-
-    monkeypatch.setattr(sim, "_ahead", spy)
-    return calls
-
-
-def helper_ran(block_threads) -> bool:
-    """Whether blocks were computed off the caller's thread, and only there."""
-    used = set().union(*(threads for _, threads in block_threads))
-    assert used and (threading.get_ident() not in used or used == {threading.get_ident()})
-    return threading.get_ident() not in used
-
-
-def sweep_with_and_without_helper(blas_env, block_threads, ts, frs, cfg):
-    """``monte_carlo_sweep`` with one BLAS thread on two cores, then on one core.
-
-    The first run switches threads as often as the interpreter can, so a block
-    drawn out of order or stepped before it is complete would change the bits.
-    """
-    runs = []
-    for cores in (2, 1):
-        blas_env("1", cores=cores)
-        block_threads.clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6 if cores == 2 else interval)
-        try:
-            runs.append(sim.monte_carlo_sweep(ts, frs, cfg))
-        finally:
-            sys.setswitchinterval(interval)
-        assert helper_ran(block_threads) == (cores == 2)
-    return runs
-
-
-def test_helper_is_bitwise_neutral_case1(case1, blas_env, block_threads):
-    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
-    frs = [build_filter(nm, ts, topo, float(g)) for g in np.sort(case1.resolve_gammas())]
-    cfg = case1.sim_config(trials=20, seed=3)
-    short = dataclasses.replace(cfg, horizon=cfg.horizon / 10)
-    on, off = sweep_with_and_without_helper(blas_env, block_threads, ts, frs, short)
-    for a, b in zip(on, off):
-        assert_series_identical(a, b)
-
-
-def test_helper_is_bitwise_neutral_mixed_overflow(blas_env, block_threads):
-    ts, fr = unstable_scalar_pair()
-    cfg = sim.SimConfig(dt=1e-2, horizon=73.0, trials=24, seed=14, record_stride=10)
-    (on,), (off,) = sweep_with_and_without_helper(blas_env, block_threads, ts, [fr], cfg)
-    assert 0 < len(on.overflow_trials) < cfg.trials
-    assert_series_identical(on, off)
-
-
-def test_pooled_chunks_get_no_helper(case2, blas_env, block_threads, pool_calls):
-    ts = case2.true_system
-    fr = build_filter(case2.nominal, ts, case2.topology, float(case2.resolve_gammas()[0]))
-    blas_env("1")
-    sim.monte_carlo_sweep(ts, [fr], dataclasses.replace(case2.sim_config(), horizon=5.0))
-    (chunks, workers), = pool_calls
-    assert chunks > 1 and workers == 2
-    assert len(block_threads) == chunks and not any(helper for helper, _ in block_threads)
-
-
-def test_no_helper_thread_outlives_its_run(blas_env, block_threads):
+def test_no_helper_thread_outlives_its_run(blas_env, pool_calls):
+    # A normal run, a run that raises, and generators closed early all leave
+    # the thread set as they found it.
     blas_env("1")
     before = set(threading.enumerate())
     ts, nm, topo = quick_pair()
     fr = build_filter(nm, ts, topo, gamma=2.0)
     cfg = sim.SimConfig(dt=1e-3, horizon=1.0, trials=8, seed=7, record_stride=10)
     sim.monte_carlo_sweep(ts, [fr], cfg)
-    assert helper_ran(block_threads)
     assert set(threading.enumerate()) == before
 
-    block_threads.clear()
     unstable_ts, unstable_fr = unstable_scalar_pair()
     doomed = sim.SimConfig(dt=1e-2, horizon=160.0, trials=2, seed=13, record_stride=100)
     with pytest.raises(sim.SimulationOverflowError):
         sim.monte_carlo_sweep(unstable_ts, [unstable_fr], doomed)
-    assert helper_ran(block_threads)
     assert set(threading.enumerate()) == before
+    assert pool_calls == [(2, 2), (2, 2)]
 
     engine = sim._Engine(ts, [fr], cfg)
-    engine.helper = True
     for records in (1, 2):
-        block_threads.clear()
         run = engine.run(range(4))
         for _ in range(records):
             next(run)
         run.close()
         assert set(threading.enumerate()) == before
-    assert helper_ran(block_threads)
+    # A pool closed with chunks still in flight joins its threads.
+    chunks = [range(k, k + 2) for k in range(0, 8, 2)]
+    results = sim._in_order(lambda trials: list(engine.run(trials)), chunks, 2)
+    next(results)
+    results.close()
+    assert set(threading.enumerate()) == before
 
 
 def test_standard_error_of_huge_trial_mses():

@@ -185,6 +185,20 @@ def test_sylvester_detects_singular_spectra():
         solvers.solve_sylvester(a, b, np.ones((2, 2)))
 
 
+def test_self_pair_gap_is_formed_once_per_factorization():
+    # A form checked against itself or its transpose reads one eigenvalue gap,
+    # shared by both orientations, with the pairwise check's verdict and message.
+    m = np.array([[1.0, 5.0], [0.0, -1.0]])  # 1 + (-1) = 0
+    with pytest.raises(solvers.SingularEquationError) as pairwise:
+        solvers.solve_sylvester(m, m.T, np.eye(2))
+    form = solvers.SchurForm.of(m)
+    for a, b in ((form, form.T), (form.T, form), (form, form)):
+        with pytest.raises(solvers.SingularEquationError) as shared:
+            solvers.solve_sylvester(a, b, np.eye(2))
+        assert str(shared.value) == str(pairwise.value)
+    assert form.T._spectral is form._spectral and list(form._spectral) == ["self_gap"]
+
+
 def test_lyapunov_schur_path_on_larger_problem():
     rng = np.random.default_rng(13)
     n = 36
@@ -512,9 +526,9 @@ def test_steady_state_sweep_solves_the_stacked_moment_once(network, monkeypatch,
         counts["factor"] += m is ts.a_diag
         return real_of(cls, m)
 
-    def spy_lyapunov(m, w):
+    def spy_lyapunov(m, w, **kwargs):
         counts["solve"] += w is ts.q_network
-        return real_lyapunov(m, w)
+        return real_lyapunov(m, w, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(solvers.SchurForm, "of", classmethod(spy_of))
