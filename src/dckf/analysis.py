@@ -404,7 +404,7 @@ def relation_analysis(
     eigs = np.linalg.eigvalsh(out)
     norms = np.linalg.norm(out, 2, axis=(1, 2))
 
-    rate = matkit.log_norm(fr.closed_loop_ref) + matkit.log_norm(fr.closed_loop_ref.T)
+    rate = 2.0 * matkit.log_norm(fr.closed_loop_ref)
     delta_t = grid - grid[0]
     drive_norm = float(np.linalg.norm(drive, 2))
     init_norm = float(np.linalg.norm(gap, 2))

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,15 +114,7 @@ def cmd_validate(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
     ]
     for label, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
-    meta = {
-        "connected": report.connected,
-        "observable": report.observable,
-        "controllable": report.controllable,
-        "mismatch_zero": report.mismatch_zero,
-        "true_a_hurwitz": report.true_a_hurwitz,
-        "all_ok": report.all_ok,
-        "failures": report.failures(),
-    }
+    meta = {**asdict(report), "all_ok": report.all_ok, "failures": report.failures()}
     if report.all_ok:
         print("all assumptions hold")
         return 0, meta, {}

@@ -12,16 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
 from . import matkit
 from .graph import Topology, is_connected
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .solvers import SchurForm
 
 __all__ = [
     "Sensor",
@@ -166,22 +162,6 @@ class TrueSystem(_SensorNetwork):
         sigma0 = _check_psd("initial covariance", _check_square("initial covariance", self.sigma0, n))
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "sigma0", sigma0)
-
-    @cached_property
-    def stacked_moment(self) -> tuple[SchurForm, np.ndarray, float]:
-        """``(form, x, residual)`` of the stacked state's steady second moment.
-
-        ``form`` is the real Schur form of ``a_diag``, ``x`` (read-only) solves
-        ``a_diag x + x a_diag' + q_network = 0`` on it, and ``residual`` is that
-        equation's residual norm, as the solve's contract check measured it.
-        None of them depends on a filter gain, so a gain sweep solves them once
-        per system.  A failed solve raises and caches nothing.
-        """
-        from .solvers import SchurForm, solve_lyapunov  # solvers imports this module
-
-        form = SchurForm.of(self.a_diag)
-        x, residual = solve_lyapunov(form, self.q_network, residual=True)
-        return form, _read_only(x), residual
 
 
 @dataclass(frozen=True)

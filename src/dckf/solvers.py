@@ -535,10 +535,17 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
     with zero feedthrough they are skipped and left ``None``.  A closed-loop
     matrix with an imaginary-axis eigenvalue makes the equations singular and
     raises :class:`SingularEquationError`.  Every closed-loop solve, and the
-    Hurwitz guard, reads the one factorization ``fr.closed_loop_schur``.  The
-    state moment, its residual and the factorization of ``ts.a_diag`` depend
-    on no gain and come from ``ts.stacked_moment``, solved once per system
-    (``state_cov`` is that read-only array).
+    Hurwitz guard, reads the one factorization ``fr.closed_loop_schur``.
+
+    Every node estimates the same true state, so ``a_diag = kron(I_N, A)``
+    and ``q_network = kron(11', Q)``: the state moment is ``kron(11', X_A)``
+    and the cross term is ``N`` copies of one ``nN x n`` block ``Z``.  Both
+    are solved at that size, on the factorization of ``A`` that its Hurwitz
+    guard takes: ``A Y + Y A' + N Q = 0`` (``X_A = Y / N``) and
+    ``acl W + W A' + sqrt(N) (F (1 x X_A) + 1 x Q) = 0`` (``Z = W / sqrt(N)``).
+    Scaled by ``N`` and ``sqrt(N)``, each reduced equation has the solution
+    norm and residual norm of the full ``nN x nN`` one, so its contract
+    check and ``residuals`` entry are those of the full equation.
     """
     _check_pair(ts, nm)
     form = fr.closed_loop_schur
@@ -548,15 +555,17 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
     residuals: dict[str, float] = {}
     state_cov = cross_cov = None
     if not fr.mismatch_is_zero:
-        _hurwitz_guard(
-            SchurForm.of(ts.a), "true state matrix (required for nonzero mismatch feedthrough)"
+        a_form = SchurForm.of(ts.a)
+        _hurwitz_guard(a_form, "true state matrix (required for nonzero mismatch feedthrough)")
+        nodes, f = ts.sensor_count, fr.mismatch_diag
+        y, residuals["state_cov"] = solve_lyapunov(a_form, nodes * ts.q, residual=True)
+        x_a = y / nodes
+        drive = f @ np.tile(x_a, (nodes, 1)) + np.tile(ts.q, (nodes, 1))
+        w, residuals["cross_cov"] = solve_sylvester(
+            form, a_form.T, -np.sqrt(nodes) * drive, residual=True
         )
-        f = fr.mismatch_diag
-        a_d_form, state_cov, residuals["state_cov"] = ts.stacked_moment
-        rhs_cross = f @ state_cov + ts.q_network
-        cross_cov, residuals["cross_cov"] = solve_sylvester(
-            form, a_d_form.T, -rhs_cross, residual=True
-        )
+        state_cov = np.kron(np.ones((nodes, nodes)), x_a)
+        cross_cov = np.tile(w / np.sqrt(nodes), (1, nodes))
         w_err = w_err + f @ cross_cov.T + cross_cov @ f.T
     error_cov, residuals["error_cov"] = solve_lyapunov(form, w_err, residual=True)
     nominal_cov, residuals["nominal_cov"] = solve_lyapunov(form, w_nom, residual=True)

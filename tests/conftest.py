@@ -1,3 +1,8 @@
+# dckf goes first: importing it defaults OPENBLAS_NUM_THREADS to 1, and
+# OpenBLAS reads that only when numpy loads it, so a numpy imported earlier
+# would run the suite with a second BLAS thread.
+import dckf  # noqa: F401
+
 import numpy as np
 import pytest
 import scipy.linalg
