@@ -181,8 +181,9 @@ class AsymptoticFit:
     """Least-squares fit of the squared trace-gap factors against the gain.
 
     Both squared factors follow ``a + b/gamma + c/gamma^2`` up to a cubic
-    remainder, with positive ``a`` and ``b``.  ``fit_residual`` is ``1 - R^2``
-    of the plain-factor fit.
+    remainder.  The limits ``a1`` and ``a2`` are positive; ``b`` and ``c``
+    may have either sign.  ``fit_residual`` is ``1 - R^2`` of the
+    plain-factor fit.
     """
 
     a1: float

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -241,14 +241,8 @@ class Scenario:
 
     def initial_state(self) -> TrajectoryInit:
         """Initial covariance matrices, with per-field keyword or matrix overrides."""
-        init = default_initial_state(self.true_system)
+        values = asdict(default_initial_state(self.true_system))
         dim = self.true_system.n * self.true_system.sensor_count
-        values = {
-            "nominal_cov": init.nominal_cov,
-            "error_cov": init.error_cov,
-            "cross_cov": init.cross_cov,
-            "state_cov": init.state_cov,
-        }
         for key, spec in self.init_spec.items():
             if key not in values:
                 raise ScenarioError(f"unknown init field {key!r}")

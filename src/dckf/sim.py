@@ -54,11 +54,11 @@ out of the sums at every record.  Each chunk's sums are a pure function of
 its trial range, computed while the engine's operators are only read (they
 are all built on the caller's thread first), so up to ``workers`` chunks are
 in flight on a thread pool at once; numpy releases the GIL in the noise fills
-and the products.  With one worker the chunks run in order on the caller's
-thread.  The caller adds the chunks up one by one in trial order, so the sums
-see the same operands in the same order whatever the worker count or the
-number of cores.  ``workers`` is the usable core count divided by the BLAS
-thread count (``OPENBLAS_NUM_THREADS``, then ``GOTO_NUM_THREADS``, then
+and the products; with one worker it runs one chunk at a time.  The caller
+adds the chunks up one by one in trial order, so the sums see the same
+operands in the same order whatever the worker count or the number of cores.
+``workers`` is the usable core count divided by the BLAS thread count
+(``OPENBLAS_NUM_THREADS``, then ``GOTO_NUM_THREADS``, then
 ``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1 when none is set, because
 then BLAS already keeps every core busy.  ``import dckf`` sets
 ``OPENBLAS_NUM_THREADS=1`` when it is unset, so that happens only if the
@@ -368,9 +368,9 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     numbers), and each equals what ``monte_carlo_mse`` gives for that gain
     alone.  Trials run in fixed chunks of at most half the trials, so a run
     of two or more trials has two chunks or more, and up to ``workers`` of
-    them run at once on a thread pool (in order on the calling thread with
-    one worker).  Each chunk reduces its records as it steps them (see the
-    module notes); a chunk in which some trial overflows runs a second time to
+    them run at once on a thread pool (one at a time with one worker).
+    Each chunk reduces its records as it steps them (see the module
+    notes); a chunk in which some trial overflows runs a second time to
     leave that trial out of every record.  The chunks are added up one by
     one in increasing trial order, so the aggregate is a deterministic
     function of the config, whatever the worker count.  Raises
@@ -486,9 +486,6 @@ def _worker_count(chunks: int) -> int:
 
 def _in_order(work, items: list, workers: int):
     """Yield ``work(item)`` for every item in order, with at most ``workers`` calls in flight."""
-    if workers <= 1:
-        yield from map(work, items)
-        return
     pending: deque = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:

@@ -115,14 +115,9 @@ def mismatched_networks(draw, noise_only=False):
     return ts, nm, topo, float(gamma)
 
 
-def ring_chord_network(nodes, seed=0):
-    """case1's sensors cycled over a ring of ``nodes`` sensors plus ``nodes // 4`` random chords.
-
-    The stacked dimension is 4 * nodes, and the Hurwitz threshold of such a
-    network is large (2e5 at 25 nodes, 2e6 at 50), so ``||closed_loop||_2``
-    reaches 1e7 to 7e7 at 100 times the threshold.
-    """
-    from dckf.scenario import parse_scenario, preset_dict
+def ring_chord_document(nodes, seed=0):
+    """The scenario document of ``ring_chord_network(nodes, seed)``."""
+    from dckf.scenario import preset_dict
 
     doc = preset_dict("case1")
     for block in ("true_system", "nominal"):
@@ -135,7 +130,19 @@ def ring_chord_network(nodes, seed=0):
         edges.add(tuple(sorted(int(v) for v in rng.choice(nodes, size=2, replace=False))))
     doc["name"] = f"ring-chord-{nodes}"
     doc["topology"] = {"nodes": nodes, "edges": [list(e) for e in sorted(edges)]}
-    return parse_scenario(doc)
+    return doc
+
+
+def ring_chord_network(nodes, seed=0):
+    """case1's sensors cycled over a ring of ``nodes`` sensors plus ``nodes // 4`` random chords.
+
+    The stacked dimension is 4 * nodes, and the Hurwitz threshold of such a
+    network is large (2e5 at 25 nodes, 2e6 at 50), so ``||closed_loop||_2``
+    reaches 1e7 to 7e7 at 100 times the threshold.
+    """
+    from dckf.scenario import parse_scenario
+
+    return parse_scenario(ring_chord_document(nodes, seed))
 
 
 def rk4_propagate(fr, ts, nm, grid, dt=1e-3, init=None):

@@ -401,9 +401,8 @@ def test_property_nominal_trace_floor_is_below_the_nominal_trace(network):
     try:
         ss = steady_state(fr, ts, nm)
     except SolverError:
-        # About 1 in 200 draws, all at 13 to 300 times the threshold: the
-        # absolute residual contract or the spectra check refuses a solve,
-        # which leaves no trace to test the claim on.
+        # A few draws in a thousand, at stiff gains: the spectra check refuses
+        # a solve as singular, which leaves no trace to test the claim on.
         reject()
     assert analysis.nominal_trace_floor(fr) <= np.trace(ss.nominal_cov)
 
@@ -422,6 +421,28 @@ def test_property_relation_gap_norm_is_within_its_bound(network, gap_seed, horiz
     grid = np.linspace(0.0, horizon, 21)
     rel = analysis.relation_analysis(fr, deviations(ts, nm), m + m.T, grid)
     assert np.all(rel.gap_norm <= rel.gap_norm_bound * (1 + 1e-9) + 1e-12)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_property_asymptotic_fit_has_positive_limits(seed):
+    """Claim: over 2x-200x the threshold, the fitted limits ``a1`` and ``a2`` are positive.
+
+    The networks are ``random_assumption2_setup``'s nominal ones; ``b`` and
+    ``c`` take either sign on them.
+    """
+    nm, topo = random_assumption2_setup(np.random.default_rng(seed))
+    thr = gamma_threshold(nm, topo)
+    fr = build_filter(nm, as_true(nm), topo, 2.0 * thr)
+    grid = np.logspace(np.log10(2.0 * thr), np.log10(200.0 * thr), 20)
+    try:
+        fit = analysis.asymptotic_fit(fr, grid)
+    except analysis.HypothesisError:
+        # About 1 in 50 networks, with thresholds of 3e4 and more: the Hurwitz
+        # check weighs the abscissa (about -0.5) against 1e-9 ||acl||_2, which
+        # exceeds it at the top of the grid, so there is no fit to test.
+        reject()
+    assert fit.a1 > 0 and fit.a2 > 0
 
 
 @pytest.mark.parametrize("swapped", [False, True])

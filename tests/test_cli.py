@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dckf import sim, solvers
 from dckf.cli import main
 from dckf.scenario import load_scenario, parse_scenario, preset_dict, preset_names
+from conftest import ring_chord_document
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -168,6 +169,21 @@ def test_sweep_with_simulation_column(tmp_path):
     header, rows = read_csv(tmp_path / "tiny_sweep.csv")
     assert header[8] == "mse"  # same schema with and without --simulate
     assert float(rows[0][8]) > 0
+
+
+def test_sweep_runs_on_a_stiff_50_node_network(tmp_path):
+    # At 100 times the threshold ||closed_loop||_2 is about 7e7; the fit's
+    # solves over 2x-200x and every row's steady state meet the
+    # scale-relative solver contract.
+    path = write_scenario(tmp_path, ring_chord_document(50))
+    argv = ["sweep", "--scenario", path, "--out", str(tmp_path)]
+    assert main(argv + ["--gamma", "log:1.05:100:3:threshold"]) == 0
+    _, rows = read_csv(tmp_path / "ring-chord-50_sweep.csv")
+    assert len(rows) == 3
+    for row in rows:
+        tr_nominal, tr_error, gap, upper1 = (float(row[k]) for k in (2, 3, 4, 5))
+        assert row[-1] == "ok"
+        assert max(0.0, tr_nominal - gap) <= tr_error <= upper1
 
 
 def test_sweep_case2_has_no_threshold(tmp_path, capsys):

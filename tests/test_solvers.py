@@ -14,7 +14,9 @@ from dckf.analysis import trace_bounds
 from dckf.filtering import build_filter, gamma_threshold
 from dckf.graph import complete
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations, stack
-from conftest import kron_sylvester, random_spd, ring_chord_network, rk4_propagate
+from conftest import (
+    kron_sylvester, random_assumption2_setup, random_spd, ring_chord_network, rk4_propagate,
+)
 
 
 def random_care_instance(rng):
@@ -78,6 +80,26 @@ def test_care_random_residual_and_stability():
         assert np.linalg.eigvalsh(p)[0] >= -1e-10 * max(1.0, np.linalg.norm(p, 2))
         closed = a - p @ gram
         assert np.max(np.linalg.eigvals(closed).real) < 0
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_property_care_meets_its_contract_on_nominal_models(seed):
+    """Claim: ``solve_care`` returns a stabilizing PSD ``P`` within its residual contract.
+
+    The models are ``random_assumption2_setup``'s nominal ones (n from 2 to 4,
+    an observable pair, PD process noise), on which the stabilizing solution
+    exists: ``||A P + P A' + Q - P C'R^-1 C P||_F <= 1e-8 (1 + ||P||_F^2)``,
+    ``P`` is PSD and ``A - P C'R^-1 C`` is Hurwitz.
+    """
+    nm, _ = random_assumption2_setup(np.random.default_rng(seed))
+    a, c, r, q = nm.a, nm.c_stack, nm.r_diag, nm.q
+    p = solvers.solve_care(a, c, r, q)
+    gram = c.T @ np.linalg.solve(r, c)
+    residual = np.linalg.norm(a @ p + p @ a.T + q - p @ gram @ p)
+    assert residual <= 1e-8 * (1.0 + np.linalg.norm(p) ** 2)
+    assert np.linalg.eigvalsh(p)[0] >= -1e-10 * max(1.0, np.linalg.norm(p, 2))
+    assert np.max(np.linalg.eigvals(a - p @ gram).real) < 0
 
 
 def test_care_monotone_in_process_noise():
@@ -351,13 +373,13 @@ def test_preset_solves_make_one_trsyl_call_on_the_whole_factors(case1, monkeypat
 
     monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", spy)
     rng = np.random.default_rng(19)
-    for a, b, rhs in [
-        (form, form.T, -random_spd(rng, 24)),
-        (form.T, form, -np.eye(24)),
-        (form, a_d_form.T, rng.standard_normal((24, 24))),
+    for a, b, rhs, symmetric in [
+        (form, form.T, -random_spd(rng, 24), True),
+        (form.T, form, -np.eye(24), True),
+        (form, a_d_form.T, rng.standard_normal((24, 24)), False),
     ]:
         calls.clear()
-        solvers._sylvester_trsyl(a, b, rhs)
+        solvers._sylvester_trsyl(a, b, rhs, symmetric)
         assert len(calls) == 1
         t_a, t_b, shape, kwargs = calls[0]
         assert t_a is a.t and t_b is b.t and shape == (24, 24)
@@ -371,26 +393,57 @@ def ring_chord_filter(nodes, scale):
     return build_filter(nm, ts, topo, scale * gamma_threshold(nm, topo)), ts, nm
 
 
+def contract_scales(fr, ts, nm, ss):
+    """``(||a||_F + ||b||_F, ||c||_F)`` of each full nN equation, keyed as ``residuals``.
+
+    The truth's reduced solves have the solution, drive and residual norms of
+    the full equations and coefficient norms no larger, so the full
+    equation's contract is at least as loose as the one the solve was held to.
+    """
+    norm, k = np.linalg.norm, fr.gain_diag
+    acl = norm(fr.closed_loop)
+    w_err = k @ ts.r_diag @ k.T + ts.q_network
+    scales = {"nominal_cov": (2.0 * acl, norm(k @ nm.r_diag @ k.T + nm.q_network))}
+    if ss.cross_cov is not None:
+        f, a_d = fr.mismatch_diag, norm(ts.a_diag)
+        w_err = w_err + f @ ss.cross_cov.T + ss.cross_cov @ f.T
+        scales["state_cov"] = (2.0 * a_d, norm(ts.q_network))
+        scales["cross_cov"] = (acl + a_d, norm(f @ ss.state_cov + ts.q_network))
+    scales["error_cov"] = (2.0 * acl, norm(w_err))
+    return scales
+
+
+def meets_contract(residual, x, coefficients, drive):
+    """The solver contract ``||R||_F <= 1e-14 ((||a||_F + ||b||_F) ||x||_F + ||c||_F)``."""
+    return residual <= 1e-14 * (coefficients * x + drive)
+
+
 @pytest.mark.parametrize("nodes, scale", [(25, 100.0), (50, 1.05)])
 def test_steady_state_on_large_ring_chord_networks(nodes, scale):
-    # At 25 nodes and 100x the threshold ||closed_loop||_2 is about 1e7; the
-    # first solve misses the residual contract by rounding alone (about 5x)
-    # and the refinement step brings it under.
+    # At 25 nodes and 100x the threshold ||closed_loop||_2 is about 1e7.
     fr, ts, nm = ring_chord_filter(nodes, scale)
     ss = solvers.steady_state(fr, ts, nm)
+    scales = contract_scales(fr, ts, nm, ss)
     for key, residual in ss.residuals.items():
-        assert residual <= 1e-9 * (1.0 + np.linalg.norm(getattr(ss, key))), key
+        assert meets_contract(residual, np.linalg.norm(getattr(ss, key)), *scales[key]), key
     assert trace_bounds(fr, ss, deviations(ts, nm)).sandwich_holds
 
 
-def test_steady_state_contract_out_of_reach_at_50_nodes_stiff():
-    # At 50 nodes and 100x the threshold ||closed_loop||_2 is about 7e7.  The
-    # residual of a double-precision solution then stalls at about twice the
-    # fixed contract 1e-9 (1 + ||x||_F), however many refinement steps are
-    # taken, so the solve is refused rather than returned.
+def test_steady_state_meets_the_contract_at_50_nodes_stiff():
+    # At 50 nodes and 100x the threshold ||closed_loop||_2 is about 7e7, and
+    # a fixed contract 1e-9 (1 + ||x||_F) would be out of reach of a double
+    # precision solve.  The scale-relative contract accepts the first solve:
+    # each residual meets the benchmark's 1e-12 backward error, the steady
+    # traces agree with the adjoint solve, and the sandwich holds.
     fr, ts, nm = ring_chord_filter(50, 100.0)
-    with pytest.raises(solvers.SolverError, match="violates the solver contract"):
-        solvers.steady_state(fr, ts, nm)
+    ss = solvers.steady_state(fr, ts, nm)
+    scales = contract_scales(fr, ts, nm, ss)
+    for key, residual in ss.residuals.items():
+        x = np.linalg.norm(getattr(ss, key))
+        assert meets_contract(residual, x, *scales[key]), key
+        assert residual <= 1e-12 * scales[key][0] * x, key
+    assert max(steady_trace_defects(fr, ts, nm)) <= 1e-13
+    assert trace_bounds(fr, ss, deviations(ts, nm)).sandwich_holds
 
 
 @functools.lru_cache(maxsize=None)
@@ -398,7 +451,7 @@ def ring_chord_base(nodes, seed):
     sc = ring_chord_network(nodes, seed)
     ts, nm, topo = sc.true_system, sc.nominal, sc.topology
     threshold = gamma_threshold(nm, topo)
-    return build_filter(nm, ts, topo, threshold), ts, nm, threshold, stack(ts, nm).a_diag
+    return build_filter(nm, ts, topo, threshold), ts, nm, threshold
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -408,24 +461,23 @@ def ring_chord_base(nodes, seed):
     scale=st.floats(np.log(1.05), np.log(100.0)).map(np.exp),
 )
 def test_property_steady_state_meets_its_residual_contracts(nodes, seed, scale):
-    """Claim: a returned steady state meets the 1e-9 contract and a 1e-12 backward error.
+    """Claim: a returned steady state meets the solver contract and a 1e-12 backward error.
 
     Stacked dimensions 36-120 run the recursive kernel.  The backward error
     ``||residual||_F / ((||a||_F + ||b||_F) ||x||_F)`` is the benchmark's
     output check on generated networks.
     """
-    base, ts, nm, threshold, a_d = ring_chord_base(nodes, seed)
+    base, ts, nm, threshold = ring_chord_base(nodes, seed)
     fr = base.with_gamma(scale * threshold)
     try:
         ss = solvers.steady_state(fr, ts, nm)
     except solvers.SolverError:
         return
-    acl, a_d = np.linalg.norm(fr.closed_loop), np.linalg.norm(a_d)
-    coefficients = {"state_cov": 2.0 * a_d, "cross_cov": acl + a_d}
+    scales = contract_scales(fr, ts, nm, ss)
     for key, residual in ss.residuals.items():
         x = np.linalg.norm(getattr(ss, key))
-        assert residual <= 1e-9 * (1.0 + x), key
-        assert residual <= 1e-12 * coefficients.get(key, 2.0 * acl) * x, key
+        assert meets_contract(residual, x, *scales[key]), key
+        assert residual <= 1e-12 * scales[key][0] * x, key
 
 
 def test_library_call_shapes_of_a_network_benchmark_op():
@@ -552,12 +604,12 @@ def test_steady_state_solves_the_replicated_truth_at_its_own_size(network, monke
             assert_close(ss.state_cov, moment, 1e-12)
             assert_close(ss.cross_cov, cross, 1e-12)
         x, z = ss.state_cov, ss.cross_cov
-        for residual, solution, coefficient in [
-            (a_d @ x + x @ a_d.T + q_net, x, 2.0 * a_d_norm),
-            (acl @ z + z @ a_d.T + f @ x + q_net, z, np.linalg.norm(acl) + a_d_norm),
+        for drive, terms, solution, coefficient in [
+            (q_net, a_d @ x + x @ a_d.T, x, 2.0 * a_d_norm),
+            (f @ x + q_net, acl @ z + z @ a_d.T, z, np.linalg.norm(acl) + a_d_norm),
         ]:
-            r, norm = np.linalg.norm(residual), np.linalg.norm(solution)
-            assert r <= 1e-9 * (1.0 + norm)
+            r, norm = np.linalg.norm(terms + drive), np.linalg.norm(solution)
+            assert meets_contract(r, norm, coefficient, np.linalg.norm(drive))
             assert r <= 1e-12 * coefficient * norm
 
 
