@@ -326,7 +326,8 @@ def cmd_simulate(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
     fr = build_filter(nm, ts, topo, gamma)
     cfg = scenario.sim_config(args.trials, args.seed)
     series = monte_carlo_mse(ts, fr, cfg)
-    traj = propagate(fr, ts, series.time, init=scenario.initial_state())
+    # The engine starts every filter at x0, the default initial state.
+    traj = propagate(fr, ts, series.time)
     n_sensors = ts.sensor_count
     rows = [
         [

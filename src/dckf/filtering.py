@@ -18,7 +18,7 @@ import scipy.linalg
 from . import matkit
 from .graph import Topology, algebraic_connectivity, laplacian
 from .model import NominalModel, TrueSystem, _check_pair, _read_only, negligible
-from .solvers import SchurForm
+from .solvers import _HURWITZ_RTOL, SchurForm
 
 __all__ = [
     "FilterRealization",
@@ -26,9 +26,6 @@ __all__ = [
     "gamma_threshold",
     "is_hurwitz",
 ]
-
-
-_HURWITZ_RTOL = 1e-9
 
 
 def is_hurwitz(m: "np.ndarray | SchurForm") -> bool:
@@ -40,7 +37,7 @@ def is_hurwitz(m: "np.ndarray | SchurForm") -> bool:
     (:meth:`~dckf.solvers.SchurForm.band_norm`).
     """
     form = SchurForm.of(m)
-    return form.spectral_abscissa < -_HURWITZ_RTOL * max(form.band_norm(_HURWITZ_RTOL), 1e-300)
+    return form.spectral_abscissa < -_HURWITZ_RTOL * max(form.band_norm(), 1e-300)
 
 
 def gamma_threshold(nm: NominalModel, topo: Topology) -> float:

@@ -88,6 +88,11 @@ class NotHurwitzError(SolverError):
 # ---------------------------------------------------------------------------
 
 
+# The share of ||m||_2 by which a spectral abscissa must clear zero in both
+# Hurwitz checks, ``filtering.is_hurwitz`` and :func:`_hurwitz_guard`.
+_HURWITZ_RTOL = 1e-9
+
+
 def _no_sort(wr, wi):
     """``gees`` select callback; it is required even when nothing is sorted."""
     return None
@@ -159,17 +164,17 @@ class SchurForm:
         """Spectral norm of ``matrix``, computed once per factorization."""
         return float(np.linalg.norm(self.matrix, 2))
 
-    def band_norm(self, rtol: float) -> float:
-        """The norm to weigh the spectral abscissa against in a Hurwitz check at ``rtol``.
+    def band_norm(self) -> float:
+        """The norm to weigh the spectral abscissa against in a Hurwitz check.
 
-        The checks compare ``alpha`` with ``-rtol ||m||_2`` or ``rtol ||m||_2``.
-        Since ``||m||_2 <= ||m||_F``, once ``|alpha| > 2 rtol ||m||_F`` both
-        norms give the same verdict (the factor 2 covers the rounding of
-        either norm), and the Frobenius norm is returned.  Only inside that
-        band is the SVD behind ``norm2`` taken.
+        The checks compare ``alpha`` with ``-rtol ||m||_2`` or ``rtol ||m||_2``
+        (``rtol = 1e-9``).  Since ``||m||_2 <= ||m||_F``, once
+        ``|alpha| > 2 rtol ||m||_F`` both norms give the same verdict (the
+        factor 2 covers the rounding of either norm), and the Frobenius norm
+        is returned.  Only inside that band is the SVD behind ``norm2`` taken.
         """
         fro = float(np.linalg.norm(self.matrix))
-        if abs(self.spectral_abscissa) > 2.0 * rtol * max(fro, 1e-300):
+        if abs(self.spectral_abscissa) > 2.0 * _HURWITZ_RTOL * max(fro, 1e-300):
             return fro
         return self.norm2
 
@@ -512,7 +517,7 @@ class SteadyStateResult:
 
 def _hurwitz_guard(form: SchurForm, what: str) -> None:
     alpha = form.spectral_abscissa
-    if alpha > 1e-9 * max(form.band_norm(1e-9), 1e-300):
+    if alpha > _HURWITZ_RTOL * max(form.band_norm(), 1e-300):
         raise NotHurwitzError(f"{what} is unstable (spectral abscissa {alpha:.3e})")
 
 
@@ -580,31 +585,27 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
 
 @dataclass(frozen=True)
 class TrajectoryInit:
-    """Initial matrices for the coupled covariance ODEs."""
+    """Initial covariances of the nominal index and the stacked error.
+
+    Every node estimates the same ``x``, so the truth's initial moments are
+    not fields: :func:`propagate` takes ``E[x x'] = sigma0 + x0 x0'`` and
+    ``E[e x'] = sigma0`` in every block, which hold when every initial
+    estimate is unbiased and independent of ``x(0)`` (``e = x - x_hat``).
+    """
 
     nominal_cov: np.ndarray
     error_cov: np.ndarray
-    cross_cov: np.ndarray
-    state_cov: np.ndarray
 
 
 def default_initial_state(ts: TrueSystem) -> TrajectoryInit:
     """Defaults for filters that all start at the mean initial state.
 
-    Every filter uses the same deterministic initial estimate (the mean of
-    the initial state), so all blocks of the initial error covariance equal
-    the initial state covariance, and the cross term matches it.
+    Every filter uses the same deterministic initial estimate ``x0``, so all
+    blocks of the initial error covariance, and of the nominal index, equal
+    ``sigma0``.
     """
-    n_sensors = ts.sensor_count
-    ones = np.ones((n_sensors, n_sensors))
-    base = np.kron(ones, ts.sigma0)
-    second_moment = np.kron(ones, ts.sigma0 + np.outer(ts.x0, ts.x0))
-    return TrajectoryInit(
-        nominal_cov=base.copy(),
-        error_cov=base.copy(),
-        cross_cov=base.copy(),
-        state_cov=second_moment,
-    )
+    base = np.kron(np.ones((ts.sensor_count, ts.sensor_count)), ts.sigma0)
+    return TrajectoryInit(nominal_cov=base, error_cov=base.copy())
 
 
 @dataclass(frozen=True)
@@ -699,30 +700,30 @@ def propagate(
     The nominal index follows its own Lyapunov-type flow in the closed loop,
     driven by the noise intensities of the filter's nominal model.
     The error, cross and state blocks are slices of the joint covariance of
-    the stacked error and the replicated true state.  The joint drift
-    ``[[closed_loop, mismatch_diag], [0, a_diag]]`` is upper block
-    triangular (the replicated state does not feed back from the error),
-    and the joint drive is ``B diag(R, kron(11', Q)) B'`` with the true
-    intensities and the input map ``B = [[-K, I], [0, I]]``.  Both flows are
-    stepped exactly (matrix exponential plus Van Loan's integral).
+    the stacked error ``e`` and the true state ``x`` (size ``nN + n``), which
+    every node sees as ``copies @ x``, ``copies = 1 x I_n``.  The joint drift
+    ``[[closed_loop, mismatch_diag @ copies], [0, A]]`` is upper block
+    triangular, the joint drive is ``B diag(R, Q) B'`` with the true
+    intensities and ``B = [[-K, copies], [0, I]]``, and the truth's initial
+    moments are those of :class:`TrajectoryInit`.  Both flows are stepped
+    exactly (matrix exponential plus Van Loan's integral); the cross and
+    state blocks are returned tiled to ``nN x nN``.
     """
     if init is None:
         init = default_initial_state(ts)
     q_dim = fr.closed_loop.shape[0]
-    for name in ("nominal_cov", "error_cov", "cross_cov", "state_cov"):
+    for name in ("nominal_cov", "error_cov"):
         shape = np.shape(getattr(init, name))
         if shape != (q_dim, q_dim):
             raise ValueError(f"initial {name} must be {q_dim}x{q_dim}, got {shape}")
     _check_pair(ts, fr.nominal)
-    drift = np.block([[fr.closed_loop, fr.mismatch_diag], [np.zeros((q_dim, q_dim)), ts.a_diag]])
-    input_map = np.block(
-        [
-            [-fr.gain_diag, np.eye(q_dim)],
-            [np.zeros(fr.gain_diag.shape), np.eye(q_dim)],
-        ]
-    )
-    noise = scipy.linalg.block_diag(ts.r_diag, ts.q_network)
-    joint_init = np.block([[init.error_cov, init.cross_cov], [init.cross_cov.T, init.state_cov]])
+    n, nodes = ts.n, ts.sensor_count
+    copies = np.tile(np.eye(n), (nodes, 1))
+    drift = np.block([[fr.closed_loop, fr.mismatch_diag @ copies], [np.zeros((n, q_dim)), ts.a]])
+    input_map = np.block([[-fr.gain_diag, copies], [np.zeros((n, fr.gain_diag.shape[1])), np.eye(n)]])
+    noise = scipy.linalg.block_diag(ts.r_diag, ts.q)
+    cross = copies @ ts.sigma0
+    joint_init = np.block([[init.error_cov, cross], [cross.T, ts.sigma0 + np.outer(ts.x0, ts.x0)]])
     joint = _covariance_flow(drift, input_map @ noise @ input_map.T, joint_init, grid)
     nominal = _covariance_flow(fr.closed_loop, _noise_drive(fr, fr.nominal), init.nominal_cov, grid)
     error = joint[:, :q_dim, :q_dim]
@@ -732,7 +733,7 @@ def propagate(
         time=time,
         nominal_cov=nominal,
         error_cov=error,
-        cross_cov=joint[:, :q_dim, q_dim:],
-        state_cov=joint[:, q_dim:, q_dim:],
+        cross_cov=np.tile(joint[:, :q_dim, q_dim:], (1, 1, nodes)),
+        state_cov=np.tile(joint[:, q_dim:, q_dim:], (1, nodes, nodes)),
         error_trace_rate=np.gradient(traces, time),
     )

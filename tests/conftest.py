@@ -149,10 +149,13 @@ def rk4_propagate(fr, ts, nm, grid, dt=1e-3, init=None):
     """Reference integrator: fixed-step classical RK4 on the four coupled blocks.
 
     This is the direct formulation (nominal, error, cross and state blocks
-    integrated side by side), independent of the exact joint flow in
-    ``dckf.solvers``.  Substeps are at most ``dt`` and are capped at
-    ``1.25 / ||closed_loop||_2`` so stiff closed loops stay inside the RK4
-    stability region.  Returns a ``CovarianceTrajectory``.
+    integrated side by side at the full stacked size), independent of the
+    exact joint flow in ``dckf.solvers``.  The cross and state blocks start
+    from the moments of filters whose initial estimates are unbiased and
+    independent of ``x(0)``: ``kron(11', sigma0)`` and
+    ``kron(11', sigma0 + x0 x0')``.  Substeps are at most ``dt`` and are
+    capped at ``1.25 / ||closed_loop||_2`` so stiff closed loops stay inside
+    the RK4 stability region.  Returns a ``CovarianceTrajectory``.
     """
     from dckf import matkit
     from dckf.model import stack
@@ -178,9 +181,11 @@ def rk4_propagate(fr, ts, nm, grid, dt=1e-3, init=None):
         dx = a_d @ x + x @ a_d.T + u_q
         return dsu, dse, ds, dx
 
+    cross0 = np.kron(ones, ts.sigma0)
+    state0 = np.kron(ones, ts.sigma0 + np.outer(ts.x0, ts.x0))
     state = tuple(
         np.asarray(m, dtype=float).copy()
-        for m in (init.nominal_cov, init.error_cov, init.cross_cov, init.state_cov)
+        for m in (init.nominal_cov, init.error_cov, cross0, state0)
     )
     out = [np.empty((grid.size,) + acl.shape) for _ in range(4)]
     for o, v in zip(out, state):

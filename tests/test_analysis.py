@@ -9,7 +9,10 @@ from dckf.filtering import build_filter, gamma_threshold
 from dckf.graph import complete
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations
 from dckf.solvers import SolverError, steady_state, propagate
-from conftest import closed_form_gap, mismatched_networks, random_assumption2_setup, random_spd
+from conftest import (
+    closed_form_gap, mismatched_networks, random_assumption2_setup, random_connected_topology,
+    random_spd,
+)
 from test_filtering import as_true
 
 
@@ -467,3 +470,75 @@ def test_property_relation_ordering_is_never_violated(swapped, network, horizon)
     rel = analysis.relation_analysis(fr, deviations(ts, nm), np.zeros((n, n)), grid)
     assert rel.drive_sign in (("psd", "zero") if swapped else ("nsd", "zero"))
     assert rel.ordering != "violated"
+
+
+def neutral_mode_network(rng, pair, excite):
+    """A nominal model whose A has one neutral mode that its Q is blind to, and a truth.
+
+    ``A = T diag(M, S) T^-1`` with ``M = [0]`` or, for ``pair``, the rotation
+    ``[[0, w], [-w, 0]]`` (``w`` in [0.5, 3], so ``A`` has the eigenvalues
+    ``+-iw``); ``S`` is stable (abscissa at most -0.5) and ``T`` has a
+    condition number of at most 4.  The nominal Q is a random PSD matrix
+    projected off the mode's left eigenvectors (the first rows of ``T^-1``).
+    The truth shares A and the sensors; its Q is a random PD matrix when
+    ``excite`` and another blind projection otherwise.  Returns
+    ``(ts, nm, topo, gamma, w)``, with ``w = 0`` for a zero eigenvalue.
+    """
+    k = 2 if pair else 1
+    n = k + int(rng.integers(1, 3))
+    w = float(rng.uniform(0.5, 3.0)) if pair else 0.0
+    neutral = np.array([[0.0, w], [-w, 0.0]]) if pair else np.zeros((1, 1))
+    stable = rng.standard_normal((n - k, n - k))
+    stable -= (max(0.0, float(np.linalg.eigvals(stable).real.max())) + 0.5) * np.eye(n - k)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    t = u @ np.diag(rng.uniform(0.5, 2.0, n)) @ v
+    a = t @ scipy.linalg.block_diag(neutral, stable) @ np.linalg.inv(t)
+    left = scipy.linalg.orth(np.linalg.inv(t)[:k].T)
+    blind = np.eye(n) - left @ left.T
+
+    def blind_noise():
+        return matkit.symmetrize(blind @ random_spd(rng, n, floor=0.2) @ blind)
+
+    n_sensors = int(rng.integers(2, 5))
+    while True:
+        sensors = [
+            Sensor(c=rng.standard_normal((1, n)), r=random_spd(rng, 1, floor=0.3))
+            for _ in range(n_sensors)
+        ]
+        c_stack = np.vstack([s.c for s in sensors])
+        obs = np.vstack([c_stack @ np.linalg.matrix_power(a, j) for j in range(n)])
+        if np.linalg.matrix_rank(obs, tol=1e-9) == n:
+            break
+    nm = NominalModel(a=a, q=blind_noise(), sensors=sensors)
+    q_true = random_spd(rng, n, floor=0.2) if excite else blind_noise()
+    ts = TrueSystem(a=a, q=q_true, sensors=sensors, x0=np.zeros(n), sigma0=np.eye(n))
+    gamma = float(np.exp(rng.uniform(np.log(0.5), np.log(50.0))))
+    return ts, nm, random_connected_topology(rng, n_sensors), gamma, w
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), pair=st.booleans(), excite=st.booleans())
+def test_property_divergence_certificates_match_an_eigendecomposition(seed, pair, excite):
+    """Claim: one certificate per blind neutral mode, an eigenvector of the closed loop.
+
+    On ``neutral_mode_network``'s models, ``divergence_test`` gives exactly
+    one certificate, at the mode's nonnegative frequency (a conjugate pair
+    gives one).  Its ``kron(1, e)`` lies in the eigenspace of
+    ``np.linalg.eig(closed_loop.T)`` for ``i freq`` to 1e-8 relative, and
+    ``will_diverge`` holds exactly when the true Q excites the mode.
+    """
+    ts, nm, topo, gamma, w = neutral_mode_network(np.random.default_rng(seed), pair, excite)
+    fr = build_filter(nm, ts, topo, gamma)
+    certs = analysis.divergence_test(fr, ts)
+    assert len(certs) == 1
+    cert = certs[0]
+    acl = fr.closed_loop
+    scale = max(1.0, float(np.linalg.norm(acl, 2)))
+    assert cert.freq == pytest.approx(w, abs=1e-8 * scale)
+    assert cert.will_diverge == excite
+    eigvals, eigvecs = np.linalg.eig(acl.T)
+    near = np.abs(eigvals - 1j * cert.freq) <= 1e-6 * scale
+    basis = scipy.linalg.orth(eigvecs[:, near])
+    stacked = np.kron(np.ones(ts.sensor_count), cert.vector)
+    off = stacked - basis @ (basis.conj().T @ stacked)
+    assert np.linalg.norm(off) <= 1e-8 * np.linalg.norm(stacked)

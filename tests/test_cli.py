@@ -341,6 +341,23 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert meta["seed"] == 77
 
 
+def test_simulate_ignores_the_init_block(tmp_path):
+    # The Monte Carlo starts every filter at x0, so the analytic curve next
+    # to it starts from the default initial state whatever `init` says.
+    doc = tiny_doc()
+    plain = write_scenario(tmp_path, doc, "plain.json")
+    doc["init"] = {"error_cov": "identity"}
+    overridden = write_scenario(tmp_path, doc, "overridden.json")
+    out1, out2 = tmp_path / "plain", tmp_path / "overridden"
+    assert main(["simulate", "--scenario", plain, "--out", str(out1)]) == 0
+    assert main(["simulate", "--scenario", overridden, "--out", str(out2)]) == 0
+    table = (out2 / "tiny_simulate.csv").read_text()
+    assert table == (out1 / "tiny_simulate.csv").read_text()
+    header, rows = read_csv(out2 / "tiny_simulate.csv")
+    # Row 0 is tr(sigma0): every block of the initial error covariance is sigma0.
+    assert float(rows[0][header.index("tr_error_over_sensors")]) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_scenario_hash_semantics():
     doc = tiny_doc()
     base = parse_scenario(doc).semantic_hash()
@@ -365,8 +382,6 @@ def test_scenario_init_override_identity():
     init = sc.initial_state()
     np.testing.assert_array_equal(init.error_cov, np.eye(4))
     np.testing.assert_array_equal(init.nominal_cov, np.eye(4))
-    # Unspecified fields keep the shared-initial-estimate default.
-    np.testing.assert_allclose(init.cross_cov, 0.5 * np.kron(np.ones((2, 2)), np.eye(2)))
 
 
 def short_baseline():
@@ -444,6 +459,9 @@ MALFORMED = {
     # The init block was read only by the commands that propagate.
     "init_matrix_not_numeric": (_set(["init"], {"error_cov": "bogus"}), (1, 1, 1)),
     "init_field_unknown": (_set(["init"], {"bogus": "identity"}), (1, 1, 1)),
+    # The truth's moments follow from x0 and sigma0; they are not init fields.
+    "init_cross_cov": (_set(["init"], {"cross_cov": "identity"}), (1, 1, 1)),
+    "init_state_cov": (_set(["init"], {"state_cov": "default"}), (1, 1, 1)),
 }
 
 

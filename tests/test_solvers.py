@@ -697,6 +697,55 @@ def test_propagate_agrees_with_augmented_system(baseline):
     )
 
 
+def test_propagate_steps_the_truth_at_its_own_size(case1, monkeypatch):
+    # Every node estimates the same true state, so the joint flow is that of
+    # [e; x], of size nN + n, next to the nN nominal flow; no flow of the
+    # error and N copies of x (size 2nN) is stepped.
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
+    sizes, real_flow = [], solvers._covariance_flow
+
+    def spy_flow(drift, drive, init, grid):
+        sizes.append(drift.shape[0])
+        return real_flow(drift, drive, init, grid)
+
+    monkeypatch.setattr(solvers, "_covariance_flow", spy_flow)
+    traj = solvers.propagate(fr, ts, np.linspace(0.0, 1.0, 3))
+    q_dim = ts.n * ts.sensor_count
+    assert sorted(sizes) == [q_dim, q_dim + ts.n]
+    assert traj.cross_cov.shape == traj.state_cov.shape == (3, q_dim, q_dim)
+
+
+def test_propagate_truth_moments_start_from_x0_and_sigma0(case3):
+    # case3 overrides error_cov, but the truth's initial moments are those of
+    # unbiased initial estimates independent of x(0): E[e x'] = sigma0 in
+    # every block and E[x x'] = sigma0 + x0 x0'.
+    ts, nm, topo = case3.true_system, case3.nominal, case3.topology
+    fr = build_filter(nm, ts, topo, float(case3.resolve_gammas()[0]))
+    init = case3.initial_state()
+    np.testing.assert_array_equal(init.error_cov, np.eye(24))
+    traj = solvers.propagate(fr, ts, np.linspace(0.0, 1.0, 3), init=init)
+    ones = np.ones((6, 6))
+    np.testing.assert_array_equal(traj.error_cov[0], np.eye(24))
+    np.testing.assert_allclose(traj.cross_cov[0], np.kron(ones, ts.sigma0), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(
+        traj.state_cov[0], np.kron(ones, ts.sigma0 + np.outer(ts.x0, ts.x0)), rtol=1e-15, atol=0
+    )
+
+
+@pytest.mark.parametrize("scale, rtol", [(1.05, 1e-9), (10.0, 5e-9)])
+def test_propagate_reaches_steady_state_on_a_25_node_network(scale, rtol):
+    # At t = 400 every block of the exact flow has settled onto the
+    # steady-state solves.  What is left is the rounding that Phi's squarings
+    # amplify: at most 3.8e-10 relative at 1.05x and 1.3e-9 at 10x, for this
+    # flow and for the 2nN flow of [e; 1 x x] alike.
+    fr, ts, nm = ring_chord_filter(25, scale)
+    ss = solvers.steady_state(fr, ts, nm)
+    traj = solvers.propagate(fr, ts, np.linspace(0.0, 400.0, 101))
+    for field in ("error_cov", "cross_cov", "state_cov"):
+        assert_close(getattr(traj, field)[-1], getattr(ss, field), rtol)
+
+
 def test_propagate_case2_projection_growth(case2):
     # The replicated blind mode grows linearly at rate
     # sensors^2 * (mode ' true q mode); the nominal projection stays flat.
@@ -770,5 +819,3 @@ def test_default_initial_state_structure(baseline):
     block = init.error_cov[:4, :4]
     np.testing.assert_allclose(block, 0.1 * np.eye(4), atol=1e-14)
     np.testing.assert_allclose(init.error_cov[:4, 4:8], 0.1 * np.eye(4), atol=1e-14)
-    expected_state = 0.1 * np.eye(4) + np.outer(ts.x0, ts.x0)
-    np.testing.assert_allclose(init.state_cov[:4, :4], expected_state, atol=1e-14)
