@@ -10,21 +10,71 @@ and ``dckf.__all__`` is their union.  It is imported lazily (PEP 562):
 in the submodules, ``scenario`` first and ``sim`` last, on every access and
 never stored here, so a name always shows what its submodule holds right now.
 
-``import dckf`` defaults the process to one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``), as the command line does; a value already set
-wins.  OpenBLAS reads its thread count once, when it loads, and its idle
-workers spin between calls.  numpy and scipy each load their own OpenBLAS, so
-two multi-threaded pools spin against each other whenever a caller switches
-between numpy products and scipy factorizations.  Every BLAS that loads after
-this import starts with one thread; one loaded before it (numpy, if the
-caller imported it first) keeps the count it started with.  The Monte Carlo
-spends the free cores on trial chunks instead (see ``dckf.sim``).
+``import dckf`` defaults the process to one BLAS thread, as the command line
+does.  OpenBLAS takes its thread count from the first positive value among
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``; when
+none holds one, this import sets ``OPENBLAS_NUM_THREADS=1``, and a value you
+export yourself wins.  OpenBLAS reads the variables once, when it loads, and
+its idle workers spin between calls.  numpy and scipy each load their own
+OpenBLAS, so two multi-threaded pools spin against each other whenever a
+caller switches between numpy products and scipy factorizations.  Every BLAS
+that loads after this import starts with one thread.  When numpy or scipy
+loaded first, the import also sets each OpenBLAS already mapped into the
+process (found through ``/proc/self/maps``) to one thread; without ``/proc``
+or a known thread setter that step does nothing.  The Monte Carlo spends the
+free cores on trial chunks instead (see ``dckf.sim``).
 """
 
 import importlib
 import os
+import sys
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# BLAS thread variables in the order OpenBLAS reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Thread-count setters: numpy's and scipy's OpenBLAS builds, then system builds.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _blas_threads():
+    """The first positive integer among the BLAS thread variables; None when none holds one."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
+def _cap_loaded_openblas():
+    """Set every OpenBLAS already mapped into the process to one thread."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    import ctypes
+
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, s) for s in _OPENBLAS_SETTERS if hasattr(lib, s)), None)
+        if setter is not None:
+            setter(1)
+
+
+if _blas_threads() is None:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if "numpy" in sys.modules or "scipy" in sys.modules:
+        _cap_loaded_openblas()
 
 __version__ = "0.1.0"
 

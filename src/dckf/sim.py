@@ -57,14 +57,15 @@ in flight on a thread pool at once; numpy releases the GIL in the noise fills
 and the products; with one worker it runs one chunk at a time.  The caller
 adds the chunks up one by one in trial order, so the sums see the same
 operands in the same order whatever the worker count or the number of cores.
-``workers`` is the usable core count divided by the BLAS thread count
-(``OPENBLAS_NUM_THREADS``, then ``GOTO_NUM_THREADS``, then
-``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1 when none is set, because
-then BLAS already keeps every core busy.  ``import dckf`` sets
-``OPENBLAS_NUM_THREADS=1`` when it is unset, so that happens only if the
-caller deletes it.  The variable is read here, not the pools: numpy imported
-before ``dckf`` keeps its own thread count, and the chunks then run on top of
-its pool.
+``workers`` is the usable core count divided by the BLAS thread count (the
+first positive value among ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1 when none holds one,
+because then BLAS already keeps every core busy.  ``import dckf`` sets
+``OPENBLAS_NUM_THREADS=1`` when none holds one, so that happens only if the
+caller deletes it.  The variables are read here, not the pools: ``import
+dckf`` also sets an OpenBLAS that numpy or scipy loaded before it to one
+thread, so the pools have the count the variables say in either import
+order.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import matkit
+from . import _blas_threads, matkit
 from .filtering import FilterRealization
 from .model import TrueSystem
 
@@ -96,8 +97,6 @@ __all__ = [
 _OPERATOR_BYTES = 4 * 2**20
 _NOISE_BYTES = 2 * 2**20
 _BLOCK_BYTES = _NOISE_BYTES // 2
-# BLAS thread variables in the order OpenBLAS reads them.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Largest entry a piece's operators may hold; longer strides are split.
 _POWER_LIMIT = 1e100
 # Far above any preset (at most 400 trials, 25,000 steps and 500 records);
@@ -466,16 +465,10 @@ def _worker_count(chunks: int) -> int:
     """Trial chunks to run at once: usable cores ÷ BLAS threads, at most ``chunks``.
 
     The BLAS thread count is the first positive value among the variables
-    OpenBLAS reads; with none set, BLAS already uses every core, so 1.
+    OpenBLAS reads; with none, BLAS already uses every core, so 1.
     """
-    for var in _BLAS_THREAD_VARS:
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            break
-    else:
+    threads = _blas_threads()
+    if threads is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))

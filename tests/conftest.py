@@ -1,6 +1,5 @@
-# dckf goes first: importing it defaults OPENBLAS_NUM_THREADS to 1, and
-# OpenBLAS reads that only when numpy loads it, so a numpy imported earlier
-# would run the suite with a second BLAS thread.
+# Importing dckf runs the suite on one BLAS thread, as the command line does,
+# whether or not numpy loaded first.
 import dckf  # noqa: F401
 
 import numpy as np

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -44,6 +45,24 @@ PUBLIC_NAMES = {
 SUBMODULES = [*PUBLIC_NAMES, "cli", "matkit"]
 
 
+# Child code: each mapped OpenBLAS pool's thread count, read with the first
+# getter it exports, then OPENBLAS_NUM_THREADS and ``sim._worker_count(4)``.
+POOL_REPORT = """
+import ctypes, json, os
+from dckf import sim
+getters = (
+    "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads", "openblas_get_num_threads"
+)
+with open("/proc/self/maps") as maps:
+    paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line})
+pools = []
+for path in paths:
+    lib = ctypes.CDLL(path)
+    pools += [getattr(lib, g)() for g in getters if hasattr(lib, g)][:1]
+print(json.dumps([pools, os.environ.get("OPENBLAS_NUM_THREADS"), sim._worker_count(4)]))
+"""
+
+
 def fresh_python(*args, **env_vars):
     """Run a fresh interpreter on ``args`` with ``dckf`` importable; its stdout.
 
@@ -59,7 +78,9 @@ def fresh_python(*args, **env_vars):
 
 
 def test_import_loads_no_numpy():
-    assert fresh_python("-c", "import sys, dckf; print('numpy' in sys.modules)") == "False"
+    # Nor ctypes: the BLAS thread cap runs only when numpy or scipy loaded first.
+    code = "import sys, dckf; print('numpy' in sys.modules, 'ctypes' in sys.modules)"
+    assert fresh_python("-c", code) == "False False"
 
 
 def test_reading_the_setup_names_loads_no_simulator():
@@ -169,6 +190,27 @@ def test_names_are_looked_up_on_every_access(monkeypatch):
     assert dckf.build_filter is original
 
 
+def blas_pools(imports, **env_vars):
+    """(pool thread counts, OPENBLAS_NUM_THREADS, workers) in a child that imports ``imports``.
+
+    The BLAS thread variables are unset but for ``env_vars``.  Skips without
+    ``/proc/self/maps`` or without an OpenBLAS that exports a thread getter.
+    """
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS pools in")
+    env = {var: None for var in dckf._BLAS_THREAD_VARS}
+    env.update(env_vars)
+    report = fresh_python("-c", f"import {imports}\n{POOL_REPORT}", **env)
+    pools, variable, workers = json.loads(report)
+    if not pools:
+        pytest.skip("no loaded OpenBLAS exports a thread getter")
+    return pools, variable, workers
+
+
+def usable_cores():
+    return len(os.sched_getaffinity(0))
+
+
 @pytest.mark.parametrize("exported, threads", [(None, "1"), ("2", "2")], ids=["unset", "exported"])
 def test_import_defaults_to_one_blas_thread(exported, threads):
     # numpy and scipy each load their own OpenBLAS, and the pools' idle workers
@@ -177,7 +219,42 @@ def test_import_defaults_to_one_blas_thread(exported, threads):
         "import os, sys, dckf; "
         "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
     )
-    assert fresh_python("-c", code, OPENBLAS_NUM_THREADS=exported) == f"{threads} False"
+    unset = {var: None for var in dckf._BLAS_THREAD_VARS}
+    env = {**unset, "OPENBLAS_NUM_THREADS": exported}
+    assert fresh_python("-c", code, **env) == f"{threads} False"
+
+
+def test_numpy_imported_first_gets_one_blas_thread():
+    # The pools that loaded before ``dckf`` are set to one thread too, so the
+    # Monte Carlo's chunk workers fill the cores without oversubscribing them.
+    pools, variable, workers = blas_pools("numpy, scipy.linalg, dckf")
+    assert pools == [1] * len(pools) and variable == "1"
+    assert workers == min(usable_cores(), 4)
+
+
+@pytest.mark.parametrize("var", dckf._BLAS_THREAD_VARS)
+@pytest.mark.parametrize(
+    "imports", ["dckf", "numpy, scipy.linalg, dckf"], ids=["dckf-first", "numpy-first"]
+)
+def test_an_exported_blas_thread_count_wins(var, imports):
+    pools, variable, workers = blas_pools(imports, **{var: "2"})
+    assert pools == [2] * len(pools)
+    assert variable == ("2" if var == "OPENBLAS_NUM_THREADS" else None)
+    assert workers == max(1, min(usable_cores() // 2, 4))
+
+
+def test_pool_cap_is_quiet_when_it_cannot_act(monkeypatch):
+    import ctypes
+
+    def refuse(*args, **kwargs):
+        raise OSError("refused")
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())  # no thread setter
+    dckf._cap_loaded_openblas()
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    dckf._cap_loaded_openblas()
+    monkeypatch.setattr(dckf, "open", refuse, raising=False)  # no /proc
+    dckf._cap_loaded_openblas()
 
 
 def test_python_dash_m_runs_with_one_blas_thread():

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dckf
 from dckf import matkit, sim
 from dckf.filtering import build_filter
 from dckf.graph import Topology, complete
@@ -447,7 +448,7 @@ def blas_env(monkeypatch):
     """Set the BLAS thread variable (None unsets all three) on a box with ``cores`` cores."""
 
     def set_env(threads, cores=2):
-        for var in sim._BLAS_THREAD_VARS:
+        for var in dckf._BLAS_THREAD_VARS:
             monkeypatch.setenv(var, "0")  # recorded, so the teardown restores the original
             monkeypatch.delenv(var)
         if threads is not None:
