@@ -51,7 +51,7 @@ def gamma_threshold(nm: NominalModel, topo: Topology) -> float:
     p_inf = nm.p_inf
     connectivity = algebraic_connectivity(topo)
     p_inv = matkit.eigh_psd_inverse(p_inf)
-    gram = matkit.symmetrize(nm.c_stack.T @ np.linalg.solve(nm.r_diag, nm.c_stack))
+    gram = matkit.information_gram(nm.c_stack, nm.r_diag)
     drift_term = float(np.linalg.norm(p_inv @ nm.a + nm.a.T @ p_inv, 2))
     n_sensors = nm.sensor_count
     mix = matkit.symmetrize(p_inv @ nm.q @ p_inv + gram)

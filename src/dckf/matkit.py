@@ -14,6 +14,7 @@ __all__ = [
     "expm",
     "sqrtm_psd",
     "symmetrize",
+    "information_gram",
     "is_symmetric",
     "kron_sum_fro_norm",
     "eigh_psd_inverse",
@@ -46,6 +47,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     """(a + a.T) / 2."""
     a = np.asarray(a, dtype=float)
     return 0.5 * (a + a.T)
+
+
+def information_gram(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``c' r^{-1} c``, symmetrized: the measurement information of ``c`` under noise ``r``."""
+    return symmetrize(c.T @ np.linalg.solve(r, c))
 
 
 def is_symmetric(a: np.ndarray, rtol: float = 1e-10) -> bool:

@@ -46,15 +46,18 @@ sees the same rows (common random numbers).
 Parallel chunks: trials run in fixed chunks of at most half the trials
 (rounded up), and of fewer when the chunk's noise rows for one piece would
 pass ``_NOISE_BYTES``, so a run of two or more trials has at least two chunks
-and the split depends only on the config.  A chunk reduces its records as it
-steps them, so it keeps no per-record history: it returns its per-record sums
-over its trials and each trial's sum over the steady window.  A chunk in
-which some (trial, gain) overflows runs a second time, with that pair masked
-out of the sums at every record.  Each chunk's sums are a pure function of
-its trial range, computed while the engine's operators are only read (they
-are all built on the caller's thread first), so up to ``workers`` chunks are
-in flight on a thread pool at once; numpy releases the GIL in the noise fills
-and the products; with one worker it runs one chunk at a time.  The caller
+and the split depends only on the config.  The engine yields a block's
+records in the block's noise-product buffer, where each piece leaves its
+``z``, and a chunk reduces them there in one pass per block, so it keeps no
+per-record history: it returns its per-record sums over its trials and each
+trial's sum over the steady window, the latter added one record at a time.
+A chunk in which some (trial, gain) overflows runs a second time, with that
+pair masked out of the sums at every record.  Each chunk's sums are a pure
+function of its trial range, computed while the engine's operators are only
+read (they are all built on the caller's thread first), so up to ``workers``
+chunks are in flight at once: the calling thread runs one whenever the
+``workers - 1`` pool threads are busy, and numpy releases the GIL in the
+noise fills and the products; with one worker no thread starts.  The caller
 adds the chunks up one by one in trial order, so the sums see the same
 operands in the same order whatever the worker count or the number of cores.
 ``workers`` is the usable core count divided by the BLAS thread count (the
@@ -73,7 +76,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,7 +248,8 @@ class _Engine:
         if length in self._operators:
             return self._operators[length]
         n, q, cols, gains = self.n, self.q, self.cols, self.gains
-        stack = np.empty((length, gains, cols, n + q))
+        noise_map = np.empty((length, cols, self.width))
+        filter_noise = noise_map[:, :, n:].reshape(length, cols, gains, q)
         power = np.broadcast_to(np.eye(n + q), self.blocks.shape).copy()
         used = length
         # Horner: one running power M^j; the noise block of step i is N M^{length-1-i}.
@@ -254,19 +258,19 @@ class _Engine:
                 noise_block = self.noise_blocks @ power
                 grown = power @ self.blocks
                 if j > 0 and not (
-                    np.all(np.abs(noise_block) <= _POWER_LIMIT)
-                    and np.all(np.abs(grown) <= _POWER_LIMIT)
+                    np.abs(noise_block).max() <= _POWER_LIMIT
+                    and np.abs(grown).max() <= _POWER_LIMIT
                 ):
                     # Every later piece is capped too: the operators do not
                     # depend on where a piece starts.
                     used = self.max_piece = j
                     break
-                stack[length - 1 - j] = noise_block
+                noise_map[length - 1 - j, :, :n] = noise_block[0, :, :n]
+                filter_noise[length - 1 - j] = noise_block[:, :, n:].transpose(1, 0, 2)
                 power = grown
-        stack = stack[length - used :]
-        noise_map = np.empty((used * cols, self.width))
-        noise_map[:, :n] = stack[:, 0, :, :n].reshape(used * cols, n)
-        noise_map[:, n:] = stack[:, :, :, n:].transpose(0, 2, 1, 3).reshape(used * cols, gains * q)
+        noise_map = noise_map[length - used :].reshape(used * cols, self.width)
+        if used < length:
+            noise_map = noise_map.copy()  # do not keep the rows of the longer piece alive
         state_map = np.empty((n, self.width))
         state_map[:, :n] = power[0, :n, :n]
         state_map[:, n:] = power[:, :n, n:].transpose(1, 0, 2).reshape(n, gains * q)
@@ -306,14 +310,20 @@ class _Engine:
         yield ops, ends
 
     def run(self, trials):
-        """Yield ``z`` of shape (trials, n + G q) at every record step, in order."""
+        """Yield each block's records, in order, as a (trials, records, n + G q) array.
+
+        The initial state is a block of one record, and a block that ends no
+        record yields nothing.  The array is the block's noise-product buffer,
+        where each piece leaves its ``z``, or a copy of the pieces that end a
+        record when not all of them do (only in a split stride).
+        """
         cfg = self.cfg
         n = self.n
         rngs = [np.random.default_rng((cfg.seed, int(l))) for l in trials]
         z = np.empty((len(rngs), self.width))
         z[:, :n] = self.ts.x0 + np.stack([r.standard_normal(n) for r in rngs]) @ self.sigma0_half_t
         z[:, n:] = np.tile(self.ts.x0, self.gains * self.n_sensors)
-        yield z
+        yield z[:, None]
 
         def products(block):
             """The block's noise rows, drawn in one call per trial, times its noise map."""
@@ -325,11 +335,13 @@ class _Engine:
                 out = noise.reshape(-1, noise.shape[2]) @ ops.noise_map
             return ops, ends, out.reshape(len(rngs), len(ends), self.width)
 
-        for ops, ends, noise_products in map(products, self.schedule(len(rngs))):
-            for j, end in enumerate(ends):
-                z = self._advance(z, noise_products[:, j], ops)
-                if end:
-                    yield z
+        for ops, ends, out in map(products, self.schedule(len(rngs))):
+            for j in range(len(ends)):
+                z = self._advance(z, out[:, j], ops)
+            if all(ends):
+                yield out
+            elif any(ends):
+                yield out[:, ends]
 
     def _advance(self, z: np.ndarray, out: np.ndarray, ops: _Operators) -> np.ndarray:
         """Add the products of ``z`` to its noise product ``out`` in place; return ``out``."""
@@ -347,11 +359,12 @@ class _Engine:
         return out
 
     def squared_errors(self, z: np.ndarray) -> np.ndarray:
-        """Per (trial, gain, sensor) squared estimation error norms of ``z``."""
+        """Squared estimation error norms of ``z`` (..., n + G q), of shape (..., G, sensors)."""
         n = self.n
         with np.errstate(over="ignore", invalid="ignore"):
-            err = z[:, n:].reshape(z.shape[0], self.gains, self.n_sensors, n) - z[:, None, None, :n]
-            return np.einsum("bgsi,bgsi->bgs", err, err)
+            estimates = z[..., n:].reshape(*z.shape[:-1], self.gains, self.n_sensors, n)
+            err = estimates - z[..., None, None, :n]
+            return np.einsum("...gsi,...gsi->...gs", err, err)
 
 
 def monte_carlo_mse(ts: TrueSystem, fr: FilterRealization, cfg: SimConfig) -> MseSeries:
@@ -367,9 +380,9 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     numbers), and each equals what ``monte_carlo_mse`` gives for that gain
     alone.  Trials run in fixed chunks of at most half the trials, so a run
     of two or more trials has two chunks or more, and up to ``workers`` of
-    them run at once on a thread pool (one at a time with one worker).
-    Each chunk reduces its records as it steps them (see the module
-    notes); a chunk in which some trial overflows runs a second time to
+    them run at once, the calling thread among them (it alone with one
+    worker).  Each chunk reduces its records a block at a time (see the
+    module notes); a chunk in which some trial overflows runs a second time to
     leave that trial out of every record.  The chunks are added up one by
     one in increasing trial order, so the aggregate is a deterministic
     function of the config, whatever the worker count.  Raises
@@ -389,28 +402,39 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     chunk = engine.chunk_size()
     chunks = [range(s, min(s + chunk, cfg.trials)) for s in range(0, cfg.trials, chunk)]
 
-    def work(trials: range, keep: np.ndarray | None = None):
+    def work(trials: range, flags: np.ndarray | None = None):
         """Per-record sums over ``trials``, each trial's window sum, and overflow steps.
 
-        Both sums are of the squared errors scaled by 2**-_SUM_SHIFT, and pairs
-        that ``keep`` masks out add nothing.  A chunk with an overflow runs again
-        with its finite pairs as ``keep``; its streams repeat exactly.
+        Both sums are of the squared errors scaled by 2**-_SUM_SHIFT.  A chunk
+        with an overflow runs again with its ``flags``, and the pairs they mark
+        then add nothing; its streams repeat exactly.
         """
+        rerun = flags is not None
+        flags = flags if rerun else np.full((len(trials), gains), -1, dtype=int)
         chunk_sums = np.empty((steps.size, gains, engine.n_sensors))
         window_sums = np.zeros((len(trials), gains))
-        flags = np.full((len(trials), gains), -1, dtype=int)
+        start = 0
         # Overflowed pairs are summed too until they are masked; inf * 0 is NaN, hence np.where.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, z in enumerate(engine.run(trials)):
-                sse = np.ldexp(engine.squared_errors(z), -_SUM_SHIFT)
-                flags[~np.isfinite(sse).all(axis=2) & (flags < 0)] = steps[k]
-                if keep is not None:
-                    sse = np.where(keep[:, :, None], sse, 0.0)
-                chunk_sums[k] = sse.sum(axis=0)
-                if window[k]:
-                    window_sums += sse.mean(axis=2)
-        if keep is None and np.any(flags >= 0):
-            return work(trials, flags < 0)
+            for block in engine.run(trials):
+                stop = start + block.shape[1]
+                sse = engine.squared_errors(block)  # (trials, records, gains, sensors)
+                np.ldexp(sse, -_SUM_SHIFT, out=sse)
+                if rerun:
+                    sse = np.where(flags[:, None, :, None] < 0, sse, 0.0)
+                chunk_sums[start:stop] = sse.sum(axis=0)
+                # The terms are >= 0, so the sums are finite when the terms are; a sum
+                # that overflows on finite terms only costs the exact test.
+                if not (rerun or np.isfinite(chunk_sums[start:stop]).all()):
+                    bad = ~np.isfinite(sse).all(axis=3)
+                    first = steps[start + bad.argmax(axis=1)]
+                    flags = np.where((flags < 0) & bad.any(axis=1), first, flags)
+                # One record at a time and in order, so the rounding is the stepwise one.
+                for j in np.flatnonzero(window[start:stop]):
+                    window_sums += sse[:, j].mean(axis=2)
+                start = stop
+        if not rerun and np.any(flags >= 0):
+            return work(trials, flags)
         return chunk_sums, window_sums, flags
 
     workers = _worker_count(len(chunks))
@@ -478,17 +502,30 @@ def _worker_count(chunks: int) -> int:
 
 
 def _in_order(work, items: list, workers: int):
-    """Yield ``work(item)`` for every item in order, with at most ``workers`` calls in flight."""
-    pending: deque = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    """Yield ``work(item)`` for every item in order, with at most ``workers`` calls in flight.
+
+    ``workers - 1`` pool threads take items, and the calling thread runs the
+    next item itself while they are all busy; with one worker no thread
+    starts.  A call that raised re-raises when its turn comes, after every
+    earlier result.
+    """
+    pending: deque[Future] = deque()
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         try:
             for item in items:
-                pending.append(pool.submit(work, item))
-                if len(pending) == workers:
+                while pending and (pending[0].done() or len(pending) == workers):
                     yield pending.popleft().result()
+                if sum(not future.done() for future in pending) < workers - 1:
+                    pending.append(pool.submit(work, item))
+                else:
+                    here = Future()
+                    try:
+                        here.set_result(work(item))
+                    except Exception as exc:
+                        here.set_exception(exc)
+                    pending.append(here)
             while pending:
                 yield pending.popleft().result()
         finally:
             for future in pending:
                 future.cancel()
-

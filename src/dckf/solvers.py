@@ -462,7 +462,7 @@ def solve_care(
         raise CareSolutionError(f"measurement noise intensity is not PD (min eig {r_eigs[0]:.3e})")
     # A gram that overflows is refused below, as a Hamiltonian with no Schur form.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = matkit.symmetrize(c_stack.T @ np.linalg.solve(r_diag, c_stack))
+        gram = matkit.information_gram(c_stack, r_diag)
 
     # Deflate neutral modes repeatedly (a reduction can expose new ones) and
     # solve on the orthonormal complement.

@@ -136,6 +136,31 @@ def test_asymptotic_fit_case1(case1):
     assert predicted == pytest.approx(plain, rel=0.01)
 
 
+@pytest.mark.parametrize("preset", ["case1", "baseline", "case3"])
+def test_sweep_fit_meets_its_exact_consensus_limits(preset, request):
+    # Claim checked: the limits a1, a2 that dckf sweep fits over 2x to 200x
+    # the threshold are n x n quantities of the centralized filter.  The
+    # coupling L kron P_inf vanishes exactly on U = (1 kron I_n) / sqrt(N), so
+    # as the gain grows the slow block of the closed loop tends to
+    # A_c = U' feedback_diag U = A - P_inf C' R^-1 C, and the squared trace-gap
+    # factors tend to ||Y||_F^2 and ||(U'K)' Y (U'K)||_F^2 with
+    # A_c' Y + Y A_c = I_n.  This is a consistency check of the fit, not a
+    # theorem stated in the paper.
+    scenario = request.getfixturevalue(preset)
+    ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
+    thr = gamma_threshold(nm, topo)
+    fr = build_filter(nm, ts, topo, 2 * thr)
+    fit = analysis.asymptotic_fit(fr, np.logspace(np.log10(2 * thr), np.log10(200 * thr), 20))
+    u = np.kron(np.ones((nm.sensor_count, 1)), np.eye(nm.n)) / np.sqrt(nm.sensor_count)
+    a_c = u.T @ fr.feedback_diag @ u
+    centralized = nm.a - nm.p_inf @ matkit.information_gram(nm.c_stack, nm.r_diag)
+    assert np.linalg.norm(a_c - centralized) <= 1e-13 * np.linalg.norm(centralized)
+    y = scipy.linalg.solve_continuous_lyapunov(a_c.T, np.eye(nm.n))
+    uk = u.T @ fr.gain_diag
+    assert fit.a1 == pytest.approx(np.linalg.norm(y) ** 2, rel=1e-4)
+    assert fit.a2 == pytest.approx(np.linalg.norm(uk.T @ y @ uk) ** 2, rel=1e-4)
+
+
 def test_asymptotic_fit_grid_validation(case1):
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     thr = gamma_threshold(nm, topo)

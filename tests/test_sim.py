@@ -56,7 +56,7 @@ def test_record_steps_include_endpoints():
 
 def one_trial(ts, fr, cfg, trial):
     """The engine's records of one trial: truth (records, n) and estimates (records, sensors, n)."""
-    z = np.stack([z[0] for z in sim._Engine(ts, [fr], cfg).run([trial])])
+    z = np.concatenate(list(sim._Engine(ts, [fr], cfg).run([trial])), axis=1)[0]
     return z[:, : ts.n], z[:, ts.n :].reshape(-1, ts.sensor_count, ts.n)
 
 
@@ -131,7 +131,7 @@ def test_ensemble_second_moment_matches_state_covariance(baseline):
     states = []
     for start in range(0, 10000, 1250):
         trials = range(start, start + 1250)
-        states.append(np.stack([z[:, : ts.n].copy() for z in engine.run(trials)], axis=1))
+        states.append(np.concatenate([z[:, :, : ts.n] for z in engine.run(trials)], axis=1))
     states = np.concatenate(states, axis=0)
     times = cfg.record_steps() * cfg.dt
     traj = propagate(fr, ts, times)
@@ -317,7 +317,7 @@ def run_calls(monkeypatch):
 
 
 def test_case1_sweep_runs_as_one_batch(case1, run_calls):
-    # A chunk reduces its records as it steps them, so case1's trials run as
+    # A chunk reduces its records a block at a time, so case1's trials run as
     # two chunks of half the trials, each once, and the memory does not grow
     # with the trial count.
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
@@ -379,6 +379,10 @@ def test_long_stride_with_unexcited_unstable_mode_stays_finite():
     # engine splits it, so no trial is reported as overflowed.
     ts, fr = unexcited_unstable_pair()
     cfg = sim.SimConfig(dt=1e-2, horizon=160.0, trials=3, seed=13, record_stride=16000)
+    engine = sim._Engine(ts, [fr], cfg)
+    # The first block ends no record, so the engine yields nothing for it.
+    assert [ends for _, ends in engine.schedule(cfg.trials)] == [[False] * 3, [True]]
+    assert [records.shape for records in engine.run(range(3))] == [(3, 1, 4)] * 2
     got = sim.monte_carlo_mse(ts, fr, cfg)
     assert got.overflow_trials == ()
     assert np.all(np.isfinite(got.mse))
@@ -406,6 +410,9 @@ def test_block_edges_match_stepwise(edge):
     engine = sim._Engine(ts, [fr], cfg)
     blocks = [(ops.length, ends) for ops, ends in engine.schedule(cfg.trials)]
     k = engine.block_size(engine.plan[cfg.record_stride][0], cfg.trials)
+    # One array per block, after the initial state's, holding the records it ends.
+    sizes = [records.shape[1] for records in engine.run(range(cfg.trials))]
+    assert sizes == [1] + [sum(ends) for _, ends in blocks]
     if edge == "ragged":
         # 100 one-piece records in blocks of k, which does not divide 100.
         assert 100 % k != 0
@@ -490,18 +497,41 @@ def test_worker_count_rule(blas_env):
 
 
 def test_in_order_keeps_order_and_raises():
-    def work(k):
-        time.sleep(0.01 * (k % 3))
-        if k == 5:
+    ran = {}
+
+    def work(k, failing=None):
+        ran[k] = threading.current_thread()
+        time.sleep(0.05 * (k % 2 == 0))
+        if k == failing:
             raise ValueError(k)
         return k
 
     assert list(sim._in_order(work, list(range(5)), 3)) == list(range(5))
-    got = []
-    with pytest.raises(ValueError):
-        for value in sim._in_order(work, list(range(8)), 2):
-            got.append(value)
-    assert got == list(range(5))
+    # On two workers the pool thread takes the slow even items and the
+    # calling thread runs each odd one meanwhile, so item 4 fails on the pool
+    # thread and item 5 on the caller; either surfaces after every earlier result.
+    for failing in (4, 5):
+        got = []
+        with pytest.raises(ValueError):
+            for value in sim._in_order(lambda k: work(k, failing), list(range(8)), 2):
+                got.append(value)
+        assert got == list(range(failing))
+        on_caller = [k for k in range(failing + 1) if ran[k] is threading.current_thread()]
+        assert on_caller == list(range(1, failing + 1, 2))
+
+
+def test_in_order_with_one_worker_runs_on_the_calling_thread():
+    before = set(threading.enumerate())
+    calls = []
+
+    def work(k):
+        calls.append((threading.current_thread(), set(threading.enumerate())))
+        return k * k
+
+    for k, value in enumerate(sim._in_order(work, list(range(4)), 1)):
+        assert value == k * k and len(calls) == k + 1  # each result before the next call
+    assert calls == [(threading.current_thread(), before)] * 4
+    assert set(threading.enumerate()) == before
 
 
 def assert_series_identical(got, ref):
