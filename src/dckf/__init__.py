@@ -7,8 +7,10 @@ bound, and Monte-Carlo-validate its performance under the modeling errors.
 The package exports the ``__all__`` of each of its seven library submodules,
 and ``dckf.__all__`` is their union.  It is imported lazily (PEP 562):
 ``import dckf`` loads no submodule and no numpy.  A public name is looked up
-in the submodules, ``scenario`` first and ``sim`` last, on every access and
-never stored here, so a name always shows what its submodule holds right now.
+in the submodules, on every access and never stored here, so a name always
+shows what its submodule holds right now.  The lookup tries the set-up
+modules (``scenario`` and the four it imports) before ``analysis`` and
+``sim``, so loading a scenario and building its filter loads neither of them.
 
 ``import dckf`` defaults the process to one BLAS thread, as the command line
 does.  OpenBLAS takes its thread count from the first positive value among
@@ -78,9 +80,10 @@ if _blas_threads() is None:
 
 __version__ = "0.1.0"
 
-# ``scenario`` imports every other library module but ``sim``, so no lookup
-# before ``sim`` is reached imports anything that loading a scenario does not.
-_EXPORTING = ("scenario", "analysis", "filtering", "graph", "model", "solvers", "sim")
+# ``scenario`` imports ``filtering``, ``graph``, ``model`` and ``solvers``, and
+# none of them imports ``analysis`` or ``sim``; so looking up a name of the
+# first five imports nothing that loading a scenario does not.
+_EXPORTING = ("scenario", "filtering", "graph", "model", "solvers", "analysis", "sim")
 _SUBMODULES = (*_EXPORTING, "cli", "matkit")
 
 

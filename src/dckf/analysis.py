@@ -25,13 +25,12 @@ import scipy.linalg
 
 from . import matkit
 from .filtering import FilterRealization, is_hurwitz
-from .model import Deviations, TrueSystem, _check_pair
+from .model import Deviations, HypothesisError, TrueSystem, _check_pair
 from .solvers import (
     SchurForm, SteadyStateResult, _check_grid, _covariance_flow, _neutral_eigenpairs, solve_lyapunov
 )
 
 __all__ = [
-    "HypothesisError",
     "BoundsReport",
     "deviation_gap",
     "trace_bounds",
@@ -43,10 +42,6 @@ __all__ = [
     "RelationReport",
     "relation_analysis",
 ]
-
-
-class HypothesisError(ValueError):
-    """A theorem hypothesis needed by the requested analysis does not hold."""
 
 
 def _inverse_vec_norms(

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    HypothesisError,
     asymptotic_fit,
     deviation_gap,
     divergence_test,
@@ -28,7 +27,7 @@ from .analysis import (
     trace_bounds,
 )
 from .filtering import build_filter
-from .model import deviations, validate_assumptions
+from .model import HypothesisError, deviations, validate_assumptions
 from .scenario import (
     Scenario, ScenarioError, _require_threshold_network, load_scenario, preset_names
 )

@@ -6,6 +6,9 @@ assumption report collects the structural conditions the analysis relies on:
 a connected undirected network, observability of the nominal pair,
 controllability of the nominal state/noise pair, and (when the mismatch
 feedthrough is nonzero) stability of the true state matrix.
+``HypothesisError`` is what an analysis, or a scenario's gain threshold,
+raises when a hypothesis fails; it lives here so that loading a scenario
+does not import ``analysis``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from . import matkit
 from .graph import Topology, is_connected
 
 __all__ = [
+    "HypothesisError",
     "Sensor",
     "TrueSystem",
     "NominalModel",
@@ -34,6 +38,10 @@ __all__ = [
 # Relative size below which a deviation or mismatch counts as zero: model
 # matrices computed in floating point differ from exact ones by round-off.
 ZERO_DEVIATION_RTOL = 1e-12
+
+
+class HypothesisError(ValueError):
+    """A theorem hypothesis needed by the requested analysis does not hold."""
 
 
 def negligible(norm: float, reference: float) -> bool:

@@ -5,6 +5,9 @@ of rows.  It carries the true system, the nominal model, the sensor
 topology (adjacency matrix or edge list), the consensus-gain specification
 (single value, explicit list, log-spaced range, or a multiple of the
 Hurwitz threshold), a Monte Carlo block, and an ODE-propagation block.
+The Monte Carlo block's validated form, :class:`SimConfig`, lives here next
+to :class:`OdeConfig`, so that loading a scenario does not import the
+simulator; ``dckf.sim`` runs it.
 
 The shipped presets encode one six-sensor vehicle-tracking setup measured
 by position sensors of two orientations, with three mismatch variants:
@@ -21,21 +24,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .analysis import HypothesisError
 from .filtering import gamma_threshold
 from .graph import Topology, is_connected, ring
-from .model import NominalModel, Sensor, TrueSystem
+from .model import HypothesisError, NominalModel, Sensor, TrueSystem
 from .solvers import TrajectoryInit, default_initial_state
 
 __all__ = [
     "ScenarioError",
     "Scenario",
+    "SimConfig",
     "load_scenario",
     "parse_scenario",
     "preset_names",
@@ -111,7 +115,11 @@ def _integral(node: Any) -> int:
 
 # More gains than any sweep needs; larger grids are refused before allocation.
 _MAX_GAINS = 10_000
-# More covariance records than any preset needs (at most 500), for the same reason.
+# Far above any preset (at most 400 trials, 25,000 steps, and 500 records of
+# either the covariance flow or the Monte Carlo); larger runs are refused
+# before anything is allocated or stepped.
+_MAX_TRIALS = 10**6
+_MAX_STEPS = 10**7
 _MAX_RECORDS = 10_000
 
 
@@ -192,6 +200,49 @@ class OdeConfig:
 
 
 @dataclass(frozen=True)
+class SimConfig:
+    """Monte Carlo step size, horizon, trial count, seed, and recording stride (in steps).
+
+    ``trials``, ``seed`` and ``record_stride`` are integers (``bool`` is not).
+    A run has at most ``10**6`` trials, ``10**7`` steps and ``10**4`` records.
+    """
+
+    dt: float
+    horizon: float
+    trials: int
+    seed: int
+    record_stride: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("trials", "seed", "record_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (0 < self.dt < self.horizon < math.inf):
+            raise ValueError("need 0 < dt < horizon < inf")
+        if not 1 <= self.trials <= _MAX_TRIALS:
+            raise ValueError(f"need 1 to {_MAX_TRIALS} trials")
+        if self.record_stride < 1:
+            raise ValueError("record_stride must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if not self.horizon / self.dt <= _MAX_STEPS:
+            raise ValueError(f"horizon / dt exceeds {_MAX_STEPS} steps")
+        if self.step_count // self.record_stride > _MAX_RECORDS:
+            raise ValueError(f"more than {_MAX_RECORDS} records; raise record_stride")
+
+    @property
+    def step_count(self) -> int:
+        return int(round(self.horizon / self.dt))
+
+    def record_steps(self) -> np.ndarray:
+        steps = list(range(0, self.step_count + 1, self.record_stride))
+        if steps[-1] != self.step_count:
+            steps.append(self.step_count)
+        return np.asarray(steps, dtype=int)
+
+
+@dataclass(frozen=True)
 class Scenario:
     name: str
     description: str
@@ -216,9 +267,7 @@ class Scenario:
         _require_threshold_network(self.topology)
         return gamma_threshold(self.nominal, self.topology)
 
-    def sim_config(self, trials: int | None = None, seed: int | None = None):
-        from .sim import SimConfig
-
+    def sim_config(self, trials: int | None = None, seed: int | None = None) -> SimConfig:
         if self.sim_spec is None:
             raise ScenarioError(f"scenario {self.name!r} has no sim block")
         spec = dict(self.sim_spec)

@@ -7,6 +7,9 @@ exact zero-order-hold discretization of its linear dynamics (stacked
 transition matrix ``expm(closed_loop * dt)`` with the matched input map),
 which stays stable for arbitrarily strong consensus coupling and agrees
 with an explicit Euler step to second order when the coupling is mild.
+A run's step size, horizon, trials, seed and record stride come in a
+``SimConfig``, which ``dckf.scenario`` defines and validates, so that
+loading a scenario does not import this module.
 
 Fused blocked recursion: one step of the truth ``x`` and of the estimates
 ``est_g`` of every filter realization ``g`` in a sweep is one linear map of
@@ -73,7 +76,6 @@ order.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -85,10 +87,10 @@ import scipy.linalg
 from . import _blas_threads, matkit
 from .filtering import FilterRealization
 from .model import TrueSystem
+from .scenario import SimConfig
 
 __all__ = [
     "SimulationOverflowError",
-    "SimConfig",
     "MseSeries",
     "monte_carlo_mse",
     "monte_carlo_sweep",
@@ -102,11 +104,6 @@ _NOISE_BYTES = 2 * 2**20
 _BLOCK_BYTES = _NOISE_BYTES // 2
 # Largest entry a piece's operators may hold; longer strides are split.
 _POWER_LIMIT = 1e100
-# Far above any preset (at most 400 trials, 25,000 steps and 500 records);
-# larger runs are refused before anything is allocated or stepped.
-_MAX_TRIALS = 10**6
-_MAX_STEPS = 10**7
-_MAX_RECORDS = 10_000
 # Squared errors are summed scaled by 2**-_SUM_SHIFT, which is exact for normal
 # values, so finite errors near the top of the double range cannot sum to inf.
 _SUM_SHIFT = 64
@@ -114,44 +111,6 @@ _SUM_SHIFT = 64
 
 class SimulationOverflowError(RuntimeError):
     """Every Monte Carlo trial of some filter realization overflowed; no average exists."""
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Step size, horizon, trial count, seed, and the recording stride (in steps).
-
-    A run has at most ``10**6`` trials, ``10**7`` steps and ``10**4`` records.
-    """
-
-    dt: float
-    horizon: float
-    trials: int
-    seed: int
-    record_stride: int = 1
-
-    def __post_init__(self) -> None:
-        if not (0 < self.dt < self.horizon < math.inf):
-            raise ValueError("need 0 < dt < horizon < inf")
-        if not 1 <= self.trials <= _MAX_TRIALS:
-            raise ValueError(f"need 1 to {_MAX_TRIALS} trials")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if not self.horizon / self.dt <= _MAX_STEPS:
-            raise ValueError(f"horizon / dt exceeds {_MAX_STEPS} steps")
-        if self.step_count // self.record_stride > _MAX_RECORDS:
-            raise ValueError(f"more than {_MAX_RECORDS} records; raise record_stride")
-
-    @property
-    def step_count(self) -> int:
-        return int(round(self.horizon / self.dt))
-
-    def record_steps(self) -> np.ndarray:
-        steps = list(range(0, self.step_count + 1, self.record_stride))
-        if steps[-1] != self.step_count:
-            steps.append(self.step_count)
-        return np.asarray(steps, dtype=int)
 
 
 @dataclass(frozen=True)

@@ -11,29 +11,31 @@ import pytest
 
 import dckf
 
+from conftest import ring_chord_document
+
 SRC = str(Path(dckf.__file__).resolve().parents[1])
 
 # The names ``dckf`` exports, by the submodule each one lives in.
 PUBLIC_NAMES = {
     "analysis": [
-        "AsymptoticFit", "BoundsReport", "DivergenceCertificate",
-        "HypothesisError", "RelationReport", "asymptotic_fit", "deviation_gap",
-        "divergence_test", "nominal_trace_floor", "relation_analysis", "trace_bounds",
+        "AsymptoticFit", "BoundsReport", "DivergenceCertificate", "RelationReport",
+        "asymptotic_fit", "deviation_gap", "divergence_test", "nominal_trace_floor",
+        "relation_analysis", "trace_bounds",
     ],
     "filtering": ["FilterRealization", "build_filter", "gamma_threshold", "is_hurwitz"],
     "graph": [
         "Topology", "algebraic_connectivity", "complete", "is_connected", "laplacian", "ring",
     ],
     "model": [
-        "AssumptionReport", "Deviations", "NominalModel", "Sensor", "StackedMatrices",
-        "TrueSystem", "deviations", "stack", "validate_assumptions",
+        "AssumptionReport", "Deviations", "HypothesisError", "NominalModel", "Sensor",
+        "StackedMatrices", "TrueSystem", "deviations", "stack", "validate_assumptions",
     ],
     "scenario": [
-        "Scenario", "ScenarioError", "load_scenario", "parse_scenario", "preset_dict",
-        "preset_names",
+        "Scenario", "ScenarioError", "SimConfig", "load_scenario", "parse_scenario",
+        "preset_dict", "preset_names",
     ],
     "sim": [
-        "MseSeries", "SimConfig", "SimulationOverflowError", "monte_carlo_mse", "monte_carlo_sweep",
+        "MseSeries", "SimulationOverflowError", "monte_carlo_mse", "monte_carlo_sweep",
     ],
     "solvers": [
         "CareSolutionError", "CovarianceTrajectory", "NotHurwitzError", "SchurForm",
@@ -83,15 +85,31 @@ def test_import_loads_no_numpy():
     assert fresh_python("-c", code) == "False False"
 
 
-def test_reading_the_setup_names_loads_no_simulator():
-    # Loading a scenario and building a filter (every run's set-up) must not pay for ``sim``.
-    code = (
-        "import sys, dckf; dckf.load_scenario; dckf.build_filter; "
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('dckf'))))"
-    )
-    assert fresh_python("-c", code).split() == [
-        "dckf", "dckf.analysis", "dckf.filtering", "dckf.graph", "dckf.matkit", "dckf.model",
-        "dckf.scenario", "dckf.solvers",
+# Child code: every run's set-up (each preset loaded, its gains resolved and its
+# filter built; a generated network, passed as argv[1], parsed, stacked and its
+# deviations taken), then the ``dckf`` modules it loaded.
+SETUP_MODULES = """
+import json, sys
+import dckf
+for name in dckf.preset_names():
+    sc = dckf.load_scenario(name)
+    dckf.build_filter(sc.nominal, sc.true_system, sc.topology, float(max(sc.resolve_gammas())))
+sc = dckf.parse_scenario(json.loads(sys.argv[1]))
+ts, nm = sc.true_system, sc.nominal
+dckf.build_filter(nm, ts, sc.topology, float(max(sc.resolve_gammas())))
+dckf.stack(ts, nm).a_diag
+dckf.deviations(ts, nm)
+print(' '.join(sorted(m for m in sys.modules if m.startswith('dckf'))))
+"""
+
+
+def test_the_setup_loads_neither_simulator_nor_analysis():
+    # Loading a scenario and building a filter (every run's set-up) must not pay for
+    # ``sim`` or ``analysis``.
+    network = json.dumps(ring_chord_document(25))
+    assert fresh_python("-c", SETUP_MODULES, network).split() == [
+        "dckf", "dckf.filtering", "dckf.graph", "dckf.matkit", "dckf.model", "dckf.scenario",
+        "dckf.solvers",
     ]
 
 

@@ -47,6 +47,23 @@ def test_sim_config_validation():
         sim.SimConfig(dt=1e-4, horizon=2.0, trials=10, seed=0, record_stride=1)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [{"trials": True}, {"trials": 2.0}, {"seed": 1.5}, {"seed": True}, {"record_stride": 2.5}],
+    ids=["trials-bool", "trials-float", "seed-float", "seed-bool", "record_stride-float"],
+)
+def test_sim_config_refuses_non_integer_counts(counts):
+    # A float or bool count would otherwise fail inside the run, or run as seed 1.
+    with pytest.raises(ValueError, match="must be an integer"):
+        sim.SimConfig(**{"dt": 0.01, "horizon": 1.0, "trials": 4, "seed": 0, **counts})
+
+
+def test_sim_config_accepts_numpy_integers():
+    cfg = sim.SimConfig(dt=0.01, horizon=1.0, trials=np.int64(4), seed=np.uint32(3),
+                        record_stride=np.int32(10))
+    assert cfg.record_steps().tolist() == list(range(0, 101, 10))
+
+
 def test_record_steps_include_endpoints():
     cfg = sim.SimConfig(dt=0.01, horizon=1.0, trials=1, seed=0, record_stride=30)
     steps = cfg.record_steps()
