@@ -237,7 +237,7 @@ def asymptotic_fit(fr: FilterRealization, gamma_grid) -> AsymptoticFit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivergenceCertificate:
     """A neutral mode the nominal noise model is blind to.
 
@@ -322,7 +322,7 @@ def divergence_test(fr: FilterRealization, ts: TrueSystem) -> tuple[DivergenceCe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationReport:
     """Evolution of the gap between the nominal index and the error covariance.
 

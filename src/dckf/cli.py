@@ -5,6 +5,10 @@ prints a human-readable summary, and writes schema-stable CSV tables plus a
 JSON metadata document to the output directory.  A command that fails writes
 nothing, except ``validate``, which records its verdicts.  Exit codes: 0 on
 success, 1 on parse/IO errors, 2 on assumption or hypothesis violations.
+
+Each command that runs a Monte Carlo (``sweep --simulate``, ``divergence
+--simulate`` and ``simulate``) imports ``dckf.sim`` where it runs it, so the
+other commands start without the engine and its thread pool.
 """
 
 from __future__ import annotations
@@ -27,11 +31,10 @@ from .analysis import (
     trace_bounds,
 )
 from .filtering import build_filter
-from .model import HypothesisError, deviations, validate_assumptions
+from .model import HypothesisError, SimulationOverflowError, deviations, validate_assumptions
 from .scenario import (
     Scenario, ScenarioError, _require_threshold_network, load_scenario, preset_names
 )
-from .sim import SimulationOverflowError, monte_carlo_mse, monte_carlo_sweep
 from .solvers import SolverError, propagate, steady_state
 
 __all__ = ["main"]
@@ -175,6 +178,8 @@ def cmd_sweep(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
             [float(gamma), threshold, tr_nominal, tr_error, gap, upper1, upper2, floor, math.nan, status]
         )
     if cfg is not None and simulated:
+        from .sim import monte_carlo_sweep
+
         # One shared set of trials drives every gain (common random numbers).
         series = monte_carlo_sweep(ts, list(simulated.values()), cfg)
         for k, mc in zip(simulated, series):
@@ -260,6 +265,8 @@ def cmd_divergence(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
         ],
     }
     if args.simulate:
+        from .sim import monte_carlo_mse
+
         cfg = scenario.sim_config(args.trials, args.seed)
         series = monte_carlo_mse(ts, fr, cfg)
         tables["divergence_mse"] = (
@@ -320,6 +327,8 @@ def cmd_relations(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
 
 
 def cmd_simulate(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
+    from .sim import monte_carlo_mse
+
     ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
     gamma = _first_gamma(scenario)
     fr = build_filter(nm, ts, topo, gamma)

@@ -64,7 +64,7 @@ def gamma_threshold(nm: NominalModel, topo: Topology) -> float:
     return (drift_term + curvature) / connectivity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterRealization:
     """One concrete distributed filter.
 

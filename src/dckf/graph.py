@@ -16,7 +16,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Undirected sensor graph given by a 0/1 adjacency matrix, zero diagonal."""
 

@@ -7,8 +7,10 @@ a connected undirected network, observability of the nominal pair,
 controllability of the nominal state/noise pair, and (when the mismatch
 feedthrough is nonzero) stability of the true state matrix.
 ``HypothesisError`` is what an analysis, or a scenario's gain threshold,
-raises when a hypothesis fails; it lives here so that loading a scenario
-does not import ``analysis``.
+raises when a hypothesis fails, and ``SimulationOverflowError`` is what a
+Monte Carlo run raises when no trial of a filter stays finite.  They live
+here so that loading a scenario does not import ``analysis``, and a command
+that runs no Monte Carlo does not import ``sim``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .graph import Topology, is_connected
 
 __all__ = [
     "HypothesisError",
+    "SimulationOverflowError",
     "Sensor",
     "TrueSystem",
     "NominalModel",
@@ -42,6 +45,10 @@ ZERO_DEVIATION_RTOL = 1e-12
 
 class HypothesisError(ValueError):
     """A theorem hypothesis needed by the requested analysis does not hold."""
+
+
+class SimulationOverflowError(RuntimeError):
+    """Every Monte Carlo trial of some filter realization overflowed; no average exists."""
 
 
 def negligible(norm: float, reference: float) -> bool:
@@ -70,7 +77,7 @@ def _check_psd(name: str, a: np.ndarray, strict: bool = False) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sensor:
     """One sensor: measurement matrix ``c`` (m x n) and noise intensity ``r`` (m x m, PD)."""
 
@@ -96,7 +103,7 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SensorNetwork:
     """A state/noise model ``(a, q)`` observed by a network of sensors, and its stacked forms.
 
@@ -152,7 +159,7 @@ class _SensorNetwork:
         return _read_only(np.kron(np.ones((self.sensor_count, self.sensor_count)), self.q))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueSystem(_SensorNetwork):
     """Actual dynamics, noise intensities, per-sensor models, initial moments."""
 
@@ -172,7 +179,7 @@ class TrueSystem(_SensorNetwork):
         object.__setattr__(self, "sigma0", sigma0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NominalModel(_SensorNetwork):
     """The filter designer's (possibly wrong) parameters.
 
@@ -201,7 +208,7 @@ def _check_pair(ts: TrueSystem, nm: NominalModel) -> None:
             raise ValueError(f"sensor {k}: measurement shapes differ {st.c.shape} vs {sn.c.shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Deviations:
     """Componentwise nominal-minus-actual differences with Frobenius norms.
 
@@ -249,7 +256,7 @@ def deviations(ts: TrueSystem, nm: NominalModel) -> Deviations:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StackedMatrices:
     """Stacked forms of a true system and a nominal model; ``_nom`` fields are the nominal's."""
 

@@ -242,7 +242,7 @@ class SimConfig:
         return np.asarray(steps, dtype=int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     name: str
     description: str

@@ -9,7 +9,9 @@ which stays stable for arbitrarily strong consensus coupling and agrees
 with an explicit Euler step to second order when the coupling is mild.
 A run's step size, horizon, trials, seed and record stride come in a
 ``SimConfig``, which ``dckf.scenario`` defines and validates, so that
-loading a scenario does not import this module.
+loading a scenario does not import this module; ``SimulationOverflowError``
+lives in ``dckf.model``, so that a command can catch it without importing
+this module either.
 
 Fused blocked recursion: one step of the truth ``x`` and of the estimates
 ``est_g`` of every filter realization ``g`` in a sweep is one linear map of
@@ -86,11 +88,10 @@ import scipy.linalg
 
 from . import _blas_threads, matkit
 from .filtering import FilterRealization
-from .model import TrueSystem
+from .model import SimulationOverflowError, TrueSystem
 from .scenario import SimConfig
 
 __all__ = [
-    "SimulationOverflowError",
     "MseSeries",
     "monte_carlo_mse",
     "monte_carlo_sweep",
@@ -109,11 +110,7 @@ _POWER_LIMIT = 1e100
 _SUM_SHIFT = 64
 
 
-class SimulationOverflowError(RuntimeError):
-    """Every Monte Carlo trial of some filter realization overflowed; no average exists."""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MseSeries:
     """Recorded mean squared error, averaged over trials and sensors.
 
@@ -133,7 +130,7 @@ class MseSeries:
     overflow_trials: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Operators:
     """Everything one piece of ``length`` steps applies to ``z``."""
 

@@ -494,7 +494,7 @@ def solve_care(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteadyStateResult:
     """Steady-state covariances of the filter network.
 
@@ -583,7 +583,7 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryInit:
     """Initial covariances of the nominal index and the stacked error.
 
@@ -608,7 +608,7 @@ def default_initial_state(ts: TrueSystem) -> TrajectoryInit:
     return TrajectoryInit(nominal_cov=base, error_cov=base.copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceTrajectory:
     """Covariance matrices sampled on a time grid.
 

@@ -28,15 +28,14 @@ PUBLIC_NAMES = {
     ],
     "model": [
         "AssumptionReport", "Deviations", "HypothesisError", "NominalModel", "Sensor",
-        "StackedMatrices", "TrueSystem", "deviations", "stack", "validate_assumptions",
+        "SimulationOverflowError", "StackedMatrices", "TrueSystem", "deviations", "stack",
+        "validate_assumptions",
     ],
     "scenario": [
         "Scenario", "ScenarioError", "SimConfig", "load_scenario", "parse_scenario",
         "preset_dict", "preset_names",
     ],
-    "sim": [
-        "MseSeries", "SimulationOverflowError", "monte_carlo_mse", "monte_carlo_sweep",
-    ],
+    "sim": ["MseSeries", "monte_carlo_mse", "monte_carlo_sweep"],
     "solvers": [
         "CareSolutionError", "CovarianceTrajectory", "NotHurwitzError", "SchurForm",
         "SingularEquationError", "SolverError", "SteadyStateResult", "TrajectoryInit",
@@ -186,6 +185,49 @@ def test_analysis_results_keep_only_what_callers_read(case1):
     assert "fit_residual_gain" not in {f.name for f in dataclasses.fields(dckf.AsymptoticFit)}
 
 
+# Result objects that hold arrays or dicts compare by identity; the small
+# records of plain numbers keep value equality.
+IDENTITY_EQUAL = [
+    "model.Sensor", "model._SensorNetwork", "model.TrueSystem", "model.NominalModel",
+    "model.Deviations", "model.StackedMatrices", "solvers.SchurForm",
+    "solvers.SteadyStateResult", "solvers.TrajectoryInit", "solvers.CovarianceTrajectory",
+    "analysis.DivergenceCertificate", "analysis.RelationReport", "sim.MseSeries",
+    "sim._Operators", "scenario.Scenario", "filtering.FilterRealization", "graph.Topology",
+]
+VALUE_EQUAL = [
+    "scenario.SimConfig", "scenario.OdeConfig", "analysis.BoundsReport",
+    "analysis.AsymptoticFit", "model.AssumptionReport",
+]
+
+
+def resolve(path):
+    module, name = path.split(".")
+    return getattr(importlib.import_module(f"dckf.{module}"), name)
+
+
+def test_array_results_compare_by_identity():
+    # Value equality on an array field raised "truth value of an array is
+    # ambiguous", and the generated ``__hash__`` raised TypeError.
+    first, second = dckf.load_scenario("case1"), dckf.load_scenario("case1")
+    pairs = [
+        (first, second),
+        (first.true_system, second.true_system),
+        (first.nominal, second.nominal),
+        (first.topology, second.topology),
+        (first.nominal.sensors[0], second.nominal.sensors[0]),
+    ]
+    for one, other in pairs:
+        assert one != other and not one == other, type(one).__name__
+        assert one == one and hash(one) == hash(one), type(one).__name__
+    assert len({first, second, first.true_system}) == 3
+    for path in IDENTITY_EQUAL:
+        cls = resolve(path)
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, path
+    for path in VALUE_EQUAL:
+        assert resolve(path).__eq__ is not object.__eq__, path
+    assert first.sim_config() == second.sim_config() and first.ode == second.ode
+
+
 def test_test_only_simulator_is_gone():
     for name in ("SimTrial", "simulate_trial"):
         assert name not in dckf.__all__ and not hasattr(dckf.sim, name), name
@@ -302,3 +344,45 @@ def test_python_dash_m_freezes_the_import_heap():
 
 def test_library_import_leaves_the_heap_unfrozen():
     assert fresh_python("-c", "import gc, dckf.cli; print(gc.get_freeze_count())") == "0"
+
+
+def test_python_dash_m_collects_nothing_while_importing():
+    # Every collection that starts once scipy is loading and before the heap is
+    # frozen would scan the import heap; ``python -m dckf`` pauses the collector
+    # over the import instead, and turns it back on for the command.
+    code = (
+        "import atexit, gc, runpy, sys; "
+        "seen = []; "
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and 'scipy' in sys.modules "
+        "and not gc.get_freeze_count() and seen.append(info['generation'])); "
+        "atexit.register(lambda: print(seen, gc.isenabled())); "
+        "sys.argv = ['dckf', '--version']; runpy.run_module('dckf', run_name='__main__')"
+    )
+    assert fresh_python("-c", code).splitlines() == ["dckf 0.1.0", "[] True"]
+
+
+# Child code: run ``python -m dckf`` on argv[1:], then report whether the
+# Monte Carlo engine and its thread pool were loaded.
+LOADS_SIMULATOR = """
+import atexit, runpy, sys
+report = lambda: print('dckf.sim' in sys.modules, 'concurrent.futures.thread' in sys.modules)
+atexit.register(report)
+sys.argv = ['dckf', *sys.argv[1:]]
+runpy.run_module('dckf', run_name='__main__')
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        (["relations", "--scenario", "case3"], False),
+        (["validate", "--scenario", "case1"], False),
+        (["sweep", "--scenario", "case1"], False),
+        (["divergence", "--scenario", "case2"], False),
+        (["sweep", "--scenario", "case1", "--simulate", "--trials", "2"], True),
+    ],
+    ids=["relations", "validate", "sweep", "divergence", "sweep-simulate"],
+)
+def test_only_a_monte_carlo_command_loads_the_simulator(command, loaded, tmp_path):
+    report = fresh_python("-c", LOADS_SIMULATOR, *command, "--out", str(tmp_path))
+    assert report.splitlines()[-1] == f"{loaded} {loaded}"

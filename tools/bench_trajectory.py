@@ -8,8 +8,16 @@ checkout of one commit after each run.  Runs of the two commits pair up by
 workload and seed; a run without a partner is left out.  For every workload
 the record holds:
 
-- each end-to-end metric's median and interquartile range on both sides, every
-  run's value, and how many pairs read lower on the change;
+- each end-to-end metric's median and interquartile range on both sides, and
+  every run's value;
+- each metric's ``better`` direction and ``bound``, as ``BENCHMARK.json`` at
+  the repository root declares them (the file is only read), and by them:
+  ``better_on_change``, the pairs in which the change reads better (a tie
+  counts for neither side); ``claim_met``, whether the change is better in at
+  least nine of ten pairs and its median is better than the parent's by more
+  than the parent's interquartile range; and ``within_bound``, whether the
+  change's median is worse than the parent's by at most ``bound`` times the
+  parent's median;
 - the number of pairs, their seeds, and the failed and wrong ops of each side;
 - both commits and both sides' ``stamp`` (the comparability record ``run.py``
   writes), with the fields that vary between runs, such as the seed, left out.
@@ -29,6 +37,12 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 RESULT_NAME = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def load_rules(path: Path) -> dict[str, dict]:
+    """Each declared end-to-end metric (its ``better`` direction and ``bound``), by name."""
+    return {m["name"]: m for m in json.loads(path.read_text())["end_to_end"]}
 
 
 def load_runs(directory: Path) -> dict[tuple[str, int], dict]:
@@ -65,7 +79,22 @@ def ops_summary(results: list[dict]) -> dict:
     }
 
 
-def condense(parent: dict, change: dict) -> dict:
+def judge(old: list[float], new: list[float], rule: dict) -> dict:
+    """The claim and bound verdicts for one metric's paired runs."""
+    sign = 1.0 if rule["better"] == "lower" else -1.0  # sign * value falls when it improves
+    better = sum(sign * b < sign * a for a, b in zip(old, new))
+    before = spread(old)
+    gain = sign * (before["median"] - spread(new)["median"])
+    return {
+        "better": rule["better"],
+        "bound": rule["bound"],
+        "better_on_change": better,
+        "claim_met": 10 * better >= 9 * len(old) and gain > before["iqr"],
+        "within_bound": -gain <= rule["bound"] * abs(before["median"]),
+    }
+
+
+def condense(parent: dict, change: dict, rules: dict[str, dict]) -> dict:
     """Per-workload comparison of the runs that both sides made."""
     workloads = {}
     for workload in sorted({w for w, _ in parent} & {w for w, _ in change}):
@@ -82,7 +111,7 @@ def condense(parent: dict, change: dict) -> dict:
                 "unit": unit,
                 "parent": spread(old),
                 "change": spread(new),
-                "lower_on_change": sum(b < a for a, b in zip(old, new)),
+                **judge(old, new, rules[name]),
             }
         workloads[workload] = {
             "pairs": len(seeds),
@@ -120,7 +149,7 @@ def main(argv=None) -> int:
     parser.add_argument("--junit", type=Path, help="pytest --junitxml report of the tier-1 suite")
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
-    workloads = condense(load_runs(args.parent), load_runs(args.change))
+    workloads = condense(load_runs(args.parent), load_runs(args.change), load_rules(BENCHMARK))
     if not workloads:
         print("no workload has runs on both sides", file=sys.stderr)
         return 1
