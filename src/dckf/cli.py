@@ -50,6 +50,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _strict_json(value):
+    """``value`` with each non-finite float, which strict JSON cannot hold, set to None (null)."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -91,20 +100,7 @@ def _first_gamma(scenario: Scenario) -> float:
 
 
 def cmd_validate(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
-    ts, nm, topo = scenario.true_system, scenario.nominal, scenario.topology
-    dev = deviations(ts, nm)
-    if dev.state_matrix_exact:
-        mismatch = np.zeros((ts.n * ts.sensor_count,) * 2)
-    else:
-        try:
-            # The mismatch feedthrough depends on the gains only, not on the
-            # consensus gain, so any positive gain gives the same matrix.
-            mismatch = build_filter(nm, ts, topo, 1.0).mismatch_diag
-        except SolverError:
-            # No computable gains; with a state or measurement deviation the
-            # feedthrough counts as nonzero.
-            mismatch = None
-    report = validate_assumptions(ts, nm, topo, mismatch)
+    report = validate_assumptions(scenario.true_system, scenario.nominal, scenario.topology)
     checks = [
         ("network connected", report.connected),
         ("nominal pair observable", report.observable),
@@ -149,9 +145,7 @@ def cmd_sweep(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
         print("no consensus-gain threshold exists for this nominal model", file=sys.stderr)
         return 2, None, {}
     threshold = base.gamma_min
-    fit = asymptotic_fit(
-        base, np.logspace(np.log10(2.0 * threshold), np.log10(200.0 * threshold), 20)
-    )
+    fit = asymptotic_fit(base)
     cfg = scenario.sim_config(args.trials, args.seed) if args.simulate else None
 
     rows = []
@@ -445,7 +439,7 @@ def main(argv=None) -> int:
             **meta,
         }
         meta_path = out / f"{scenario.name}_{args.command}_meta.json"
-        meta_path.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+        meta_path.write_text(json.dumps(_strict_json(envelope), indent=2, sort_keys=True) + "\n")
         if paths:
             print(f"wrote {paths[0]}")
         return code

@@ -322,23 +322,20 @@ class AssumptionReport:
         return out
 
 
-def validate_assumptions(
-    ts: TrueSystem,
-    nm: NominalModel,
-    topo: Topology,
-    mismatch_diag: np.ndarray | None,
-) -> AssumptionReport:
+def validate_assumptions(ts: TrueSystem, nm: NominalModel, topo: Topology) -> AssumptionReport:
     """Evaluate the structural assumptions of the mismatch analysis.
 
-    ``mismatch_diag`` is the block-diagonal mismatch feedthrough of the built
-    filter (zero when the state and measurement matrices are exact), or None
-    when no filter gains are computable; None counts as nonzero.
+    The mismatch feedthrough is zero when the state and measurement matrices
+    are exact, and otherwise when a filter built at gain 1 says so (the
+    feedthrough depends on the gains only, not on the consensus gain); it
+    counts as nonzero when no filter gains are computable.
     The network check needs at least two nodes, as the gain threshold does.
     Observability of ``(A, C)`` is checked as controllability of ``(A', C')``.
     Rank checks use a relative singular-value cutoff of 1e-9, and the true
     state matrix is judged by :func:`~dckf.filtering.is_hurwitz`.
     """
-    from .filtering import is_hurwitz  # filtering imports this module
+    from .filtering import build_filter, is_hurwitz  # filtering imports this module
+    from .solvers import SolverError
 
     _check_pair(ts, nm)
     if topo.node_count != ts.sensor_count:
@@ -347,9 +344,12 @@ def validate_assumptions(
         )
     observable = _full_rank(controllability_matrix(nm.a.T, nm.c_stack.T), nm.n)
     controllable = _full_rank(controllability_matrix(nm.a, matkit.sqrtm_psd(nm.q)), nm.n)
-    mismatch_zero = mismatch_diag is not None and negligible(
-        float(np.linalg.norm(mismatch_diag)), float(np.linalg.norm(nm.a))
-    )
+    try:
+        mismatch_zero = (
+            deviations(ts, nm).state_matrix_exact or build_filter(nm, ts, topo, 1.0).mismatch_is_zero
+        )
+    except SolverError:
+        mismatch_zero = False
     return AssumptionReport(
         connected=topo.node_count >= 2 and is_connected(topo),
         observable=observable,

@@ -59,12 +59,13 @@ trial's sum over the steady window, the latter added one record at a time.
 A chunk in which some (trial, gain) overflows runs a second time, with that
 pair masked out of the sums at every record.  Each chunk's sums are a pure
 function of its trial range, computed while the engine's operators are only
-read (they are all built on the caller's thread first), so up to ``workers``
-chunks are in flight at once: the calling thread runs one whenever the
-``workers - 1`` pool threads are busy, and numpy releases the GIL in the
-noise fills and the products; with one worker no thread starts.  The caller
-adds the chunks up one by one in trial order, so the sums see the same
-operands in the same order whatever the worker count or the number of cores.
+read (they are all built on the caller's thread first), so the chunks run
+in rounds of ``workers``: the ``workers - 1`` pool threads take all but the
+last chunk of a round, the calling thread runs that one, and numpy releases
+the GIL in the noise fills and the products; with one worker no thread
+starts.  The caller adds the chunks up one by one in trial order, so the
+sums see the same operands in the same order whatever the worker count or
+the number of cores.
 ``workers`` is the usable core count divided by the BLAS thread count (the
 first positive value among ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
 ``OMP_NUM_THREADS``, as OpenBLAS reads them), and 1 when none holds one,
@@ -79,7 +80,6 @@ order.
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -335,11 +335,11 @@ def monte_carlo_sweep(ts: TrueSystem, realizations, cfg: SimConfig) -> list[MseS
     so the series of a gain sweep differ only by the gain (common random
     numbers), and each equals what ``monte_carlo_mse`` gives for that gain
     alone.  Trials run in fixed chunks of at most half the trials, so a run
-    of two or more trials has two chunks or more, and up to ``workers`` of
-    them run at once, the calling thread among them (it alone with one
-    worker).  Each chunk reduces its records a block at a time (see the
-    module notes); a chunk in which some trial overflows runs a second time to
-    leave that trial out of every record.  The chunks are added up one by
+    of two or more trials has two chunks or more, and the chunks run in
+    rounds of ``workers``, the calling thread running one of each round (it
+    alone with one worker).  Each chunk reduces its records a block at a
+    time (see the module notes); a chunk in which some trial overflows runs
+    a second time to leave that trial out of every record.  The chunks are added up one by
     one in increasing trial order, so the aggregate is a deterministic
     function of the config, whatever the worker count.  Raises
     :class:`SimulationOverflowError` when every trial of some realization
@@ -458,30 +458,25 @@ def _worker_count(chunks: int) -> int:
 
 
 def _in_order(work, items: list, workers: int):
-    """Yield ``work(item)`` for every item in order, with at most ``workers`` calls in flight.
+    """Yield ``work(item)`` for every item in order, in rounds of ``workers`` items.
 
-    ``workers - 1`` pool threads take items, and the calling thread runs the
-    next item itself while they are all busy; with one worker no thread
+    In each round the ``workers - 1`` pool threads take all items but the
+    last, which the calling thread runs itself; with one worker no thread
     starts.  A call that raised re-raises when its turn comes, after every
     earlier result.
     """
-    pending: deque[Future] = deque()
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        try:
-            for item in items:
-                while pending and (pending[0].done() or len(pending) == workers):
-                    yield pending.popleft().result()
-                if sum(not future.done() for future in pending) < workers - 1:
-                    pending.append(pool.submit(work, item))
-                else:
-                    here = Future()
-                    try:
-                        here.set_result(work(item))
-                    except Exception as exc:
-                        here.set_exception(exc)
-                    pending.append(here)
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+        for start in range(0, len(items), workers):
+            *others, last = items[start : start + workers]
+            futures = [pool.submit(work, item) for item in others]
+            try:
+                here = Future()
+                try:
+                    here.set_result(work(last))
+                except Exception as exc:
+                    here.set_exception(exc)
+                for future in (*futures, here):
+                    yield future.result()
+            finally:
+                for future in futures:
+                    future.cancel()

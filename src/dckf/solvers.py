@@ -684,7 +684,9 @@ def _covariance_flow(
             pair = (span, *_flow_pair(drift, drive, span))
             pairs.append(pair)
         _, phi, q = pair
-        x = matkit.symmetrize(phi @ x @ phi.T + q)
+        # A diverging flow overflows to inf, and its trace rate reports that.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = matkit.symmetrize(phi @ x @ phi.T + q)
         out[k + 1] = x
     return out
 

@@ -61,10 +61,7 @@ def case1_sweep_rows():
     dev = deviations(ts, nm)
     gammas = sc.resolve_gammas()
     fr = build_filter(nm, ts, topo, float(gammas[-1]))
-    thr = fr.gamma_min
-    fit = asymptotic_fit(
-        fr, np.logspace(np.log10(2 * thr), np.log10(200 * thr), 20)
-    )
+    fit = asymptotic_fit(fr)
     realizations = [fr.with_gamma(float(g)) for g in gammas]
     # One shared set of trials drives every gain (common random numbers).
     mc = monte_carlo_sweep(ts, realizations, sc.sim_config())
@@ -146,8 +143,7 @@ def test_criterion_4_asymptotic_decay():
         sc = load_scenario("case1")
         thr = gamma_threshold(sc.nominal, sc.topology)
         fr = build_filter(sc.nominal, sc.true_system, sc.topology, 2 * thr)
-        grid = np.logspace(np.log10(2 * thr), np.log10(200 * thr), 20)
-        fit = asymptotic_fit(fr, grid)
+        fit = asymptotic_fit(fr)
         assert fit.fit_residual <= 1e-3
         assert fit.a1 > 0 and fit.b1 > 0
 

@@ -341,6 +341,19 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert meta["seed"] == 77
 
 
+def test_meta_json_writes_non_finite_values_as_null(tmp_path):
+    # One trial has no standard error.  RFC 8259 has no NaN, so a strict
+    # parser reads the meta only if that value is null, as the CSV's empty cell.
+    assert main(["simulate", "--scenario", "case3", "--trials", "1", "--out", str(tmp_path)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    meta = json.loads((tmp_path / "case3_simulate_meta.json").read_text(), parse_constant=refuse)
+    assert meta["steady_se"] is None
+    assert np.isfinite(meta["steady_mse"])
+
+
 def test_simulate_ignores_the_init_block(tmp_path):
     # The Monte Carlo starts every filter at x0, so the analytic curve next
     # to it starts from the default initial state whatever `init` says.
@@ -604,7 +617,6 @@ def overflowing_doc():
     }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", [["simulate"], ["divergence", "--simulate"]])
 def test_every_trial_overflowing_is_exit_2(tmp_path, capsys, command):
     path = write_scenario(tmp_path, overflowing_doc())
@@ -615,7 +627,6 @@ def test_every_trial_overflowing_is_exit_2(tmp_path, capsys, command):
     assert [f.name for f in tmp_path.iterdir()] == ["scenario.json"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", [["simulate"], ["divergence", "--simulate"]])
 def test_every_trial_overflowing_on_two_workers_is_exit_2(tmp_path, capsys, monkeypatch, command):
     # One trial per chunk, two chunks in flight.

@@ -132,7 +132,7 @@ def test_validate_baseline_marginal_a_passes(baseline):
     ts, nm, topo = baseline.true_system, baseline.nominal, baseline.topology
     fr = build_filter(nm, ts, topo, gamma=2.0)
     assert fr.mismatch_is_zero
-    report = model.validate_assumptions(ts, nm, topo, fr.mismatch_diag)
+    report = model.validate_assumptions(ts, nm, topo)
     assert report.connected and report.observable and report.controllable
     assert not report.true_a_hurwitz
     assert report.mismatch_ok and report.all_ok
@@ -142,7 +142,7 @@ def test_validate_case1_needs_hurwitz_and_has_it(case1):
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     fr = build_filter(nm, ts, topo, gamma=5.0)
     assert not fr.mismatch_is_zero
-    report = model.validate_assumptions(ts, nm, topo, fr.mismatch_diag)
+    report = model.validate_assumptions(ts, nm, topo)
     assert report.true_a_hurwitz
     assert report.all_ok
 
@@ -166,13 +166,13 @@ def test_true_a_hurwitz_is_the_filtering_rule(name, shift, expected):
     ts, nm, topo = sc.true_system, sc.nominal, sc.topology
     a = ts.a + shift * np.eye(ts.n)
     ts = model.TrueSystem(a=a, q=ts.q, sensors=ts.sensors, x0=ts.x0, sigma0=ts.sigma0)
-    report = model.validate_assumptions(ts, nm, topo, np.zeros((24, 24)))
+    report = model.validate_assumptions(ts, nm, topo)
     assert report.true_a_hurwitz is is_hurwitz(ts.a) is expected
 
 
 def test_validate_case2_controllability_fails(case2):
     ts, nm, topo = case2.true_system, case2.nominal, case2.topology
-    report = model.validate_assumptions(ts, nm, topo, np.zeros((24, 24)))
+    report = model.validate_assumptions(ts, nm, topo)
     assert report.connected and report.observable
     assert not report.controllable
     assert not report.all_ok
@@ -182,7 +182,7 @@ def test_validate_case2_controllability_fails(case2):
 def test_validate_disconnected_graph(baseline):
     ts, nm = baseline.true_system, baseline.nominal
     topo = graph.Topology.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    report = model.validate_assumptions(ts, nm, topo, np.zeros((24, 24)))
+    report = model.validate_assumptions(ts, nm, topo)
     assert not report.connected
     assert not report.all_ok
 

@@ -221,6 +221,57 @@ def test_self_pair_gap_is_formed_once_per_factorization():
     assert form.T._spectral is form._spectral and list(form._spectral) == ["self_gap"]
 
 
+def random_orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def block_upper(rng, *blocks):
+    """A random upper block-triangular matrix with ``blocks`` on its diagonal."""
+    t = np.triu(rng.standard_normal((sum(b.shape[0] for b in blocks),) * 2))
+    start = 0
+    for b in blocks:
+        stop = start + b.shape[0]
+        t[start:stop, start:stop] = b
+        t[stop:, start:stop] = 0.0
+        start = stop
+    return t
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 35),
+    rest=st.integers(0, 35),
+)
+def test_property_singular_equations_are_refused_through_the_recursion(seed, k, rest):
+    """Claim: an equation with an eigenvalue sum of exactly zero raises SingularEquationError.
+
+    The Lyapunov matrix is ``Q [[B, *, *], [0, -B', *], [0, 0, C]] Q'`` with a
+    symmetric right-hand side, and the Sylvester pair is ``B`` and
+    ``P [[-B', *], [0, D]] P'``, for random orthogonal ``Q`` and ``P``; at up
+    to 105 and 71 rows they are past one ``trsyl`` block, so the symmetric
+    and blocked recursions would run on them.  Only the spectra check
+    catches them.  Without it, 276 of 300 such Lyapunov and 300 of 300 such
+    Sylvester equations, drawn the same way, were "solved" within the
+    residual contract; with trsyl's ``INFO = 1`` taken as the singularity
+    signal instead, 253 and 193 still were.  With both off, case2's error
+    solve met the residual contract with a trace of -7.9e15.
+    """
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((k, k))
+    blocks = (b, -b.T) + ((rng.standard_normal((rest, rest)),) if rest else ())
+    q = random_orthogonal(rng, 2 * k + rest)
+    a = q @ block_upper(rng, *blocks) @ q.T
+    w = rng.standard_normal(a.shape)
+    with pytest.raises(solvers.SingularEquationError):
+        solvers.solve_lyapunov(a, w + w.T)
+    d = rng.standard_normal((rest + 1, rest + 1))
+    p = random_orthogonal(rng, k + rest + 1)
+    other = p @ block_upper(rng, -b.T, d) @ p.T
+    with pytest.raises(solvers.SingularEquationError):
+        solvers.solve_sylvester(b, other, rng.standard_normal((k, k + rest + 1)))
+
+
 def test_lyapunov_schur_path_on_larger_problem():
     rng = np.random.default_rng(13)
     n = 36
