@@ -27,7 +27,7 @@ from . import matkit
 from .filtering import FilterRealization, is_hurwitz
 from .model import Deviations, HypothesisError, TrueSystem, _check_pair
 from .solvers import (
-    SchurForm, SteadyStateResult, _check_grid, _covariance_flow, _neutral_eigenpairs, solve_lyapunov
+    SchurForm, SteadyStateResult, _covariance_flow, _neutral_eigenpairs, solve_lyapunov
 )
 
 __all__ = [
@@ -100,7 +100,7 @@ def deviation_gap(
     sqrt(state dim * sensor count), as the bound's derivation gives.
     """
     nm = fr.nominal
-    n, n_sensors = fr.n, fr.sensor_count
+    n, n_sensors = nm.n, nm.sensor_count
     big = n * n_sensors
     d_a_diag_norm = np.sqrt(n_sensors) * dev.d_a_norm
 
@@ -164,10 +164,10 @@ def nominal_trace_floor(fr: FilterRealization) -> float:
     nm = fr.nominal
     drive_trace = float(
         np.trace(fr.gain_diag @ nm.r_diag @ fr.gain_diag.T)
-    ) + fr.sensor_count * float(np.trace(nm.q))
+    ) + nm.sensor_count * float(np.trace(nm.q))
     denom = 2.0 * float(np.trace(-fr.closed_loop_ref)) + 2.0 * (
         fr.gamma - fr.gamma_ref
-    ) * float(np.trace(fr.lap)) * float(np.trace(fr.p_inf))
+    ) * float(np.trace(fr.lap)) * float(np.trace(nm.p_inf))
     return drive_trace / denom
 
 
@@ -379,18 +379,15 @@ def relation_analysis(
             "(only noise-intensity deviations allowed)"
         )
     _gamma_gate(fr, "relation analysis")
-    grid = _check_grid(grid)
 
     d_r_diag = scipy.linalg.block_diag(*dev.d_r)
-    ones = np.ones((fr.sensor_count, fr.sensor_count))
+    ones = np.ones((fr.nominal.sensor_count, fr.nominal.sensor_count))
     drive = matkit.symmetrize(
         fr.gain_diag @ d_r_diag @ fr.gain_diag.T + np.kron(ones, dev.d_q)
     )
-    acl = fr.closed_loop
-    gap = matkit.symmetrize(np.asarray(gap_init, dtype=float))
-    if gap.shape != acl.shape:
-        raise ValueError(f"gap_init must be {acl.shape[0]}x{acl.shape[0]}, got {gap.shape}")
-    out = _covariance_flow(acl, drive, gap, grid)
+    grid = np.asarray(grid, dtype=float)
+    out = _covariance_flow(fr.closed_loop, drive, gap_init, grid)
+    gap = out[0]
 
     eigs = np.linalg.eigvalsh(out)
     norms = np.linalg.norm(out, 2, axis=(1, 2))

@@ -68,7 +68,7 @@ def gamma_threshold(nm: NominalModel, topo: Topology) -> float:
 class FilterRealization:
     """One concrete distributed filter.
 
-    ``coupling = kron(lap, p_inf)`` is the consensus term (read-only) and
+    ``coupling = kron(lap, nominal.p_inf)`` is the consensus term (read-only) and
     ``closed_loop_at(g) = feedback_diag - g * coupling`` the stacked
     error-dynamics matrix at gain ``g``: ``closed_loop`` at the working gain
     ``gamma``, ``closed_loop_ref`` at the reference gain ``gamma_ref`` (used
@@ -88,19 +88,6 @@ class FilterRealization:
     gamma_ref: float
     lap: np.ndarray
     nominal: NominalModel
-
-    @property
-    def p_inf(self) -> np.ndarray:
-        """The nominal model's steady Riccati solution."""
-        return self.nominal.p_inf
-
-    @property
-    def n(self) -> int:
-        return self.p_inf.shape[0]
-
-    @property
-    def sensor_count(self) -> int:
-        return self.lap.shape[0]
 
     @property
     def mismatch_is_zero(self) -> bool:

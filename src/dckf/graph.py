@@ -12,7 +12,6 @@ __all__ = [
     "is_connected",
     "algebraic_connectivity",
     "ring",
-    "complete",
 ]
 
 
@@ -57,10 +56,6 @@ def ring(n: int) -> Topology:
     if n < 3:
         raise ValueError("a ring needs at least 3 nodes")
     return Topology.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n: int) -> Topology:
-    return Topology.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def laplacian(t: Topology) -> np.ndarray:

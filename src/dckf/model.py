@@ -93,10 +93,6 @@ class Sensor:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "r", r)
 
-    @property
-    def m(self) -> int:
-        return self.c.shape[0]
-
 
 def _read_only(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)

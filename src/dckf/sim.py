@@ -148,7 +148,7 @@ class _Engine:
         if not realizations:
             raise ValueError("need at least one filter realization")
         for fr in realizations:
-            if fr.n != ts.n or fr.sensor_count != ts.sensor_count:
+            if fr.nominal.n != ts.n or fr.nominal.sensor_count != ts.sensor_count:
                 raise ValueError("filter realization does not match the true system dimensions")
         self.ts = ts
         self.cfg = cfg
@@ -236,13 +236,10 @@ class _Engine:
         self._operators[length] = self._operators[used] = ops
         return ops
 
-    def noise_bytes(self, trials: int) -> int:
-        """Noise rows that ``trials`` trials hold for the longest piece."""
-        return trials * self.longest_piece * self.cols * 8
-
     def chunk_size(self) -> int:
         """Trials run together: at most half of them, and bounded by the noise rows they hold."""
-        return max(1, min((self.cfg.trials + 1) // 2, _NOISE_BYTES // self.noise_bytes(1)))
+        trial_bytes = self.longest_piece * self.cols * 8  # one trial's rows for the longest piece
+        return max(1, min((self.cfg.trials + 1) // 2, _NOISE_BYTES // trial_bytes))
 
     def block_size(self, ops: _Operators, batch: int) -> int:
         """Pieces of ``ops`` whose noise rows and products for ``batch`` trials fit in a block."""
@@ -280,18 +277,14 @@ class _Engine:
         z[:, :n] = self.ts.x0 + np.stack([r.standard_normal(n) for r in rngs]) @ self.sigma0_half_t
         z[:, n:] = np.tile(self.ts.x0, self.gains * self.n_sensors)
         yield z[:, None]
-
-        def products(block):
-            """The block's noise rows, drawn in one call per trial, times its noise map."""
-            ops, ends = block
+        for ops, ends in self.schedule(len(rngs)):
+            # The block's noise rows, drawn in one call per trial, times its noise map.
             noise = np.empty((len(rngs), len(ends), ops.length * self.cols))
             for rng, rows in zip(rngs, noise):
                 rng.standard_normal(out=rows)
             with np.errstate(over="ignore", invalid="ignore"):
                 out = noise.reshape(-1, noise.shape[2]) @ ops.noise_map
-            return ops, ends, out.reshape(len(rngs), len(ends), self.width)
-
-        for ops, ends, out in map(products, self.schedule(len(rngs))):
+            out = out.reshape(len(rngs), len(ends), self.width)
             for j in range(len(ends)):
                 z = self._advance(z, out[:, j], ops)
             if all(ends):

@@ -35,6 +35,13 @@ def random_spd(rng, n, floor=0.3):
     return m @ m.T + floor * np.eye(n)
 
 
+def complete(n):
+    """Complete graph on n nodes."""
+    from dckf.graph import Topology
+
+    return Topology.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
 def random_connected_topology(rng, n):
     from dckf.graph import Topology, is_connected
 
@@ -99,7 +106,7 @@ def mismatched_networks(draw, noise_only=False):
     sensors = [
         Sensor(
             c=s.c if noise_only else s.c + eps * rng.standard_normal(s.c.shape),
-            r=s.r + eps * random_spd(rng, s.m, floor=0.0),
+            r=s.r + eps * random_spd(rng, s.c.shape[0], floor=0.0),
         )
         for s in nm.sensors
     ]

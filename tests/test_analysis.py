@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from dckf import analysis, matkit
 from dckf.filtering import build_filter, gamma_threshold, is_hurwitz
-from dckf.graph import complete
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations
 from dckf.solvers import SolverError, steady_state, propagate
 from conftest import (
-    closed_form_gap, mismatched_networks, random_assumption2_setup, random_connected_topology,
+    closed_form_gap, complete, mismatched_networks, random_assumption2_setup, random_connected_topology,
     random_spd,
 )
 from test_filtering import as_true
@@ -449,6 +448,17 @@ def test_relation_rejects_state_deviation(case1):
         analysis.relation_analysis(
             fr, deviations(ts, nm), np.zeros((24, 24)), np.linspace(0, 1, 6)
         )
+
+
+def test_relation_refuses_a_wrong_shaped_gap_and_a_bad_grid(case3):
+    ts, nm, topo = case3.true_system, case3.nominal, case3.topology
+    fr = build_filter(nm, ts, topo, float(case3.resolve_gammas()[0]))
+    dev = deviations(ts, nm)
+    with pytest.raises(ValueError, match="must be 24x24, got"):
+        analysis.relation_analysis(fr, dev, np.zeros((4, 4)), np.linspace(0, 1, 6))
+    for grid in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="^time grid must be"):
+            analysis.relation_analysis(fr, dev, np.zeros((24, 24)), grid)
 
 
 # Claims that hold on every valid mismatched network (``conftest.mismatched_networks``).

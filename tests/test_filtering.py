@@ -4,10 +4,10 @@ import scipy.linalg
 
 from dckf import filtering, solvers
 from dckf.analysis import trace_bounds
-from dckf.graph import Topology, complete, laplacian, ring
+from dckf.graph import Topology, laplacian, ring
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations
 from dckf.solvers import SchurForm
-from conftest import random_assumption2_setup, random_spd
+from conftest import complete, random_assumption2_setup, random_spd
 
 
 def as_true(nm, rng=None):
@@ -22,8 +22,8 @@ def test_zero_deviation_filter_structure(baseline):
     # Local loop blocks reduce to a - k c, with k the sensor's block of gain_diag.
     col = 0
     for i, s in enumerate(ts.sensors):
-        k = fr.gain_diag[4 * i : 4 * (i + 1), col : col + s.m]
-        col += s.m
+        k = fr.gain_diag[4 * i : 4 * (i + 1), col : col + s.c.shape[0]]
+        col += s.c.shape[0]
         block = fr.feedback_diag[4 * i : 4 * (i + 1), 4 * i : 4 * (i + 1)]
         np.testing.assert_allclose(block, ts.a - k @ s.c, atol=1e-14)
     assert col == fr.gain_diag.shape[1]
@@ -49,7 +49,7 @@ def test_gain_identity_blockwise_vs_global(case1):
     r_diag = scipy.linalg.block_diag(*[s.r for s in nm.sensors])
     global_gain = (
         nm.sensor_count
-        * np.kron(np.eye(nm.sensor_count), fr.p_inf)
+        * np.kron(np.eye(nm.sensor_count), nm.p_inf)
         @ c_diag.T
         @ np.linalg.inv(r_diag)
     )
@@ -162,7 +162,6 @@ def test_with_gamma_rebuilds_consensus_term(case1):
         (fr.closed_loop, 700.0), (fr.closed_loop_ref, fr.gamma_ref), (fr2.closed_loop, 1400.0)
     ):
         np.testing.assert_array_equal(got, fr.feedback_diag - g * kron_lap_p)
-    assert fr.p_inf is fr.nominal.p_inf
     with pytest.raises(ValueError):
         fr.coupling[0, 0] = 1.0
 

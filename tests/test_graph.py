@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dckf import graph
+from conftest import complete
 
 
 def random_topology(rng, n, p=0.4):
@@ -41,7 +42,7 @@ def test_two_node_laplacian():
 
 
 def test_complete_three_laplacian():
-    lap = graph.laplacian(graph.complete(3))
+    lap = graph.laplacian(complete(3))
     np.testing.assert_array_equal(lap, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
@@ -53,7 +54,7 @@ def test_ring6_spectrum_closed_form():
 
 
 def test_complete_graph_connectivity():
-    assert graph.algebraic_connectivity(graph.complete(3)) == pytest.approx(3.0)
+    assert graph.algebraic_connectivity(complete(3)) == pytest.approx(3.0)
 
 
 def test_laplacian_row_sums_and_psd():

@@ -6,6 +6,7 @@ from dckf import graph, model
 from dckf.filtering import build_filter, is_hurwitz
 from dckf.scenario import load_scenario
 from dckf.solvers import solve_care
+from conftest import complete
 
 
 def toy_pair(n=2):
@@ -56,7 +57,7 @@ def test_deviations_inverse_of_adding():
         a=ts.a + d_a,
         q=ts.q + d_q,
         sensors=[
-            model.Sensor(c=s.c + 0.3, r=s.r + 0.05 * np.eye(s.m)) for s in ts.sensors
+            model.Sensor(c=s.c + 0.3, r=s.r + 0.05 * np.eye(s.c.shape[0])) for s in ts.sensors
         ],
     )
     dev = model.deviations(ts, nm)
@@ -108,7 +109,7 @@ def test_stack_structure():
     with pytest.raises(ValueError):
         p_inf[0, 0] = 1.0
     np.testing.assert_array_equal(p_inf, solve_care(nm.a, nm.c_stack, nm.r_diag, nm.q))
-    assert build_filter(nm, ts, graph.complete(2), 1.0).p_inf is p_inf
+    assert build_filter(nm, ts, complete(2), 1.0).nominal.p_inf is p_inf
 
 
 def test_stack_vehicle_measurement_noise(baseline):
@@ -120,9 +121,10 @@ def test_stack_block_round_trip(case1):
     st = model.stack(case1.true_system, case1.nominal)
     offset = 0
     for s in case1.nominal.sensors:
-        block = st.r_diag_nom[offset : offset + s.m, offset : offset + s.m]
+        m = s.c.shape[0]
+        block = st.r_diag_nom[offset : offset + m, offset : offset + m]
         np.testing.assert_array_equal(block, s.r)
-        offset += s.m
+        offset += m
 
 
 def test_validate_baseline_marginal_a_passes(baseline):

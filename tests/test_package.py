@@ -24,7 +24,7 @@ PUBLIC_NAMES = {
     ],
     "filtering": ["FilterRealization", "build_filter", "gamma_threshold", "is_hurwitz"],
     "graph": [
-        "Topology", "algebraic_connectivity", "complete", "is_connected", "laplacian", "ring",
+        "Topology", "algebraic_connectivity", "is_connected", "laplacian", "ring",
     ],
     "model": [
         "AssumptionReport", "Deviations", "HypothesisError", "NominalModel", "Sensor",

@@ -11,11 +11,11 @@ import pytest
 import dckf
 from dckf import matkit, sim
 from dckf.filtering import build_filter
-from dckf.graph import Topology, complete
+from dckf.graph import Topology
 from dckf.model import NominalModel, Sensor, TrueSystem
 from dckf.solvers import propagate, steady_state
 
-from conftest import stepwise_monte_carlo
+from conftest import complete, stepwise_monte_carlo
 
 
 def quick_pair():

@@ -12,10 +12,9 @@ import dckf
 from dckf import solvers
 from dckf.analysis import trace_bounds
 from dckf.filtering import build_filter, gamma_threshold
-from dckf.graph import complete
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations, stack
 from conftest import (
-    kron_sylvester, random_assumption2_setup, random_spd, ring_chord_network, rk4_propagate,
+    complete, kron_sylvester, random_assumption2_setup, random_spd, ring_chord_network, rk4_propagate,
 )
 
 
@@ -862,6 +861,15 @@ def test_propagate_grid_validation(baseline):
         solvers.propagate(fr, ts, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         solvers.propagate(fr, ts, np.array([0.0]))
+
+
+@pytest.mark.parametrize("name", ["nominal_cov", "error_cov"])
+def test_propagate_refuses_a_wrong_shaped_initial_covariance(baseline, name):
+    ts, nm, topo = baseline.true_system, baseline.nominal, baseline.topology
+    fr = build_filter(nm, ts, topo, float(baseline.resolve_gammas()[0]))
+    init = dataclasses.replace(solvers.default_initial_state(ts), **{name: np.eye(4)})
+    with pytest.raises(ValueError, match=f"^initial {name} must be 24x24, got"):
+        solvers.propagate(fr, ts, np.linspace(0.0, 1.0, 3), init=init)
 
 
 def test_default_initial_state_structure(baseline):
