@@ -226,22 +226,24 @@ def cmd_divergence(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
         norm = np.linalg.norm(e.imag)
         if norm > 1e-9:
             print("note: certificate is complex; projecting on its real part")
-    for k, t in enumerate(grid):
-        if proj_vec is not None:
-            proj_e = float(proj_vec @ traj.error_cov[k] @ proj_vec)
-            proj_u = float(proj_vec @ traj.nominal_cov[k] @ proj_vec)
-        else:
-            proj_e = proj_u = float("nan")
-        rows.append(
-            [
-                float(t),
-                proj_e,
-                proj_u,
-                float(np.trace(traj.error_cov[k])),
-                float(np.trace(traj.nominal_cov[k])),
-                float(traj.error_trace_rate[k]),
-            ]
-        )
+    # A diverging flow's cells read inf or empty (NaN), as its trajectory does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(grid):
+            if proj_vec is not None:
+                proj_e = float(proj_vec @ traj.error_cov[k] @ proj_vec)
+                proj_u = float(proj_vec @ traj.nominal_cov[k] @ proj_vec)
+            else:
+                proj_e = proj_u = float("nan")
+            rows.append(
+                [
+                    float(t),
+                    proj_e,
+                    proj_u,
+                    float(np.trace(traj.error_cov[k])),
+                    float(np.trace(traj.nominal_cov[k])),
+                    float(traj.error_trace_rate[k]),
+                ]
+            )
     tables = {"divergence": (DIVERGENCE_HEADER, rows)}
     meta = {
         "gamma": gamma,
@@ -331,14 +333,15 @@ def cmd_simulate(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
     # The engine starts every filter at x0, the default initial state.
     traj = propagate(fr, ts, series.time)
     n_sensors = ts.sensor_count
-    rows = [
-        [
-            float(t),
-            float(series.mse[k]),
-            float(np.trace(traj.error_cov[k])) / n_sensors,
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging flow's cells read inf or empty
+        rows = [
+            [
+                float(t),
+                float(series.mse[k]),
+                float(np.trace(traj.error_cov[k])) / n_sensors,
+            ]
+            for k, t in enumerate(series.time)
         ]
-        for k, t in enumerate(series.time)
-    ]
     meta = {
         "gamma": gamma,
         "trials": cfg.trials,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dckf import sim, solvers
 from dckf.cli import main
+from dckf.filtering import build_filter
 from dckf.scenario import load_scenario, parse_scenario, preset_dict, preset_names
 from conftest import ring_chord_document
 
@@ -251,6 +252,46 @@ def test_relations_case3_verdict(tmp_path):
     tr_nom = np.array([float(r[header.index("tr_nominal")]) for r in rows])
     tr_err = np.array([float(r[header.index("tr_error")]) for r in rows])
     assert np.all(tr_nom >= tr_err - 1e-9)
+
+
+def column(header, rows, name):
+    """A CSV column as floats, with empty (NaN) cells read as NaN."""
+    return np.array([float(r[header.index(name)] or "nan") for r in rows])
+
+
+@pytest.mark.parametrize("command", ["divergence", "relations"])
+def test_exactly_modelled_unstable_plant_reads_a_finite_error_trace(tmp_path, command):
+    # case3 with 5 I added to both state matrices.  The truth overflows, but
+    # with zero feedthrough it does not feed the error, whose covariance
+    # settles on the steady-state solve.
+    doc = preset_dict("case3")
+    for block in ("true_system", "nominal"):
+        doc[block]["a"] = (np.array(doc[block]["a"]) + 5.0 * np.eye(4)).tolist()
+    doc["ode"] = {"dt": 1e-3, "horizon": 100.0, "record_every": 0.5}
+    path = write_scenario(tmp_path, doc, "case3_unstable.json")
+    assert main([command, "--scenario", path, "--out", str(tmp_path)]) == 0
+    tr_error = column(*read_csv(tmp_path / f"case3_{command}.csv"), "tr_error")
+    sc = parse_scenario(doc)
+    fr = build_filter(sc.nominal, sc.true_system, sc.topology, float(sc.resolve_gammas()[0]))
+    assert fr.mismatch_is_zero
+    steady = np.trace(solvers.steady_state(fr, sc.true_system, sc.nominal).error_cov)
+    assert np.all(np.isfinite(tr_error))
+    assert abs(tr_error[-1] - steady) <= 1e-6
+
+
+@pytest.mark.parametrize("shift", [9.0, 10.0])
+def test_divergence_reads_a_diverging_flow_without_a_warning(tmp_path, shift):
+    # case2's true state matrix shifted by shift * I: the error flow overflows
+    # within the preset's 50 s.  Its cells read inf or empty, and no numpy
+    # warning is raised (the suite turns warnings into errors).
+    doc = preset_dict("case2")
+    doc["true_system"]["a"] = (np.array(doc["true_system"]["a"]) + shift * np.eye(4)).tolist()
+    path = write_scenario(tmp_path, doc, "case2_shifted.json")
+    assert main(["divergence", "--scenario", path, "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "case2_divergence.csv")
+    tr_error = column(header, rows, "tr_error")
+    assert np.isfinite(tr_error[0]) and not np.isfinite(tr_error[-1])
+    assert np.all(np.isfinite(column(header, rows, "tr_nominal")))
 
 
 def load_benchmark_checks():
