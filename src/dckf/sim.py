@@ -280,10 +280,11 @@ class _Engine:
         for ops, ends in self.schedule(len(rngs)):
             # The block's noise rows, drawn in one call per trial, times its noise map.
             noise = np.empty((len(rngs), len(ends), ops.length * self.cols))
-            for rng, rows in zip(rngs, noise):
-                rng.standard_normal(out=rows)
+            for k, rng in enumerate(rngs):
+                rng.standard_normal(out=noise[k])
             with np.errstate(over="ignore", invalid="ignore"):
                 out = noise.reshape(-1, noise.shape[2]) @ ops.noise_map
+            del noise  # free the rows before the steps: no two blocks' rows are alive at once
             out = out.reshape(len(rngs), len(ends), self.width)
             for j in range(len(ends)):
                 z = self._advance(z, out[:, j], ops)
