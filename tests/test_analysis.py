@@ -10,8 +10,8 @@ from dckf.filtering import build_filter, gamma_threshold, is_hurwitz
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations
 from dckf.solvers import SolverError, steady_state, propagate
 from conftest import (
-    closed_form_gap, complete, mismatched_networks, random_assumption2_setup, random_connected_topology,
-    random_spd,
+    closed_form_gap, complete, mismatched_networks, random_assumption2_setup,
+    random_connected_topology, random_spd,
 )
 from test_filtering import as_true
 

@@ -62,7 +62,7 @@ def test_compare_prints_column_differences_and_verbatim_text(tmp_path, capsys):
     assert preset_outputs.main(["--compare", a, b]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"gone/exit: only in {a}"
-    # Rows that are added or text that changed is printed as a unified diff.
+    # Added rows and changed text are printed as a unified diff.
     rows = out.index("run/rows.csv:")
     assert "  +1,2.0" in out[rows:out.index("run/stderr:")]
     assert "  -warned" in out[out.index("run/stderr:"):]

@@ -14,7 +14,8 @@ from dckf.analysis import trace_bounds
 from dckf.filtering import build_filter, gamma_threshold
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations, stack
 from conftest import (
-    complete, kron_sylvester, random_assumption2_setup, random_spd, ring_chord_network, rk4_propagate,
+    complete, kron_sylvester, random_assumption2_setup, random_spd, ring_chord_network,
+    rk4_propagate,
 )
 
 
