@@ -244,6 +244,7 @@ def cmd_divergence(args, scenario: Scenario) -> tuple[int, dict | None, dict]:
                     float(traj.error_trace_rate[k]),
                 ]
             )
+    del traj  # nothing reads the flow after its rows: free it before the Monte Carlo
     tables = {"divergence": (DIVERGENCE_HEADER, rows)}
     meta = {
         "gamma": gamma,

@@ -26,15 +26,21 @@ overflows cannot spill into another gain.  A stride whose powers of ``M``
 would leave the safe floating-point range is split into shorter pieces;
 overflow is still detected per record and per (trial, gain).  The noise term
 ``[xi_0 ... xi_{S-1}] stack(...)`` of a piece does not depend on ``z``, so
-consecutive pieces that share their operators form blocks: a block's noise
-rows are drawn in one call per trial and multiplied by the noise map in one
-product of ``trials * k`` rows, and ``z`` then steps through the block with
-only the products that depend on it.  ``k`` is the most pieces whose noise
-rows and products, for the chunk's trials, fit in ``_BLOCK_BYTES`` (1 MiB),
-and at least one, so it depends only on the config and the chunk's trial
-count.  A product over more rows can round differently, so blocks moved the
+consecutive pieces that share their operators form blocks of ``k`` pieces,
+whose noise rows are drawn and multiplied by the noise map together before
+``z`` steps through the block with only the products that depend on it.
+``k`` is the most pieces whose noise rows and products, for the chunk's
+trials, fit in ``_BLOCK_BYTES`` (1 MiB), and at least one, so it depends only
+on the config and the chunk's trial count.  A chunk run draws every block
+into one buffer of at most ``_BLOCK_BYTES``, allocated once and reused: a
+block that fits is drawn in one call per trial and multiplied in one product
+of ``trials * k`` rows, and a lone piece that does not is drawn and
+multiplied in consecutive segments of its rows, whose products are summed.
+So a chunk never holds more noise rows than the buffer.  A product over more
+rows, or one summed from segments, can round differently: blocks moved the
 Monte Carlo outputs in the last bits (about 2e-16 relative on case1's sweep)
-from what one product per piece gave.
+from what one product per piece gave, and segments moved case2's by at most
+2.3e-16 relative.
 
 Reproducibility contract: every random draw of trial ``l`` comes from a
 generator seeded with the pair ``(seed, l)``, so per-trial streams are
@@ -44,8 +50,9 @@ vector for the initial state, then one row per step holding the process
 noise followed by the measurement noise.  A generator's normal stream
 depends only on the order of the draws, not on how they are grouped into
 calls (drawing ``a`` rows and then ``b`` rows gives the same numbers as
-drawing ``a + b``), so the engine draws a whole block's rows at once and the
-grouping does not change any trial's noise.  Every gain of a sweep
+drawing ``a + b``), so the engine draws a whole block's rows, or a segment
+of a lone piece's rows, at once and the grouping does not change any trial's
+noise.  Every gain of a sweep
 sees the same rows (common random numbers).
 
 Parallel chunks: trials run in fixed chunks of at most half the trials
@@ -97,9 +104,10 @@ __all__ = [
     "monte_carlo_sweep",
 ]
 
-# Memory caps: a piece's noise operator, a trial chunk's noise rows for one
-# piece (two chunks in flight hold 4 MiB of noise), and a block's noise rows
-# plus their products (unless one piece alone holds more).
+# Memory caps: a piece's noise operator; a trial chunk's noise rows for its
+# longest piece, which sizes the chunk (so a lone piece is drawn in at most
+# three segments of the next); and a chunk's one noise buffer, which also
+# bounds a block's noise rows plus their products.
 _OPERATOR_BYTES = 4 * 2**20
 _NOISE_BYTES = 2 * 2**20
 _BLOCK_BYTES = _NOISE_BYTES // 2
@@ -237,7 +245,7 @@ class _Engine:
         return ops
 
     def chunk_size(self) -> int:
-        """Trials run together: at most half of them, and bounded by the noise rows they hold."""
+        """Trials run together: at most half of them, and bounded by their longest piece's rows."""
         trial_bytes = self.longest_piece * self.cols * 8  # one trial's rows for the longest piece
         return max(1, min((self.cfg.trials + 1) // 2, _NOISE_BYTES // trial_bytes))
 
@@ -268,24 +276,38 @@ class _Engine:
         The initial state is a block of one record, and a block that ends no
         record yields nothing.  The array is the block's noise-product buffer,
         where each piece leaves its ``z``, or a copy of the pieces that end a
-        record when not all of them do (only in a split stride).
+        record when not all of them do (only in a split stride).  The noise
+        rows go through one buffer, in segments for a lone piece that does
+        not fit it (see the module notes).
         """
         cfg = self.cfg
         n = self.n
         rngs = [np.random.default_rng((cfg.seed, int(l))) for l in trials]
-        z = np.empty((len(rngs), self.width))
+        batch = len(rngs)
+        z = np.empty((batch, self.width))
         z[:, :n] = self.ts.x0 + np.stack([r.standard_normal(n) for r in rngs]) @ self.sigma0_half_t
         z[:, n:] = np.tile(self.ts.x0, self.gains * self.n_sensors)
         yield z[:, None]
-        for ops, ends in self.schedule(len(rngs)):
-            # The block's noise rows, drawn in one call per trial, times its noise map.
-            noise = np.empty((len(rngs), len(ends), ops.length * self.cols))
-            for k, rng in enumerate(rngs):
-                rng.standard_normal(out=noise[k])
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = noise.reshape(-1, noise.shape[2]) @ ops.noise_map
-            del noise  # free the rows before the steps: no two blocks' rows are alive at once
-            out = out.reshape(len(rngs), len(ends), self.width)
+        blocks = list(self.schedule(batch))
+        draws = max(len(ends) * ops.length for ops, ends in blocks) * self.cols  # per trial
+        buffer = np.empty(min(batch * draws, _BLOCK_BYTES // 8))
+        for ops, ends in blocks:
+            size = ops.length * self.cols
+            # A block of several pieces fits the buffer whole (see block_size),
+            # so only a lone piece is cut, and each trial draws its rows in order.
+            segment = min(size, buffer.size // (batch * len(ends)))
+            for start in range(0, size, segment):
+                stop = min(start + segment, size)
+                noise = buffer[: batch * len(ends) * (stop - start)].reshape(batch, len(ends), -1)
+                for k, rng in enumerate(rngs):
+                    rng.standard_normal(out=noise[k])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    product = noise.reshape(-1, stop - start) @ ops.noise_map[start:stop]
+                    if start:
+                        out += product
+                    else:
+                        out = product
+            out = out.reshape(batch, len(ends), self.width)
             for j in range(len(ends)):
                 z = self._advance(z, out[:, j], ops)
             if all(ends):

@@ -1,8 +1,10 @@
 import copy
+import gc
 import importlib.util
 import json
 import os
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dckf import sim, solvers
+from dckf import cli, sim, solvers
 from dckf.cli import main
 from dckf.filtering import build_filter
 from dckf.scenario import load_scenario, parse_scenario, preset_dict, preset_names
@@ -236,6 +238,30 @@ def test_divergence_case1_no_certificates(tmp_path):
     assert meta["certificates"] == []
     header, rows = read_csv(tmp_path / "case1_divergence.csv")
     assert all(r[header.index("error_proj")] == "" for r in rows)
+
+
+def test_divergence_holds_no_flow_while_it_simulates(tmp_path, monkeypatch):
+    # The covariance trajectory is only read for the CSV rows, so it is freed
+    # before the Monte Carlo starts.
+    flows = []
+    alive = []
+    real_propagate, real_monte_carlo = cli.propagate, sim.monte_carlo_mse
+
+    def recording_propagate(*args, **kwargs):
+        traj = real_propagate(*args, **kwargs)
+        flows.append(weakref.ref(traj))
+        return traj
+
+    def checking_monte_carlo(*args, **kwargs):
+        gc.collect()
+        alive.append([flow() is not None for flow in flows])
+        return real_monte_carlo(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "propagate", recording_propagate)
+    monkeypatch.setattr(sim, "monte_carlo_mse", checking_monte_carlo)
+    argv = ["divergence", "--scenario", "case2", "--simulate", "--trials", "2"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert alive == [[False]]
 
 
 def test_relations_case3_verdict(tmp_path):

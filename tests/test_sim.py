@@ -461,6 +461,47 @@ def test_blocks_stay_within_the_memory_budget(preset, trials, request):
     assert sum(sum(ends) for _, ends in blocks) == cfg.record_steps().size - 1
 
 
+def test_a_lone_piece_over_the_budget_stays_within_it(case2):
+    # case2's one 1250-step piece holds about 2 MB of noise rows for a chunk
+    # of 20 trials, so it is drawn in segments of the chunk's one buffer.
+    ts = case2.true_system
+    fr = build_filter(case2.nominal, ts, case2.topology, float(case2.resolve_gammas()[0]))
+    engine = sim._Engine(ts, [fr], case2.sim_config())
+    batch = engine.chunk_size()
+    assert batch == 20
+    assert batch * engine.longest_piece * engine.cols * 8 > 1.5 * sim._BLOCK_BYTES
+    products = batch * engine.width * 8
+    tracemalloc.start()
+    try:
+        for _ in engine.run(range(batch)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The buffer, the block's products, and 64 KiB for the generators, the
+    # state and the stepping temporaries (about 38 KB on case2).
+    assert peak <= sim._BLOCK_BYTES + products + 64 * 2**10
+
+
+def test_segmented_pieces_keep_every_stream(blas_env, pool_calls, monkeypatch):
+    # A 3600-byte buffer holds 150 noise rows for each of a 3-trial chunk's
+    # trials, so every 400-row piece is drawn as 150 + 150 + 100 rows (and as
+    # 225 + 175 in the 2-trial chunk).
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 3600)
+    ts, nm, topo = quick_pair()
+    fr = build_filter(nm, ts, topo, gamma=2.0)
+    cfg = sim.SimConfig(dt=1e-3, horizon=1.0, trials=5, seed=17, record_stride=100)
+    engine = sim._Engine(ts, [fr], cfg)
+    assert engine.chunk_size() == 3
+    segment = sim._BLOCK_BYTES // 8 // 3
+    rows = engine.longest_piece * engine.cols
+    assert rows > 2 * segment and rows % segment
+    assert all(len(ends) == 1 for _, ends in engine.schedule(3))
+    (one,), (two,) = sweep_with_workers(blas_env, pool_calls, ts, [fr], cfg)
+    assert_series_identical(two, one)
+    assert_series_match(one, stepwise_monte_carlo(ts, fr, cfg))
+
+
 # ---------------------------------------------------------------------------
 # Trial chunks on a thread pool.  The worker count follows the BLAS thread
 # variables and the usable cores; the outputs must not.
