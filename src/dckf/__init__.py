@@ -25,6 +25,18 @@ loaded first, the import also sets each OpenBLAS already mapped into the
 process (found through ``/proc/self/maps``) to one thread; without ``/proc``
 or a known thread setter that step does nothing.  The Monte Carlo spends the
 free cores on trial chunks instead (see ``dckf.sim``).
+
+``import dckf`` also defers seven numpy modules that no dckf module uses:
+``numpy.f2py``, ``numpy.testing``, ``numpy.polynomial``, ``numpy.ctypeslib``,
+``numpy.char``, ``numpy.rec`` and ``numpy.strings``.  scipy 1.17's array-API
+shim clones numpy's namespace when a dckf module loads ``scipy.linalg``, and
+that imports every numpy submodule; each of these seven then loads as an
+``importlib.util.LazyLoader`` module, which runs on its first attribute read.
+This saves about 0.07 s and 9 MB per process.  A module loaded before
+``import dckf`` is left as it is.  Before Python 3.12 ``LazyLoader`` does not
+lock a module's first run against other threads, so dckf code must not use a
+deferred module; ``numpy.ma`` is not deferred because scipy's input checks
+read it on every validated call.
 """
 
 import importlib
@@ -77,6 +89,31 @@ if _blas_threads() is None:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     if "numpy" in sys.modules or "scipy" in sys.modules:
         _cap_loaded_openblas()
+
+# numpy submodules that scipy's array-API shim requests and no dckf module uses.
+_DEFERRED = frozenset(
+    f"numpy.{name}"
+    for name in ("f2py", "testing", "polynomial", "ctypeslib", "char", "rec", "strings")
+)
+
+
+class _DeferNumpyModules:
+    """Meta-path finder: each ``_DEFERRED`` module runs on its first attribute read."""
+
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name not in _DEFERRED:
+            return None
+        import importlib.machinery
+        import importlib.util
+
+        spec = importlib.machinery.PathFinder.find_spec(name, path, target)
+        if spec is not None:
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+        return spec
+
+
+sys.meta_path.insert(0, _DeferNumpyModules)
 
 __version__ = "0.1.0"
 

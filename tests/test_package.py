@@ -361,11 +361,27 @@ def test_python_dash_m_collects_nothing_while_importing():
     assert fresh_python("-c", code).splitlines() == ["dckf 0.1.0", "[] True"]
 
 
+# The numpy modules that ``import dckf`` defers until their first use.
+DEFERRED = [
+    "numpy.char", "numpy.ctypeslib", "numpy.f2py", "numpy.polynomial", "numpy.rec",
+    "numpy.strings", "numpy.testing",
+]
+
+# Child code: print the sorted names of the modules still waiting for their
+# first use.
+PRINT_WAITING = (
+    "print(sorted(n for n, m in sys.modules.items() "
+    "if isinstance(m, importlib.util._LazyModule)))"
+)
+
 # Child code: run ``python -m dckf`` on argv[1:], then report whether the
-# Monte Carlo engine and its thread pool were loaded.
-LOADS_SIMULATOR = """
-import atexit, runpy, sys
-report = lambda: print('dckf.sim' in sys.modules, 'concurrent.futures.thread' in sys.modules)
+# Monte Carlo engine and its thread pool were loaded, and the modules that are
+# still waiting for their first use.
+LOADS_SIMULATOR = f"""
+import atexit, importlib.util, runpy, sys
+def report():
+    print('dckf.sim' in sys.modules, 'concurrent.futures.thread' in sys.modules)
+    {PRINT_WAITING}
 atexit.register(report)
 sys.argv = ['dckf', *sys.argv[1:]]
 runpy.run_module('dckf', run_name='__main__')
@@ -385,4 +401,30 @@ runpy.run_module('dckf', run_name='__main__')
 )
 def test_only_a_monte_carlo_command_loads_the_simulator(command, loaded, tmp_path):
     report = fresh_python("-c", LOADS_SIMULATOR, *command, "--out", str(tmp_path))
-    assert report.splitlines()[-1] == f"{loaded} {loaded}"
+    *_, simulator, waiting = report.splitlines()
+    assert simulator == f"{loaded} {loaded}"
+    # Each deferred module was requested by the scipy import and never run.
+    assert waiting == str(DEFERRED)
+
+
+def test_deferred_numpy_modules_work_on_first_use():
+    code = (
+        f"import dckf.cli, importlib.util, numpy, sys; {PRINT_WAITING}; "
+        "numpy.testing.assert_allclose(numpy.polynomial.Polynomial([1.0, 2.0])(2.0), 5.0); "
+        "import numpy.f2py; "
+        "print(numpy.ma.masked_invalid([numpy.nan]).count(), numpy.char.upper('a'), "
+        "numpy.strings.upper('b'), numpy.rec.fromarrays([[1]]).f0, "
+        "numpy.ctypeslib.as_ctypes_type(numpy.float64).__name__, numpy.f2py.__name__)"
+    )
+    waiting, used = fresh_python("-W", "error", "-c", code).splitlines()
+    assert waiting == str(DEFERRED)
+    assert used == "0 A B [1] c_double numpy.f2py"
+
+
+def test_a_module_loaded_before_dckf_is_left_as_it_is(tmp_path):
+    code = (
+        "import numpy.testing, sys, dckf.cli; "
+        "print(type(sys.modules['numpy.testing']).__name__, "
+        f"dckf.cli.main(['relations', '--scenario', 'case3', '--out', {str(tmp_path)!r}]))"
+    )
+    assert fresh_python("-c", code).splitlines()[-1] == "module 0"
