@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        if args.gamma:
+        if args.gamma is not None:
             scenario = replace(scenario, gamma_spec=_parse_gamma_override(args.gamma))
         code, meta, tables = args.handler(args, scenario)
         if meta is None:  # a command that writes tables always has meta

@@ -587,10 +587,11 @@ def steady_state(fr: "FilterRealization", ts: TrueSystem, nm: NominalModel) -> S
 class TrajectoryInit:
     """Initial covariances of the nominal index and the stacked error.
 
-    Every node estimates the same ``x``, so the truth's initial moments are
-    not fields: :func:`propagate` takes ``E[x x'] = sigma0 + x0 x0'`` and
-    ``E[e x'] = sigma0`` in every block, which hold when every initial
-    estimate is unbiased and independent of ``x(0)`` (``e = x - x_hat``).
+    The truth's initial moments enter only with nonzero mismatch feedthrough,
+    and they are not fields: every node estimates the same ``x``, so
+    :func:`propagate` takes ``E[x x'] = sigma0 + x0 x0'`` and ``E[e x'] =
+    sigma0`` in every block, which hold when every initial estimate is
+    unbiased and independent of ``x(0)`` (``e = x - x_hat``).
     """
 
     nominal_cov: np.ndarray
@@ -610,18 +611,15 @@ def default_initial_state(ts: TrueSystem) -> TrajectoryInit:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceTrajectory:
-    """Covariance matrices sampled on a time grid.
+    """The nominal index and the stacked error covariance on the caller's time grid.
 
     ``error_trace_rate`` is the numerical growth rate of the error-covariance
     trace along the grid; divergent scenarios show a persistent positive
     rate instead of raising.
     """
 
-    time: np.ndarray
     nominal_cov: np.ndarray
     error_cov: np.ndarray
-    cross_cov: np.ndarray
-    state_cov: np.ndarray
     error_trace_rate: np.ndarray
 
 
@@ -703,19 +701,20 @@ def propagate(
     """Exact covariance trajectories of the filter network on a time grid.
 
     The nominal index follows its own Lyapunov-type flow in the closed loop,
-    driven by the noise intensities of the filter's nominal model.
-    The error, cross and state blocks are slices of the joint covariance of
-    the stacked error ``e`` and the true state ``x`` (size ``nN + n``), which
-    every node sees as ``copies @ x``, ``copies = 1 x I_n``.  The joint drift
-    ``[[closed_loop, mismatch_diag @ copies], [0, A]]`` is upper block
-    triangular, the joint drive is ``B diag(R, Q) B'`` with the true
-    intensities and ``B = [[-K, copies], [0, I]]``, and the truth's initial
-    moments are those of :class:`TrajectoryInit`.  With zero feedthrough
-    (``fr.mismatch_is_zero``) the error is stepped alone, as in
-    :func:`steady_state`, so an overflowing truth cannot make it NaN (``0 * inf``).
-    Every flow is stepped exactly (matrix exponential plus Van Loan's
-    integral); the cross and state blocks are returned tiled to ``nN x nN``.
-    A diverging flow's entries and trace rates read inf or NaN.
+    driven by the noise intensities of the filter's nominal model.  As in
+    :func:`steady_state`, the true state enters the error only through the
+    mismatch feedthrough.  With zero feedthrough (``fr.mismatch_is_zero``) the
+    error follows the closed-loop flow driven by the true intensities, so an
+    overflowing truth cannot make it NaN (``0 * inf``).  Otherwise it is the
+    error block of the joint covariance of the stacked error ``e`` and the
+    true state ``x`` (size ``nN + n``), which every node sees as ``copies @
+    x``, ``copies = 1 x I_n``.  The joint drift ``[[closed_loop,
+    mismatch_diag @ copies], [0, A]]`` is upper block triangular, the joint
+    drive is ``B diag(R, Q) B'`` with the true intensities and ``B = [[-K,
+    copies], [0, I]]``, and the truth's initial moments are those of
+    :class:`TrajectoryInit`.  Every flow is stepped exactly (matrix
+    exponential plus Van Loan's integral).  A diverging flow's entries and
+    trace rates read inf or NaN.
     """
     if init is None:
         init = default_initial_state(ts)
@@ -725,26 +724,18 @@ def propagate(
         if shape != (q_dim, q_dim):
             raise ValueError(f"initial {name} must be {q_dim}x{q_dim}, got {shape}")
     _check_pair(ts, fr.nominal)
-    n, nodes = ts.n, ts.sensor_count
-    copies = np.tile(np.eye(n), (nodes, 1))
-    drift = np.block([[fr.closed_loop, fr.mismatch_diag @ copies], [np.zeros((n, q_dim)), ts.a]])
-    input_map = np.block([[-fr.gain_diag, copies], [np.zeros((n, fr.gain_diag.shape[1])), np.eye(n)]])
-    noise = scipy.linalg.block_diag(ts.r_diag, ts.q)
-    cross = copies @ ts.sigma0
-    joint_init = np.block([[init.error_cov, cross], [cross.T, ts.sigma0 + np.outer(ts.x0, ts.x0)]])
-    joint = _covariance_flow(drift, input_map @ noise @ input_map.T, joint_init, grid)
     nominal = _covariance_flow(fr.closed_loop, _noise_drive(fr, fr.nominal), init.nominal_cov, grid)
-    error = joint[:, :q_dim, :q_dim]
     if fr.mismatch_is_zero:
         error = _covariance_flow(fr.closed_loop, _noise_drive(fr, ts), init.error_cov, grid)
-    time = np.asarray(grid, dtype=float)
+    else:
+        n, nodes = ts.n, ts.sensor_count
+        copies = np.tile(np.eye(n), (nodes, 1))
+        drift = np.block([[fr.closed_loop, fr.mismatch_diag @ copies], [np.zeros((n, q_dim)), ts.a]])
+        input_map = np.block([[-fr.gain_diag, copies], [np.zeros((n, fr.gain_diag.shape[1])), np.eye(n)]])
+        noise = scipy.linalg.block_diag(ts.r_diag, ts.q)
+        cross = copies @ ts.sigma0
+        joint_init = np.block([[init.error_cov, cross], [cross.T, ts.sigma0 + np.outer(ts.x0, ts.x0)]])
+        error = _covariance_flow(drift, input_map @ noise @ input_map.T, joint_init, grid)[:, :q_dim, :q_dim]
     with np.errstate(over="ignore", invalid="ignore"):
-        rate = np.gradient(np.einsum("kii->k", error), time)
-    return CovarianceTrajectory(
-        time=time,
-        nominal_cov=nominal,
-        error_cov=error,
-        cross_cov=np.tile(joint[:, :q_dim, q_dim:], (1, 1, nodes)),
-        state_cov=np.tile(joint[:, q_dim:, q_dim:], (1, nodes, nodes)),
-        error_trace_rate=rate,
-    )
+        rate = np.gradient(np.einsum("kii->k", error), np.asarray(grid, dtype=float))
+    return CovarianceTrajectory(nominal_cov=nominal, error_cov=error, error_trace_rate=rate)

@@ -161,23 +161,22 @@ def rk4_propagate(fr, ts, nm, grid, dt=1e-3, init=None):
     independent of ``x(0)``: ``kron(11', sigma0)`` and
     ``kron(11', sigma0 + x0 x0')``.  Substeps are at most ``dt`` and are
     capped at ``1.25 / ||closed_loop||_2`` so stiff closed loops stay inside
-    the RK4 stability region.  Returns a ``CovarianceTrajectory``.
+    the RK4 stability region.  Returns the list of the four blocks ``[nominal, error,
+    cross, state]``, each of shape ``(len(grid), nN, nN)``.
     """
     from dckf import matkit
-    from dckf.model import stack
-    from dckf.solvers import CovarianceTrajectory, default_initial_state
+    from dckf.solvers import default_initial_state
 
     grid = np.asarray(grid, dtype=float)
     if init is None:
         init = default_initial_state(ts)
-    st = stack(ts, nm)
     acl = fr.closed_loop
     f = fr.mismatch_diag
-    a_d = st.a_diag
+    a_d = ts.a_diag
     ones = np.ones((ts.sensor_count, ts.sensor_count))
     u_q = np.kron(ones, ts.q)
-    w_nom = fr.gain_diag @ st.r_diag_nom @ fr.gain_diag.T + np.kron(ones, nm.q)
-    w_err = fr.gain_diag @ st.r_diag @ fr.gain_diag.T + u_q
+    w_nom = fr.gain_diag @ nm.r_diag @ fr.gain_diag.T + np.kron(ones, nm.q)
+    w_err = fr.gain_diag @ ts.r_diag @ fr.gain_diag.T + u_q
     dt = min(dt, 1.25 / float(np.linalg.norm(acl, 2)))
 
     def rhs(su, se, s, x):
@@ -212,15 +211,63 @@ def rk4_propagate(fr, ts, nm, grid, dt=1e-3, init=None):
             state = (matkit.symmetrize(su), matkit.symmetrize(se), s, matkit.symmetrize(x))
         for o, v in zip(out, state):
             o[k + 1] = v
-    traces = np.einsum("kii->k", out[1])
-    return CovarianceTrajectory(
-        time=grid,
-        nominal_cov=out[0],
-        error_cov=out[1],
-        cross_cov=out[2],
-        state_cov=out[3],
-        error_trace_rate=np.gradient(traces, grid),
+    return out
+
+
+def joint_system(fr, ts, init=None):
+    """``(drift, drive, start)`` of the joint covariance of ``[e; x]``, size ``nN + n``.
+
+    Built as ``dckf.solvers.propagate`` builds it with nonzero mismatch
+    feedthrough: the drift ``[[closed_loop, F (1 x I_n)], [0, A]]``, the drive
+    ``B diag(R, Q) B'`` with ``B = [[-K, 1 x I_n], [0, I_n]]``, and the start
+    ``[[error_cov, 1 x sigma0], [., sigma0 + x0 x0']]``.
+    """
+    from dckf.solvers import default_initial_state
+
+    if init is None:
+        init = default_initial_state(ts)
+    n, q_dim = ts.n, fr.closed_loop.shape[0]
+    copies = np.tile(np.eye(n), (ts.sensor_count, 1))
+    drift = np.block([[fr.closed_loop, fr.mismatch_diag @ copies], [np.zeros((n, q_dim)), ts.a]])
+    input_map = np.block([[-fr.gain_diag, copies], [np.zeros((n, fr.gain_diag.shape[1])), np.eye(n)]])
+    drive = input_map @ scipy.linalg.block_diag(ts.r_diag, ts.q) @ input_map.T
+    cross = copies @ ts.sigma0
+    start = np.block([[init.error_cov, cross], [cross.T, ts.sigma0 + np.outer(ts.x0, ts.x0)]])
+    return drift, drive, start
+
+
+def joint_flow(fr, ts, grid, init=None):
+    """The cross and state blocks of the exact ``[e; x]`` flow on ``grid``.
+
+    The flow of :func:`joint_system` is stepped by ``dckf.solvers._covariance_flow``;
+    both blocks are tiled to ``nN x nN``, as ``rk4_propagate`` holds them.
+    """
+    from dckf import solvers
+
+    out = solvers._covariance_flow(*joint_system(fr, ts, init), grid)
+    q_dim, nodes = fr.closed_loop.shape[0], ts.sensor_count
+    return (
+        np.tile(out[:, :q_dim, q_dim:], (1, 1, nodes)),
+        np.tile(out[:, q_dim:, q_dim:], (1, nodes, nodes)),
     )
+
+
+def closed_form_flow(drift, drive, init, grid):
+    """Reference solution of ``dX/dt = D X + X D' + W`` for a Hurwitz ``D``, per grid point.
+
+    ``X(t) = e^{D (t - t0)} (X0 - X_inf) e^{D' (t - t0)} + X_inf`` with
+    ``D X_inf + X_inf D' + W = 0``: one Lyapunov solve by scipy and one scipy
+    matrix exponential per grid point, independent of dckf's Schur solver and
+    of the Van Loan doubling in ``dckf.solvers``.
+    """
+    from dckf import matkit
+
+    x_inf = scipy.linalg.solve_continuous_lyapunov(drift, -drive)
+    out = np.empty((len(grid),) + np.shape(drift))
+    for k, t in enumerate(grid):
+        phi = scipy.linalg.expm(drift * (t - grid[0]))
+        out[k] = matkit.symmetrize(phi @ (init - x_inf) @ phi.T + x_inf)
+    return out
 
 
 def kron_sylvester(a, b, c):
@@ -235,23 +282,12 @@ def kron_sylvester(a, b, c):
 
 
 def closed_form_gap(fr, rel):
-    """Reference gap trajectory of a ``RelationReport``, evaluated per grid point.
+    """Reference gap trajectory of a ``RelationReport``: :func:`closed_form_flow` of the gap.
 
-    With Z solving ``acl Z + Z acl' + drive = 0`` (``drive`` is
-    ``rel.mismatch_drive``), the gap starting from ``rel.gap[0]`` is
-    ``e^{acl dt} (gap0 - Z) e^{acl' dt} + Z``: one Lyapunov solve and one
-    matrix exponential per grid point, independent of the stepped flow in
-    ``dckf.solvers``.
+    The gap starts from ``rel.gap[0]`` and follows the closed loop, driven by
+    ``rel.mismatch_drive``.
     """
-    from dckf import matkit
-    from dckf.solvers import solve_lyapunov
-
-    z_inf = solve_lyapunov(fr.closed_loop_schur, rel.mismatch_drive)
-    out = np.empty_like(rel.gap)
-    for k, t in enumerate(rel.time):
-        phi = scipy.linalg.expm(fr.closed_loop * (t - rel.time[0]))
-        out[k] = matkit.symmetrize(phi @ (rel.gap[0] - z_inf) @ phi.T + z_inf)
-    return out
+    return closed_form_flow(fr.closed_loop, rel.mismatch_drive, rel.gap[0], rel.time)
 
 
 def stepwise_monte_carlo(ts, fr, cfg, trials=None, keep_trajectories=False):

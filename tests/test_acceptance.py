@@ -25,7 +25,8 @@ from dckf.model import deviations
 from dckf.scenario import load_scenario
 from dckf.sim import monte_carlo_mse, monte_carlo_sweep
 from conftest import (
-    closed_form_gap, kron_sylvester, random_assumption2_setup, random_spd, rk4_propagate,
+    closed_form_gap, joint_flow, kron_sylvester, random_assumption2_setup, random_spd,
+    rk4_propagate,
 )
 from test_filtering import as_true
 from test_solvers import random_care_instance
@@ -219,9 +220,10 @@ def test_criterion_9_joint_system_cross_check():
         ts, nm, topo = sc.true_system, sc.nominal, sc.topology
         fr = build_filter(nm, ts, topo, float(sc.resolve_gammas()[0]))
         grid = sc.ode.grid()
-        traj = rk4_propagate(fr, ts, nm, grid, dt=sc.ode.dt)
-        joint = solvers.propagate(fr, ts, grid)
-        assert np.max(np.abs(joint.error_cov - traj.error_cov)) <= 1e-8
-        assert np.max(np.abs(joint.cross_cov - traj.cross_cov)) <= 1e-8
-        scale = 1.0 + np.max(np.abs(traj.state_cov))
-        assert np.max(np.abs(joint.state_cov - traj.state_cov)) <= 1e-8 * scale
+        _, error, cross, state = rk4_propagate(fr, ts, nm, grid, dt=sc.ode.dt)
+        traj = solvers.propagate(fr, ts, grid)
+        joint_cross, joint_state = joint_flow(fr, ts, grid)
+        assert np.max(np.abs(traj.error_cov - error)) <= 1e-8
+        assert np.max(np.abs(joint_cross - cross)) <= 1e-8
+        scale = 1.0 + np.max(np.abs(state))
+        assert np.max(np.abs(joint_state - state)) <= 1e-8 * scale

@@ -574,6 +574,15 @@ def test_malformed_gamma_override_is_exit_1(tmp_path, capsys, command, gamma):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("gamma", ["", " "])
+def test_blank_gamma_override_is_exit_1(tmp_path, capsys, gamma):
+    # An empty override is malformed too; it must not fall back to the preset's gains.
+    out = tmp_path / "out"
+    assert main(["relations", "--scenario", "case3", "--out", str(out), "--gamma", gamma]) == 1
+    assert "bad gamma override" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def one_sensor_doc():
     doc = short_baseline()
     sensor = {"c": np.eye(4).tolist(), "r": (0.2 * np.eye(4)).tolist()}

@@ -183,6 +183,10 @@ def test_analysis_results_keep_only_what_callers_read(case1):
     assert "coupling_log_norm" not in {f.name for f in dataclasses.fields(dckf.RelationReport)}
     assert "observability_matrix" not in dckf.model.__all__
     assert "fit_residual_gain" not in {f.name for f in dataclasses.fields(dckf.AsymptoticFit)}
+    # The trajectory holds the two indices; the truth's moments stay inside ``propagate``.
+    assert [f.name for f in dataclasses.fields(dckf.CovarianceTrajectory)] == [
+        "nominal_cov", "error_cov", "error_trace_rate",
+    ]
 
 
 # Result objects that hold arrays or dicts compare by identity; the small

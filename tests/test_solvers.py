@@ -14,8 +14,8 @@ from dckf.analysis import trace_bounds
 from dckf.filtering import build_filter, gamma_threshold
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations, stack
 from conftest import (
-    complete, kron_sylvester, random_assumption2_setup, random_spd, ring_chord_network,
-    rk4_propagate,
+    closed_form_flow, complete, joint_flow, joint_system, kron_sylvester,
+    random_assumption2_setup, random_spd, ring_chord_network, rk4_propagate,
 )
 
 
@@ -593,8 +593,6 @@ def test_steady_state_matches_long_horizon_ode():
     traj = solvers.propagate(fr, ts, grid)
     assert abs(np.trace(traj.error_cov[-1]) - np.trace(ss.error_cov)) <= 1e-6
     np.testing.assert_allclose(traj.error_cov[-1], ss.error_cov, atol=1e-7)
-    np.testing.assert_allclose(traj.cross_cov[-1], ss.cross_cov, atol=1e-7)
-    np.testing.assert_allclose(traj.state_cov[-1], ss.state_cov, atol=1e-7)
 
 
 def test_steady_state_matches_long_horizon_ode_case1(case1):
@@ -730,7 +728,7 @@ def test_propagate_preserves_symmetry(case1):
     fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
     grid = np.linspace(0.0, 1.0, 6)
     traj = solvers.propagate(fr, ts, grid)
-    for field in (traj.nominal_cov, traj.error_cov, traj.state_cov):
+    for field in (traj.nominal_cov, traj.error_cov):
         for m in field:
             assert np.linalg.norm(m - m.T) <= 1e-9
 
@@ -739,21 +737,16 @@ def test_propagate_agrees_with_augmented_system(baseline):
     ts, nm, topo = baseline.true_system, baseline.nominal, baseline.topology
     fr = build_filter(nm, ts, topo, float(baseline.resolve_gammas()[0]))
     grid = np.linspace(0.0, 5.0, 26)
-    traj = rk4_propagate(fr, ts, nm, grid, dt=1e-3)
-    joint = solvers.propagate(fr, ts, grid)
-    assert np.max(np.abs(joint.error_cov - traj.error_cov)) <= 1e-8
-    assert np.max(np.abs(joint.cross_cov - traj.cross_cov)) <= 1e-8
-    assert np.max(np.abs(joint.state_cov - traj.state_cov)) <= 1e-8 * (
-        1.0 + np.max(np.abs(traj.state_cov))
-    )
+    _, error, cross, state = rk4_propagate(fr, ts, nm, grid, dt=1e-3)
+    traj = solvers.propagate(fr, ts, grid)
+    joint_cross, joint_state = joint_flow(fr, ts, grid)
+    assert np.max(np.abs(traj.error_cov - error)) <= 1e-8
+    assert np.max(np.abs(joint_cross - cross)) <= 1e-8
+    assert np.max(np.abs(joint_state - state)) <= 1e-8 * (1.0 + np.max(np.abs(state)))
 
 
-def test_propagate_steps_the_truth_at_its_own_size(case1, monkeypatch):
-    # Every node estimates the same true state, so the joint flow is that of
-    # [e; x], of size nN + n, next to the nN nominal flow; no flow of the
-    # error and N copies of x (size 2nN) is stepped.
-    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
-    fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
+def spy_flow_sizes(monkeypatch):
+    """Record the drift size of every ``_covariance_flow`` call into the returned list."""
     sizes, real_flow = [], solvers._covariance_flow
 
     def spy_flow(drift, drive, init, grid):
@@ -761,40 +754,69 @@ def test_propagate_steps_the_truth_at_its_own_size(case1, monkeypatch):
         return real_flow(drift, drive, init, grid)
 
     monkeypatch.setattr(solvers, "_covariance_flow", spy_flow)
-    traj = solvers.propagate(fr, ts, np.linspace(0.0, 1.0, 3))
+    return sizes
+
+
+def test_propagate_steps_the_truth_at_its_own_size(case1, monkeypatch):
+    # Every node estimates the same true state, so the joint flow is that of
+    # [e; x], of size nN + n, after the nN nominal flow; no flow of the
+    # error and N copies of x (size 2nN) is stepped.
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
+    assert not fr.mismatch_is_zero
+    sizes = spy_flow_sizes(monkeypatch)
+    solvers.propagate(fr, ts, np.linspace(0.0, 1.0, 3))
     q_dim = ts.n * ts.sensor_count
-    assert sorted(sizes) == [q_dim, q_dim + ts.n]
-    assert traj.cross_cov.shape == traj.state_cov.shape == (3, q_dim, q_dim)
+    assert sizes == [q_dim, q_dim + ts.n]
 
 
-def test_propagate_truth_moments_start_from_x0_and_sigma0(case3):
-    # case3 overrides error_cov, but the truth's initial moments are those of
-    # unbiased initial estimates independent of x(0): E[e x'] = sigma0 in
-    # every block and E[x x'] = sigma0 + x0 x0'.
-    ts, nm, topo = case3.true_system, case3.nominal, case3.topology
-    fr = build_filter(nm, ts, topo, float(case3.resolve_gammas()[0]))
+@pytest.mark.parametrize("preset", ["baseline", "case2", "case3"])
+def test_propagate_steps_no_truth_with_zero_feedthrough(preset, monkeypatch, request):
+    # As in steady_state, the true state enters the error only through the
+    # mismatch feedthrough: without it, exactly two nN flows run on the
+    # closed loop, nominal and error.
+    sc = request.getfixturevalue(preset)
+    ts, nm, topo = sc.true_system, sc.nominal, sc.topology
+    fr = build_filter(nm, ts, topo, float(sc.resolve_gammas()[0]))
+    assert fr.mismatch_is_zero
+    sizes = spy_flow_sizes(monkeypatch)
+    solvers.propagate(fr, ts, np.linspace(0.0, 1.0, 3), init=sc.initial_state())
+    assert sizes == [ts.n * ts.sensor_count] * 2
+
+
+def test_propagate_truth_moments_start_from_x0_and_sigma0(case1, case3):
+    # With nonzero feedthrough (case1's filter) the truth's initial moments
+    # feed the error.  case3's initial state overrides error_cov, but the
+    # truth's moments are those of unbiased initial estimates independent of
+    # x(0): E[e x'] = sigma0 in every block and E[x x'] = sigma0 + x0 x0'.
+    # The closed-form flow of the joint system from exactly these moments
+    # matches the error block; a zero cross moment or sigma0 alone for
+    # E[x x'] moves it by several percent.
+    ts, nm, topo = case1.true_system, case1.nominal, case1.topology
+    fr = build_filter(nm, ts, topo, float(case1.resolve_gammas()[0]))
+    assert not fr.mismatch_is_zero and np.any(ts.x0)
     init = case3.initial_state()
     np.testing.assert_array_equal(init.error_cov, np.eye(24))
-    traj = solvers.propagate(fr, ts, np.linspace(0.0, 1.0, 3), init=init)
-    ones = np.ones((6, 6))
+    grid = np.linspace(0.0, 2.0, 11)
+    traj = solvers.propagate(fr, ts, grid, init=init)
     np.testing.assert_array_equal(traj.error_cov[0], np.eye(24))
-    np.testing.assert_allclose(traj.cross_cov[0], np.kron(ones, ts.sigma0), rtol=1e-15, atol=0)
-    np.testing.assert_allclose(
-        traj.state_cov[0], np.kron(ones, ts.sigma0 + np.outer(ts.x0, ts.x0)), rtol=1e-15, atol=0
-    )
+    drift, drive, _ = joint_system(fr, ts, init)
+    cross = np.kron(np.ones((ts.sensor_count, 1)), ts.sigma0)
+    start = np.block([[init.error_cov, cross], [cross.T, ts.sigma0 + np.outer(ts.x0, ts.x0)]])
+    want = closed_form_flow(drift, drive, start, grid)[:, :24, :24]
+    assert np.max(np.abs(traj.error_cov - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("scale, rtol", [(1.05, 1e-9), (10.0, 5e-9)])
 def test_propagate_reaches_steady_state_on_a_25_node_network(scale, rtol):
-    # At t = 400 every block of the exact flow has settled onto the
-    # steady-state solves.  What is left is the rounding that Phi's squarings
+    # At t = 400 the error block of the exact flow has settled onto the
+    # steady-state solve.  What is left is the rounding that Phi's squarings
     # amplify: at most 3.8e-10 relative at 1.05x and 1.3e-9 at 10x, for this
     # flow and for the 2nN flow of [e; 1 x x] alike.
     fr, ts, nm = ring_chord_filter(25, scale)
     ss = solvers.steady_state(fr, ts, nm)
     traj = solvers.propagate(fr, ts, np.linspace(0.0, 400.0, 101))
-    for field in ("error_cov", "cross_cov", "state_cov"):
-        assert_close(getattr(traj, field)[-1], getattr(ss, field), rtol)
+    assert_close(traj.error_cov[-1], ss.error_cov, rtol)
 
 
 def test_propagate_case2_projection_growth(case2):
@@ -831,18 +853,26 @@ def test_propagate_case2_full_horizon_growth(case2):
 
 def test_propagate_case1_stiff_top_gain_matches_oracle(case1):
     # Top gain of the preset, 100x the Hurwitz threshold: the exact flow
-    # stays finite and fast, and matches the substep-capped RK4 oracle.
+    # stays finite and fast, and matches the closed-form oracle.  Both drifts
+    # are Hurwitz: the closed loop above the threshold, and the joint drift,
+    # whose truth block is case1's true A (eigenvalue -0.1).
     ts, nm, topo = case1.true_system, case1.nominal, case1.topology
     gammas = case1.resolve_gammas()
     fr = build_filter(nm, ts, topo, float(gammas[-1]))
     assert fr.gamma == pytest.approx(100.0 * fr.gamma_min, rel=1e-9)
     grid = np.linspace(0.0, 2.0, 21)
+    init = case1.initial_state()
     start = time.perf_counter()
-    traj = solvers.propagate(fr, ts, grid, init=case1.initial_state())
+    traj = solvers.propagate(fr, ts, grid, init=init)
     assert time.perf_counter() - start < 1.0
-    oracle = rk4_propagate(fr, ts, nm, grid, dt=case1.ode.dt, init=case1.initial_state())
-    for field in ("nominal_cov", "error_cov", "cross_cov", "state_cov"):
-        got, want = getattr(traj, field), getattr(oracle, field)
+    q_dim = fr.closed_loop.shape[0]
+    w_nom = fr.gain_diag @ nm.r_diag @ fr.gain_diag.T + nm.q_network
+    oracle = {
+        "nominal_cov": closed_form_flow(fr.closed_loop, w_nom, init.nominal_cov, grid),
+        "error_cov": closed_form_flow(*joint_system(fr, ts, init), grid)[:, :q_dim, :q_dim],
+    }
+    for field, want in oracle.items():
+        got = getattr(traj, field)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
