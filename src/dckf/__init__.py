@@ -26,17 +26,19 @@ process (found through ``/proc/self/maps``) to one thread; without ``/proc``
 or a known thread setter that step does nothing.  The Monte Carlo spends the
 free cores on trial chunks instead (see ``dckf.sim``).
 
-``import dckf`` also defers seven numpy modules that no dckf module uses:
+``import dckf`` also defers eight numpy modules that no dckf module uses:
 ``numpy.f2py``, ``numpy.testing``, ``numpy.polynomial``, ``numpy.ctypeslib``,
-``numpy.char``, ``numpy.rec`` and ``numpy.strings``.  scipy 1.17's array-API
-shim clones numpy's namespace when a dckf module loads ``scipy.linalg``, and
-that imports every numpy submodule; each of these seven then loads as an
-``importlib.util.LazyLoader`` module, which runs on its first attribute read.
-This saves about 0.07 s and 9 MB per process.  A module loaded before
-``import dckf`` is left as it is.  Before Python 3.12 ``LazyLoader`` does not
-lock a module's first run against other threads, so dckf code must not use a
-deferred module; ``numpy.ma`` is not deferred because scipy's input checks
-read it on every validated call.
+``numpy.char``, ``numpy.rec``, ``numpy.strings`` and ``numpy.ma``.  scipy
+1.17's array-API shim clones numpy's namespace when a dckf module loads
+``scipy.linalg``, and that imports every numpy submodule; each of these eight
+then loads as an ``importlib.util.LazyLoader`` module, which runs on its
+first attribute read.  The Riccati solve takes the null space of a neutral
+mode from LAPACK ``gesdd`` itself, since scipy's input checks read
+``numpy.ma``.  On a 2-core box this saves about 0.08 s and 10 MB per process.
+A module loaded before ``import dckf`` is left as it is.  Before Python 3.12
+``LazyLoader`` does not lock a module's first run against other threads, so
+dckf code must not use a deferred module, directly or through a scipy input
+check.
 """
 
 import importlib
@@ -93,7 +95,7 @@ if _blas_threads() is None:
 # numpy submodules that scipy's array-API shim requests and no dckf module uses.
 _DEFERRED = frozenset(
     f"numpy.{name}"
-    for name in ("f2py", "testing", "polynomial", "ctypeslib", "char", "rec", "strings")
+    for name in ("f2py", "testing", "polynomial", "ctypeslib", "char", "rec", "strings", "ma")
 )
 
 

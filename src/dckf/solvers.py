@@ -406,6 +406,26 @@ def _neutral_modes(a: np.ndarray, q: np.ndarray) -> np.ndarray | None:
     return u[:, :rank]
 
 
+def _null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of ``m``, bitwise ``scipy.linalg.null_space(m)``.
+
+    It makes scipy's LAPACK call, ``gesdd`` with the optimal workspace and
+    full matrices, and keeps the right singular vectors whose singular value
+    is at most ``max(s) eps max(m, n)``.  Calling LAPACK directly skips
+    scipy's input check, which would load ``numpy.ma`` (see ``dckf``).
+    """
+    gesdd, gesdd_lwork = scipy.linalg.lapack.get_lapack_funcs(("gesdd", "gesdd_lwork"), (m,))
+    rows, cols = m.shape
+    lwork, info = gesdd_lwork(rows, cols, compute_uv=True, full_matrices=True)
+    if info == 0:
+        _, s, vh, info = gesdd(m, compute_uv=True, lwork=int(lwork), full_matrices=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD of the neutral basis failed (LAPACK info {info})")
+    tol = np.amax(s, initial=0.0) * (np.finfo(float).eps * max(rows, cols))
+    rank = int(np.sum(s > tol))
+    return vh[rank:].T
+
+
 def _solve_care_core(a: np.ndarray, gram: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Stable-invariant-subspace solution of A P + P A' + Q - P Gram P = 0."""
     n = a.shape[0]
@@ -472,7 +492,7 @@ def solve_care(
         neutral = _neutral_modes(a_red, q_red)
         if neutral is None:
             break
-        keep = scipy.linalg.null_space(neutral.T)
+        keep = _null_space(neutral.T)
         a_red = keep.T @ a_red @ keep
         q_red = matkit.symmetrize(keep.T @ q_red @ keep)
         gram_red = matkit.symmetrize(keep.T @ gram_red @ keep)
@@ -515,10 +535,14 @@ class SteadyStateResult:
     residuals: dict[str, float]
 
 
+def _is_unstable(form: SchurForm) -> bool:
+    """True when an eigenvalue lies right of the band ``Re w <= 1e-9 ||m||_2``."""
+    return form.spectral_abscissa > _HURWITZ_RTOL * max(form.band_norm(), 1e-300)
+
+
 def _hurwitz_guard(form: SchurForm, what: str) -> None:
-    alpha = form.spectral_abscissa
-    if alpha > _HURWITZ_RTOL * max(form.band_norm(), 1e-300):
-        raise NotHurwitzError(f"{what} is unstable (spectral abscissa {alpha:.3e})")
+    if _is_unstable(form):
+        raise NotHurwitzError(f"{what} is unstable (spectral abscissa {form.spectral_abscissa:.3e})")
 
 
 def _noise_drive(fr: "FilterRealization", model: "TrueSystem | NominalModel") -> np.ndarray:
@@ -658,8 +682,29 @@ def _flow_pair(drift: np.ndarray, drive: np.ndarray, h: float) -> tuple[np.ndarr
     return phi, q
 
 
+# A drift with no eigenvalue right of the Hurwitz band cannot make the flow
+# grow, so each ``Phi`` of its flow must have spectral radius at most 1 plus
+# this share.  Where the flow is right (case2 up to gamma = 1e16) it is at most
+# 1 + 1.3e-15.
+_GROWTH_RTOL = 1e-8
+
+
+def _check_growth(phi: np.ndarray, h: float) -> None:
+    """Refuse a step ``Phi`` whose spectral radius exceeds ``1 + _GROWTH_RTOL``."""
+    rho = np.max(np.abs(np.linalg.eigvals(phi))) if np.all(np.isfinite(phi)) else np.inf
+    if not rho <= 1.0 + _GROWTH_RTOL:
+        raise SolverError(
+            f"the covariance flow's step over {h:.3g} has spectral radius {rho:.3e} "
+            "although its drift has no unstable eigenvalue; the drift is too stiff to step"
+        )
+
+
 def _covariance_flow(
-    drift: np.ndarray, drive: np.ndarray, init: np.ndarray, grid: np.ndarray
+    drift: np.ndarray,
+    drive: np.ndarray,
+    init: np.ndarray,
+    grid: np.ndarray,
+    spectrum: "tuple[SchurForm, ...]",
 ) -> np.ndarray:
     """Exact solution of ``dX/dt = A X + X A' + W`` on a time grid; returns (len(grid), n, n).
 
@@ -667,10 +712,17 @@ def _covariance_flow(
     :func:`_flow_pair`, formed once per distinct span (spans within 1e-12
     relative share a pair).  A pair takes ``log2(||A||_1 h)`` squarings, whose
     rounding compounds: on case2 (``h = 0.5``) the error trace at t = 50 moves from
-    its value at ``||A||_1 h = 1e7`` by 6e-6 relative at 1e11 and 4e-2 at 1e15.  From
-    about 1e16 ``Phi`` is no longer a contraction, and the flow reads wrong or NaN, silently.
+    its value at ``||A||_1 h = 1e7`` by 6e-6 relative at 1e11 and 4e-2 at 1e15.
+    ``spectrum`` holds the Schur forms whose eigenvalues together are those of
+    ``A`` (``A``'s own, or its diagonal blocks' when it is block triangular).
+    When none has an eigenvalue right of the Hurwitz guard's band, a pair whose
+    ``Phi`` has spectral radius above ``1 + 1e-8`` raises :class:`SolverError`:
+    on case2 that is every gain from 1e17 on, where ``Phi`` stops contracting
+    and the flow would read wrong or NaN.  A ``Phi`` that stays bounded but
+    wrong, as at 1e24, is not caught.
     """
     grid = _check_grid(grid)
+    bounded = not any(map(_is_unstable, spectrum))
     drift = np.asarray(drift, dtype=float)
     drive = matkit.symmetrize(drive)
     x = matkit.symmetrize(init)
@@ -683,6 +735,8 @@ def _covariance_flow(
         pair = next((p for p in pairs if abs(p[0] - span) <= 1e-12 * span), None)
         if pair is None:
             pair = (span, *_flow_pair(drift, drive, span))
+            if bounded:
+                _check_growth(pair[1], span)
             pairs.append(pair)
         _, phi, q = pair
         # A diverging flow overflows to inf, and its trace rate reports that.
@@ -714,7 +768,8 @@ def propagate(
     copies], [0, I]]``, and the truth's initial moments are those of
     :class:`TrajectoryInit`.  Every flow is stepped exactly (matrix
     exponential plus Van Loan's integral).  A diverging flow's entries and
-    trace rates read inf or NaN.
+    trace rates read inf or NaN; a flow that cannot grow but whose step does
+    raises :class:`SolverError` (see :func:`_covariance_flow`).
     """
     if init is None:
         init = default_initial_state(ts)
@@ -724,9 +779,14 @@ def propagate(
         if shape != (q_dim, q_dim):
             raise ValueError(f"initial {name} must be {q_dim}x{q_dim}, got {shape}")
     _check_pair(ts, fr.nominal)
-    nominal = _covariance_flow(fr.closed_loop, _noise_drive(fr, fr.nominal), init.nominal_cov, grid)
+    closed_loop = (fr.closed_loop_schur,)
+    nominal = _covariance_flow(
+        fr.closed_loop, _noise_drive(fr, fr.nominal), init.nominal_cov, grid, closed_loop
+    )
     if fr.mismatch_is_zero:
-        error = _covariance_flow(fr.closed_loop, _noise_drive(fr, ts), init.error_cov, grid)
+        error = _covariance_flow(
+            fr.closed_loop, _noise_drive(fr, ts), init.error_cov, grid, closed_loop
+        )
     else:
         n, nodes = ts.n, ts.sensor_count
         copies = np.tile(np.eye(n), (nodes, 1))
@@ -735,7 +795,9 @@ def propagate(
         noise = scipy.linalg.block_diag(ts.r_diag, ts.q)
         cross = copies @ ts.sigma0
         joint_init = np.block([[init.error_cov, cross], [cross.T, ts.sigma0 + np.outer(ts.x0, ts.x0)]])
-        error = _covariance_flow(drift, input_map @ noise @ input_map.T, joint_init, grid)[:, :q_dim, :q_dim]
+        spectrum = (*closed_loop, SchurForm.of(ts.a))
+        error = _covariance_flow(drift, input_map @ noise @ input_map.T, joint_init, grid, spectrum)
+        error = error[:, :q_dim, :q_dim]
     with np.errstate(over="ignore", invalid="ignore"):
         rate = np.gradient(np.einsum("kii->k", error), np.asarray(grid, dtype=float))
     return CovarianceTrajectory(nominal_cov=nominal, error_cov=error, error_trace_rate=rate)

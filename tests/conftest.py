@@ -244,7 +244,8 @@ def joint_flow(fr, ts, grid, init=None):
     """
     from dckf import solvers
 
-    out = solvers._covariance_flow(*joint_system(fr, ts, init), grid)
+    spectrum = (fr.closed_loop_schur, solvers.SchurForm.of(ts.a))
+    out = solvers._covariance_flow(*joint_system(fr, ts, init), grid, spectrum)
     q_dim, nodes = fr.closed_loop.shape[0], ts.sensor_count
     return (
         np.tile(out[:, :q_dim, q_dim:], (1, 1, nodes)),

@@ -583,6 +583,17 @@ def test_blank_gamma_override_is_exit_1(tmp_path, capsys, gamma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma", ["1e17", "1e18"])
+def test_divergence_refuses_a_flow_step_that_grows(tmp_path, capsys, gamma):
+    # case2's closed loop has no unstable eigenvalue, but from 1e17 the squarings
+    # leave its step matrix growing, and the flow would read 1.1e11 or empty cells.
+    out = tmp_path / "out"
+    assert main(["divergence", "--scenario", "case2", "--out", str(out), "--gamma", gamma]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "spectral radius" in err
+    assert not out.exists()
+
+
 def one_sensor_doc():
     doc = short_baseline()
     sensor = {"c": np.eye(4).tolist(), "r": (0.2 * np.eye(4)).tolist()}

@@ -367,7 +367,7 @@ def test_python_dash_m_collects_nothing_while_importing():
 
 # The numpy modules that ``import dckf`` defers until their first use.
 DEFERRED = [
-    "numpy.char", "numpy.ctypeslib", "numpy.f2py", "numpy.polynomial", "numpy.rec",
+    "numpy.char", "numpy.ctypeslib", "numpy.f2py", "numpy.ma", "numpy.polynomial", "numpy.rec",
     "numpy.strings", "numpy.testing",
 ]
 
@@ -400,8 +400,9 @@ runpy.run_module('dckf', run_name='__main__')
         (["sweep", "--scenario", "case1"], False),
         (["divergence", "--scenario", "case2"], False),
         (["sweep", "--scenario", "case1", "--simulate", "--trials", "2"], True),
+        (["divergence", "--scenario", "case2", "--simulate", "--trials", "2"], True),
     ],
-    ids=["relations", "validate", "sweep", "divergence", "sweep-simulate"],
+    ids=["relations", "validate", "sweep", "divergence", "sweep-simulate", "divergence-simulate"],
 )
 def test_only_a_monte_carlo_command_loads_the_simulator(command, loaded, tmp_path):
     report = fresh_python("-c", LOADS_SIMULATOR, *command, "--out", str(tmp_path))

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import dckf
@@ -14,7 +14,7 @@ from dckf.analysis import trace_bounds
 from dckf.filtering import build_filter, gamma_threshold
 from dckf.model import NominalModel, Sensor, TrueSystem, deviations, stack
 from conftest import (
-    closed_form_flow, complete, joint_flow, joint_system, kron_sylvester,
+    closed_form_flow, complete, joint_flow, joint_system, kron_sylvester, mismatched_networks,
     random_assumption2_setup, random_spd, ring_chord_network, rk4_propagate,
 )
 
@@ -147,6 +147,25 @@ def test_care_deflates_noise_blind_neutral_mode(case2):
     eigs = np.linalg.eigvals(closed)
     assert np.max(eigs.real) <= 1e-10  # marginal, not stabilizing
     assert np.min(np.abs(eigs)) <= 1e-10
+
+
+def test_null_space_is_scipys_bitwise(case2):
+    # The Riccati solve calls LAPACK gesdd as scipy.linalg.null_space does,
+    # without scipy's input check, and must return the very same basis.
+    rng = np.random.default_rng(36)
+    neutral = solvers._neutral_modes(case2.nominal.a, case2.nominal.q)
+    inputs = [
+        rng.standard_normal((3, 6)),  # full row rank
+        rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6)),  # rank 2 of 4 rows
+        rng.standard_normal((1, 4)),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),  # square and singular
+        rng.standard_normal((3, 3)),  # square and regular: an empty null space
+        neutral.T,  # what case2's neutral-mode deflation passes
+    ]
+    for m in inputs:
+        got, want = solvers._null_space(m), scipy.linalg.null_space(m)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +768,9 @@ def spy_flow_sizes(monkeypatch):
     """Record the drift size of every ``_covariance_flow`` call into the returned list."""
     sizes, real_flow = [], solvers._covariance_flow
 
-    def spy_flow(drift, drive, init, grid):
+    def spy_flow(drift, *args):
         sizes.append(drift.shape[0])
-        return real_flow(drift, drive, init, grid)
+        return real_flow(drift, *args)
 
     monkeypatch.setattr(solvers, "_covariance_flow", spy_flow)
     return sizes
@@ -804,6 +823,23 @@ def test_propagate_truth_moments_start_from_x0_and_sigma0(case1, case3):
     cross = np.kron(np.ones((ts.sensor_count, 1)), ts.sigma0)
     start = np.block([[init.error_cov, cross], [cross.T, ts.sigma0 + np.outer(ts.x0, ts.x0)]])
     want = closed_form_flow(drift, drive, start, grid)[:, :24, :24]
+    assert np.max(np.abs(traj.error_cov - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(network=mismatched_networks())
+def test_property_propagate_joint_path_matches_the_closed_form_flow(network):
+    # With nonzero feedthrough the error block comes from the [e; x] flow.
+    # The draws' true A is Hurwitz, and so is the closed loop above the
+    # threshold, so the closed-form flow of the joint system is a reference
+    # independent of dckf's Schur solver and of Van Loan's doubling.
+    ts, nm, topo, gamma = network
+    fr = build_filter(nm, ts, topo, gamma)
+    assume(not fr.mismatch_is_zero)
+    grid = np.linspace(0.0, 10.0, 21)
+    traj = solvers.propagate(fr, ts, grid)
+    q_dim = fr.closed_loop.shape[0]
+    want = closed_form_flow(*joint_system(fr, ts), grid)[:, :q_dim, :q_dim]
     assert np.max(np.abs(traj.error_cov - want)) <= 1e-8 * np.max(np.abs(want))
 
 
