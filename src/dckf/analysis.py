@@ -386,7 +386,7 @@ def relation_analysis(
         fr.gain_diag @ d_r_diag @ fr.gain_diag.T + np.kron(ones, dev.d_q)
     )
     grid = np.asarray(grid, dtype=float)
-    out = _covariance_flow(fr.closed_loop, drive, gap_init, grid, (fr.closed_loop_schur,))
+    out = _covariance_flow(fr.closed_loop, drive, gap_init, grid)
     gap = out[0]
 
     eigs = np.linalg.eigvalsh(out)

@@ -535,14 +535,10 @@ class SteadyStateResult:
     residuals: dict[str, float]
 
 
-def _is_unstable(form: SchurForm) -> bool:
-    """True when an eigenvalue lies right of the band ``Re w <= 1e-9 ||m||_2``."""
-    return form.spectral_abscissa > _HURWITZ_RTOL * max(form.band_norm(), 1e-300)
-
-
 def _hurwitz_guard(form: SchurForm, what: str) -> None:
-    if _is_unstable(form):
-        raise NotHurwitzError(f"{what} is unstable (spectral abscissa {form.spectral_abscissa:.3e})")
+    alpha = form.spectral_abscissa
+    if alpha > _HURWITZ_RTOL * max(form.band_norm(), 1e-300):
+        raise NotHurwitzError(f"{what} is unstable (spectral abscissa {alpha:.3e})")
 
 
 def _noise_drive(fr: "FilterRealization", model: "TrueSystem | NominalModel") -> np.ndarray:
@@ -682,29 +678,36 @@ def _flow_pair(drift: np.ndarray, drive: np.ndarray, h: float) -> tuple[np.ndarr
     return phi, q
 
 
-# A drift with no eigenvalue right of the Hurwitz band cannot make the flow
-# grow, so each ``Phi`` of its flow must have spectral radius at most 1 plus
-# this share.  Where the flow is right (case2 up to gamma = 1e16) it is at most
-# 1 + 1.3e-15.
+# A drift that cannot grow gives steps ``Phi`` of spectral radius at most 1
+# plus this share.  Where the flow is right (case2 up to gamma = 1e16) it is at
+# most 1 + 1.3e-15.
 _GROWTH_RTOL = 1e-8
 
 
-def _check_growth(phi: np.ndarray, h: float) -> None:
-    """Refuse a step ``Phi`` whose spectral radius exceeds ``1 + _GROWTH_RTOL``."""
+def _check_growth(drift: np.ndarray, phi: np.ndarray, h: float) -> None:
+    """Refuse a step ``Phi = e^{A h}`` that grows although ``A`` cannot.
+
+    ``A`` cannot grow when its spectral abscissa is at most its rounding,
+    ``n eps ||A||_1``; the sign of a smaller abscissa is not in the data.  Only
+    a ``Phi`` with spectral radius above ``1 + 1e-8`` pays for ``A``'s eigenvalues.
+    A drift that does grow is not checked: its ``Phi`` departs from ``e^{h alpha}``
+    by about ``eps ||A||_1 h``, which no fixed share bounds.
+    """
     rho = np.max(np.abs(np.linalg.eigvals(phi))) if np.all(np.isfinite(phi)) else np.inf
-    if not rho <= 1.0 + _GROWTH_RTOL:
+    if rho <= 1.0 + _GROWTH_RTOL:
+        return
+    rounding = drift.shape[0] * np.finfo(float).eps * np.linalg.norm(drift, 1)
+    alpha = np.max(np.linalg.eigvals(drift).real)
+    if not alpha > rounding:
         raise SolverError(
-            f"the covariance flow's step over {h:.3g} has spectral radius {rho:.3e} "
-            "although its drift has no unstable eigenvalue; the drift is too stiff to step"
+            f"the covariance flow's step over {h:.3g} has spectral radius {rho:.3e} although "
+            f"its drift's spectral abscissa {alpha:.3e} is within its rounding {rounding:.3e}; "
+            "the drift is too stiff to step"
         )
 
 
 def _covariance_flow(
-    drift: np.ndarray,
-    drive: np.ndarray,
-    init: np.ndarray,
-    grid: np.ndarray,
-    spectrum: "tuple[SchurForm, ...]",
+    drift: np.ndarray, drive: np.ndarray, init: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
     """Exact solution of ``dX/dt = A X + X A' + W`` on a time grid; returns (len(grid), n, n).
 
@@ -713,16 +716,13 @@ def _covariance_flow(
     relative share a pair).  A pair takes ``log2(||A||_1 h)`` squarings, whose
     rounding compounds: on case2 (``h = 0.5``) the error trace at t = 50 moves from
     its value at ``||A||_1 h = 1e7`` by 6e-6 relative at 1e11 and 4e-2 at 1e15.
-    ``spectrum`` holds the Schur forms whose eigenvalues together are those of
-    ``A`` (``A``'s own, or its diagonal blocks' when it is block triangular).
-    When none has an eigenvalue right of the Hurwitz guard's band, a pair whose
-    ``Phi`` has spectral radius above ``1 + 1e-8`` raises :class:`SolverError`:
-    on case2 that is every gain from 1e17 on, where ``Phi`` stops contracting
-    and the flow would read wrong or NaN.  A ``Phi`` that stays bounded but
-    wrong, as at 1e24, is not caught.
+    A pair whose ``Phi`` grows although ``A`` cannot raises
+    :class:`SolverError` (see :func:`_check_growth`): on case2 that is every
+    gain from 1e17 on, where ``Phi`` stops contracting and the flow would read
+    wrong or NaN.  A ``Phi`` that stays bounded but wrong, as at 1e24, is not
+    caught.
     """
     grid = _check_grid(grid)
-    bounded = not any(map(_is_unstable, spectrum))
     drift = np.asarray(drift, dtype=float)
     drive = matkit.symmetrize(drive)
     x = matkit.symmetrize(init)
@@ -735,8 +735,7 @@ def _covariance_flow(
         pair = next((p for p in pairs if abs(p[0] - span) <= 1e-12 * span), None)
         if pair is None:
             pair = (span, *_flow_pair(drift, drive, span))
-            if bounded:
-                _check_growth(pair[1], span)
+            _check_growth(drift, pair[1], span)
             pairs.append(pair)
         _, phi, q = pair
         # A diverging flow overflows to inf, and its trace rate reports that.
@@ -779,14 +778,9 @@ def propagate(
         if shape != (q_dim, q_dim):
             raise ValueError(f"initial {name} must be {q_dim}x{q_dim}, got {shape}")
     _check_pair(ts, fr.nominal)
-    closed_loop = (fr.closed_loop_schur,)
-    nominal = _covariance_flow(
-        fr.closed_loop, _noise_drive(fr, fr.nominal), init.nominal_cov, grid, closed_loop
-    )
+    nominal = _covariance_flow(fr.closed_loop, _noise_drive(fr, fr.nominal), init.nominal_cov, grid)
     if fr.mismatch_is_zero:
-        error = _covariance_flow(
-            fr.closed_loop, _noise_drive(fr, ts), init.error_cov, grid, closed_loop
-        )
+        error = _covariance_flow(fr.closed_loop, _noise_drive(fr, ts), init.error_cov, grid)
     else:
         n, nodes = ts.n, ts.sensor_count
         copies = np.tile(np.eye(n), (nodes, 1))
@@ -795,9 +789,7 @@ def propagate(
         noise = scipy.linalg.block_diag(ts.r_diag, ts.q)
         cross = copies @ ts.sigma0
         joint_init = np.block([[init.error_cov, cross], [cross.T, ts.sigma0 + np.outer(ts.x0, ts.x0)]])
-        spectrum = (*closed_loop, SchurForm.of(ts.a))
-        error = _covariance_flow(drift, input_map @ noise @ input_map.T, joint_init, grid, spectrum)
-        error = error[:, :q_dim, :q_dim]
+        error = _covariance_flow(drift, input_map @ noise @ input_map.T, joint_init, grid)[:, :q_dim, :q_dim]
     with np.errstate(over="ignore", invalid="ignore"):
         rate = np.gradient(np.einsum("kii->k", error), np.asarray(grid, dtype=float))
     return CovarianceTrajectory(nominal_cov=nominal, error_cov=error, error_trace_rate=rate)

@@ -244,8 +244,7 @@ def joint_flow(fr, ts, grid, init=None):
     """
     from dckf import solvers
 
-    spectrum = (fr.closed_loop_schur, solvers.SchurForm.of(ts.a))
-    out = solvers._covariance_flow(*joint_system(fr, ts, init), grid, spectrum)
+    out = solvers._covariance_flow(*joint_system(fr, ts, init), grid)
     q_dim, nodes = fr.closed_loop.shape[0], ts.sensor_count
     return (
         np.tile(out[:, :q_dim, q_dim:], (1, 1, nodes)),

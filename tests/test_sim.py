@@ -13,7 +13,7 @@ from dckf import matkit, sim
 from dckf.filtering import build_filter
 from dckf.graph import Topology
 from dckf.model import NominalModel, Sensor, TrueSystem
-from dckf.solvers import SchurForm, _covariance_flow, steady_state
+from dckf.solvers import _covariance_flow, steady_state
 
 from conftest import complete, stepwise_monte_carlo
 
@@ -151,9 +151,7 @@ def test_ensemble_second_moment_matches_state_covariance(baseline):
         states.append(np.concatenate([z[:, :, : ts.n] for z in engine.run(trials)], axis=1))
     states = np.concatenate(states, axis=0)
     times = cfg.record_steps() * cfg.dt
-    flow = _covariance_flow(
-        ts.a, ts.q, ts.sigma0 + np.outer(ts.x0, ts.x0), times, (SchurForm.of(ts.a),)
-    )
+    flow = _covariance_flow(ts.a, ts.q, ts.sigma0 + np.outer(ts.x0, ts.x0), times)
     for k in (1, 2):  # skip t=0 (exact by construction)
         moment = np.einsum("bi,bj->ij", states[:, k], states[:, k]) / states.shape[0]
         analytic = flow[k]
